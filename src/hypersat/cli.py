@@ -15,8 +15,9 @@ import sys
 from dataclasses import dataclass
 
 from . import experiments, verify
-from .assignments import (HEURISTICS, TIE_BREAKS, consumption_rate, excluded_literals,
-                          subclause_count, subclause_total, thresholds, unsolved_curve)
+from .assignments import (HEURISTICS, MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS,
+                          consumption_rate, excluded_literals, subclause_count,
+                          subclause_total, thresholds, unsolved_curve)
 from .dimacs import DimacsError, emit_dimacs, literal_to_dimacs, parse_dimacs
 from .formula import (Assignment, Formula, GuardrailError, check_consistent, evaluate,
                       literal_str, make_literal, parse_literal, random_formula, var_of)
@@ -117,6 +118,8 @@ def instance_filename(n: int, r: float, seed: int, k: int) -> str:
 
 
 def cmd_gen(args) -> int:
+    if args.k != 3:
+        raise UsageError(f"--k {args.k}: only width-3 instances can be read back")
     directory = args.out_dir or out_dir()
     os.makedirs(directory, exist_ok=True)
     seeds = range(args.seed, args.seed + args.count)
@@ -185,8 +188,7 @@ def cmd_assign(args) -> int:
         "input": config.label,
         "heuristic": args.heuristic,
         "tie_break": args.tie_break,
-        "metadata": {"minCreateMaxSolve_reading":
-                     "argmax of solved-minus-created per variable"},
+        "metadata": {"minCreateMaxSolve_reading": MIN_CREATE_MAX_SOLVE_READING},
         "assignment": assignment_json(a),
         "fraction_satisfied": report.fraction,
         "unsatisfied_clauses": list(report.unsatisfied_ids),
@@ -273,7 +275,7 @@ def cmd_verify(args) -> int:
         elif name == "census":
             kwargs.update(instances=args.instances, n_range=n_range, r=args.r)
         report = suite(**kwargs)
-        print(report.summary_line())
+        print(report.summary_line(), file=sys.stderr)
         reports.append(report)
     sys.stdout.write(dump_json([vars(rep) for rep in reports]))
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_FALSIFIED
@@ -324,8 +326,14 @@ def cmd_export(args) -> int:
         a = parse_assignment(args.assignment, f.n)
         merged = merge_active(hg, a)
         text = export_dot(merged)
-        contradictions = find_contradictions(hg, a)
-        sys.stderr.write(f"merged graph consistent: {contradictions.consistent}\n")
+        report = find_contradictions(hg, a)
+        sys.stderr.write(f"merged graph consistent: {report.consistent}\n"
+                         f"escaped implications: {len(report.escaped_implications)}, "
+                         f"SCC conflicts: {len(report.scc_conflicts)}, "
+                         f"witness paths: {len(report.witness_paths)}\n")
+        if report.witness_paths:
+            path = " -> ".join(literal_str(lit) for lit in report.witness_paths[0])
+            sys.stderr.write(f"first witness path: {path}\n")
     else:
         text = export_dot(hg)
     emit(args, text)
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=4.25)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=1, help="files for seeds seed..seed+count-1")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=3,
+                   help="clause width; only 3 is accepted, the width the other commands read")
     p.add_argument("--out-dir", default=None, help=f"default: ${OUT_DIR_ENV} or .")
     p.set_defaults(func=cmd_gen)
 

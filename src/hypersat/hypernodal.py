@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .formula import (Assignment, GuardrailError, Literal, check_consistent,
-                      literal_str, make_literal, negate, var_of)
+                      literal_str, make_literal, negate)
 from .subclauses import SubClauseSpace
 
 TRANSITIVE_CLOSURE_MAX_NODES = 2000
@@ -34,57 +34,78 @@ class Digraph:
         return adj
 
 
-def tarjan_scc(nodes, adjacency) -> list[tuple[int, ...]]:
-    """Strongly connected components via an explicit-stack Tarjan.
+def implication_adjacency(n: int, pairs) -> list[list[Literal]]:
+    """Successor lists of the implication graph over the 2n literal codes:
+    each clause (l1 v l2) adds the edges -l1 -> l2 and -l2 -> l1, appended in
+    the order the clauses are given."""
+    adjacency: list[list[Literal]] = [[] for _ in range(2 * n)]
+    for l1, l2 in pairs:
+        adjacency[negate(l1)].append(l2)
+        adjacency[negate(l2)].append(l1)
+    return adjacency
 
-    Components are emitted in reverse topological order of the condensation
-    and deterministically for a fixed node order.
+
+def tarjan_scc(adjacency: list[list[int]]) -> list[tuple[int, ...]]:
+    """Strongly connected components of the graph on nodes 0..len-1 whose
+    successor lists are `adjacency`, via an explicit-stack Tarjan.
+
+    Components are emitted in reverse topological order of the condensation.
+    Roots are tried in node order and successors in list order, so the output
+    is deterministic for a fixed adjacency.
     """
-    nodes = list(nodes)
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    size = len(adjacency)
+    index = [-1] * size
+    lowlink = [0] * size
+    on_stack = [False] * size
     stack: list[int] = []
     components: list[tuple[int, ...]] = []
     counter = 0
-    for root in nodes:
-        if root in index:
+    for root in range(size):
+        if index[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adjacency[root]))]
         while work:
-            node, edge_pos = work.pop()
-            if edge_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            descended = False
-            successors = adjacency.get(node, ())
-            while edge_pos < len(successors):
-                succ = successors[edge_pos]
-                edge_pos += 1
-                if succ not in index:
-                    work.append((node, edge_pos))
-                    work.append((succ, 0))
-                    descended = True
+            node, successors = work[-1]
+            for succ in successors:
+                if index[succ] < 0:
+                    index[succ] = lowlink[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = True
+                    work.append((succ, iter(adjacency[succ])))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if descended:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(tuple(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if on_stack[succ] and index[succ] < lowlink[node]:
+                    lowlink[node] = index[succ]
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    comp = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        comp.append(member)
+                        if member == node:
+                            break
+                    components.append(tuple(comp))
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
     return components
+
+
+def component_ids(adjacency: list[list[int]]) -> list[int]:
+    """Component id per node, numbered in tarjan_scc's emission order
+    (reverse topological)."""
+    comp = [-1] * len(adjacency)
+    for comp_id, members in enumerate(tarjan_scc(adjacency)):
+        for node in members:
+            comp[node] = comp_id
+    return comp
 
 
 @dataclass(frozen=True)
@@ -160,56 +181,83 @@ def transitive_closure(g: Digraph) -> dict[int, frozenset[int]]:
 
 
 def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
-    return tarjan_scc(g.nodes, g.adjacency())
+    position = {node: i for i, node in enumerate(g.nodes)}
+    adjacency = g.adjacency()
+    components = tarjan_scc([[position[v] for v in adjacency[u]] for u in g.nodes])
+    return [tuple(g.nodes[i] for i in comp) for comp in components]
 
 
 @dataclass(frozen=True)
 class ContradictionReport:
+    """What find_contradictions found in an assignment's merged graph.
+
+    Each field is bounded by the graph: at most one witness path per literal
+    of the assignment, one conflict per variable, one entry per edge."""
+
     consistent: bool
-    # assigned literals whose negation is reachable from some assigned literal
-    reached_negations: tuple[tuple[Literal, Literal], ...]  # (source, negation reached)
+    # one shortest path per negation of an assigned literal that the merged
+    # graph reaches from the assignment: it starts at an assigned literal and
+    # ends at the negation, sorted by that end literal
+    witness_paths: tuple[tuple[Literal, ...], ...]
     scc_conflicts: tuple[int, ...]       # variables whose two literals share an SCC
     escaped_implications: tuple[Edge, ...]  # edges u -> v with u assigned, v not
+
+
+def _witness_paths(adjacency: list[list[Literal]], a: Assignment) -> list[tuple[Literal, ...]]:
+    """One breadth-first search from every assigned literal at once; each
+    negation of an assigned literal it reaches is traced back along parent
+    pointers to the nearest assigned literal."""
+    parent = [-1] * len(adjacency)
+    reached = [False] * len(adjacency)
+    frontier = sorted(a)
+    for lit in frontier:
+        reached[lit] = True
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            for succ in adjacency[node]:
+                if not reached[succ]:
+                    reached[succ] = True
+                    parent[succ] = node
+                    next_frontier.append(succ)
+        frontier = next_frontier
+    paths = []
+    for end in sorted(negate(lit) for lit in a):
+        if reached[end]:
+            path = [end]
+            while parent[path[-1]] >= 0:
+                path.append(parent[path[-1]])
+            paths.append(tuple(reversed(path)))
+    return paths
 
 
 def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionReport:
     """Merge the assignment's graphs and look for contradictions: an
     implication that leads out of the assignment, a path from the assignment
     to a negation of one of its literals, or a variable whose two literals
-    are strongly connected."""
+    are strongly connected.
+
+    Runs in time linear in the merged graph, up to sorting its edges: one
+    Tarjan pass for the conflicts and one multi-source breadth-first search
+    for the witness paths. The last check is not implied by the others for
+    partial assignments, where an unassigned variable can be in conflict
+    without any edge leaving the assignment."""
     a = check_consistent(a)
-    merged = merge_active(hg, a)
-    adjacency = merged.adjacency()
-    escaped = tuple(sorted((u, v) for (u, v) in merged.edges if u in a and v not in a))
-    negations = {negate(lit) for lit in a}
-    reached = []
-    for source in sorted(a):
-        seen: set[int] = set()
-        frontier = list(adjacency.get(source, ()))
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(adjacency.get(node, ()))
-        for neg in sorted(seen & negations):
-            reached.append((source, neg))
-    conflicts = []
-    for comp in tarjan_scc(merged.nodes, adjacency):
-        members = set(comp)
-        for lit in comp:
-            if negate(lit) in members and not is_negative_code(lit):
-                conflicts.append(var_of(lit))
+    edges = merge_active(hg, a).edges
+    escaped = tuple(sorted((u, v) for (u, v) in edges if u in a and v not in a))
+    # Edge u -> v comes from the sub-clause (-u v v); keep each sub-clause once.
+    pairs = sorted((negate(u), v) for (u, v) in edges if negate(u) < v)
+    adjacency = implication_adjacency(hg.n, pairs)
+    comp = component_ids(adjacency)
+    conflicts = tuple(v for v in range(hg.n)
+                      if comp[make_literal(v)] == comp[make_literal(v, True)])
+    witnesses = _witness_paths(adjacency, a)
     return ContradictionReport(
-        consistent=not (escaped or reached or conflicts),
-        reached_negations=tuple(reached),
-        scc_conflicts=tuple(sorted(set(conflicts))),
+        consistent=not (escaped or witnesses or conflicts),
+        witness_paths=tuple(witnesses),
+        scc_conflicts=conflicts,
         escaped_implications=escaped,
     )
-
-
-def is_negative_code(lit: Literal) -> bool:
-    return bool(lit & 1)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .formula import (Assignment, Clause, Formula, Literal, check_consistent,
                       evaluate, make_literal, negate, var_of)
-from .hypernodal import tarjan_scc
+from .hypernodal import component_ids, implication_adjacency
 from .subclauses import Pair, SubClauseSpace, build_space
 
 
@@ -88,19 +88,9 @@ class TwoSatResult:
 
 
 def _implication_sccs(n: int, clauses) -> list[int]:
-    """Component id per literal node of the implication graph (edges
-    -l1 -> l2 and -l2 -> l1 per clause), numbered in completion order
-    (reverse topological)."""
-    size = 2 * n
-    adjacency: dict[int, list[int]] = {node: [] for node in range(size)}
-    for l1, l2 in clauses:
-        adjacency[negate(l1)].append(l2)
-        adjacency[negate(l2)].append(l1)
-    comp = [-1] * size
-    for comp_id, members in enumerate(tarjan_scc(range(size), adjacency)):
-        for node in members:
-            comp[node] = comp_id
-    return comp
+    """Component id per literal node of the implication graph, numbered in
+    completion order (reverse topological)."""
+    return component_ids(implication_adjacency(n, clauses))
 
 
 def solve_2sat(t: TwoSatFormula) -> TwoSatResult:

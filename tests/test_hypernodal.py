@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersat import (build_hypernodal, build_literal_graph, build_space, evaluate,
                       expand_literal, expansion_to_json, export_dot, find_contradictions,
@@ -9,7 +11,7 @@ from hypersat import (build_hypernodal, build_literal_graph, build_space, evalua
                       random_assignment, random_formula, reduce_to_2sat,
                       strongly_connected_components, transitive_closure)
 from hypersat.formula import GuardrailError, literal_str, var_of
-from hypersat.hypernodal import Digraph, ExpansionTree, LiteralNode
+from hypersat.hypernodal import Digraph, ExpansionTree, LiteralNode, implication_adjacency
 
 from conftest import clause, lits
 
@@ -176,7 +178,7 @@ def test_find_contradictions_f3(f3_space, to_paper):
     hg = build_hypernodal(f3_space)
     good = find_contradictions(hg, lits("-x0", "-x1", "x2"))
     assert good.consistent
-    assert good.reached_negations == () and good.escaped_implications == ()
+    assert good.witness_paths == () and good.escaped_implications == ()
     bad = find_contradictions(hg, lits("-x0", "x1", "x2"))
     assert not bad.consistent
     assert bad.escaped_implications != ()
@@ -202,6 +204,99 @@ def test_find_contradictions_matches_reduction_verdict():
         assert report.consistent == (assignment_satisfies_2sat(t, a) == [])
         agree += 1
     assert agree == 80
+
+
+def per_source_contradictions(hg, a):
+    """The quadratic search find_contradictions replaced, kept as its oracle:
+    a DFS from every assigned literal over the merged graph, and SCCs from
+    pairwise closure. Returns (consistent, escaped, conflicts, negations
+    reached)."""
+    merged = merge_active(hg, a)
+    adjacency = merged.adjacency()
+    escaped = tuple(sorted((u, v) for (u, v) in merged.edges if u in a and v not in a))
+    negations = {negate(lit) for lit in a}
+    reached = set()
+    for source in sorted(a):
+        seen = set()
+        frontier = list(adjacency[source])
+        while frontier:
+            node = frontier.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            frontier.extend(adjacency[node])
+        reached |= seen & negations
+    conflicts = tuple(sorted({var_of(lit) for comp in scc_oracle(merged) for lit in comp
+                              if negate(lit) in comp}))
+    return not (escaped or reached or conflicts), escaped, conflicts, reached
+
+
+@st.composite
+def assignment_cases(draw):
+    """(hypernodal graph, assignment): complete or partial assignments on
+    small instances at ratios from under- to over-constrained."""
+    n = draw(st.integers(4, 14))
+    r = draw(st.sampled_from((2, 3, 4.25, 6)))
+    f = random_formula(n, r, seed=draw(st.integers(0, 2**30)))
+    complete = random_assignment(n, seed=draw(st.integers(0, 2**30)))
+    kept = draw(st.sets(st.sampled_from(sorted(complete)))) if draw(st.booleans()) else complete
+    return build_hypernodal(build_space(f)), frozenset(kept)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(assignment_cases())
+def test_find_contradictions_matches_per_source_search(case):
+    hg, a = case
+    report = find_contradictions(hg, a)
+    consistent, escaped, conflicts, reached = per_source_contradictions(hg, a)
+    assert report.consistent == consistent
+    assert report.escaped_implications == escaped
+    assert report.scc_conflicts == conflicts
+    assert {path[-1] for path in report.witness_paths} == reached
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(assignment_cases())
+def test_witness_paths_follow_merged_edges(case):
+    hg, a = case
+    edges = merge_active(hg, a).edges
+    report = find_contradictions(hg, a)
+    ends = [path[-1] for path in report.witness_paths]
+    assert ends == sorted(set(ends))
+    for path in report.witness_paths:
+        assert len(path) >= 2
+        assert path[0] in a
+        assert negate(path[-1]) in a
+        assert set(path[1:]).isdisjoint(a)  # shortest from the assignment as a whole
+        for u, v in zip(path, path[1:]):
+            assert (u, v) in edges
+
+
+def test_find_contradictions_partial_conflict_without_escape():
+    # x0 creates all four sub-clauses over x1, x2: x1 and x2 are each
+    # equivalent to their negation, but no edge leaves the assignment {x0}.
+    f = formula(3, [clause("x1 x2 -x0"), clause("x1 -x2 -x0"),
+                    clause("-x1 x2 -x0"), clause("-x1 -x2 -x0")])
+    hg = build_hypernodal(build_space(f))
+    report = find_contradictions(hg, lits("x0"))
+    assert report.escaped_implications == () and report.witness_paths == ()
+    assert report.scc_conflicts == (1, 2)
+    assert not report.consistent
+    assert find_contradictions(hg, lits("-x0")).consistent
+
+
+def test_implication_adjacency_equals_merged_edges():
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(4, 14)
+        f = random_formula(n, rng.choice((2, 3, 4.25, 6)), seed=rng.getrandbits(30))
+        space = build_space(f)
+        hg = build_hypernodal(space)
+        a = random_assignment(n, seed=rng.getrandbits(30))
+        adjacency = implication_adjacency(n, reduce_to_2sat(space, f, a).clauses)
+        assert len(adjacency) == 2 * n
+        assert {(u, v) for u, succ in enumerate(adjacency) for v in succ} == \
+            merge_active(hg, a).edges
 
 
 def test_expand_depth_zero(f3_space):
