@@ -11,10 +11,9 @@ from .formula import (Assignment, Clause, EvalReport, Formula, GuardrailError, L
                       check_consistent, evaluate, formula, is_complete, literal_str,
                       make_clause, make_literal, negate, parse_literal, random_formula,
                       satisfied, solve_exhaustive, var_of)
-from .hypernodal import (Digraph, ExpansionTree, HypernodalGraph, LiteralGraph,
-                         build_hypernodal, build_literal_graph, expand_literal,
-                         expansion_to_json, export_dot, find_contradictions,
-                         merge_active, strongly_connected_components, transitive_closure)
+from .hypernodal import (ExpansionTree, HypernodalGraph, ImplicationGraph, build_hypernodal,
+                         expand_literal, expansion_to_json, export_dot, find_contradictions,
+                         merge_active, transitive_closure)
 from .reduction import (Decomposition, HypothesisError, TwoSatFormula, TwoSatResult,
                         assignment_satisfies_2sat, decompose, reduce_ksat,
                         reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)

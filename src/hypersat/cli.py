@@ -260,21 +260,8 @@ def cmd_verify(args) -> int:
     n_range = parse_range(args.n_range)
     reports = []
     for name in names:
-        suite = verify.SUITES[name]
-        kwargs = {"seed": args.seed}
-        if name == "theorem":
-            kwargs.update(instances=args.instances, n_range=n_range, r=args.r)
-        elif name == "corollary1":
-            kwargs.update(instances=args.instances, n_range=n_range, r=args.r)
-        elif name == "2sat-oracle":
-            kwargs.update(instances=args.instances, max_n=min(n_range[1], 12))
-        elif name == "merge":
-            kwargs.update(pairs=args.instances, n_range=n_range, r=args.r)
-        elif name == "sandwich":
-            kwargs.update(pairs=args.instances, n_range=n_range, r=args.r)
-        elif name == "census":
-            kwargs.update(instances=args.instances, n_range=n_range, r=args.r)
-        report = suite(**kwargs)
+        report = verify.SUITES[name](instances=args.instances, n_range=n_range,
+                                     r=args.r, seed=args.seed)
         print(report.summary_line(), file=sys.stderr)
         reports.append(report)
     sys.stdout.write(dump_json([vars(rep) for rep in reports]))
@@ -282,9 +269,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    # --n and --r are passed only when given, so each experiment keeps its own defaults.
+    sizes = {key: getattr(args, key) for key in ("n", "r") if getattr(args, key) is not None}
     if args.curve:
         result = experiments.run_curve_experiment(
-            n=args.n, r=args.r, instances=args.instances, seed=args.seed)
+            **sizes, instances=args.instances, seed=args.seed)
         payload = result.to_json_dict()
         if args.out_base:
             json_path = args.out_base + ".json"
@@ -296,7 +285,7 @@ def cmd_experiment(args) -> int:
         return EXIT_OK
     generators = tuple(args.generators.split(","))
     summary = experiments.run_fraction_experiment(
-        n=args.n, r=args.r, count=args.count, generators=generators,
+        **sizes, count=args.count, generators=generators,
         seed=args.seed, tie_break=args.tie_break, with_curves=args.with_curves)
     payload = summary.to_json_dict()
     if args.out_base:
@@ -399,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="batch experiments (fractions or curves)")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--r", type=float, default=4.25)
+    p.add_argument("--n", type=int, default=None, help="default: the chosen experiment's own")
+    p.add_argument("--r", type=float, default=None, help="default: the chosen experiment's own")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--generators", default="minCreateMaxSolve,greedy,random")
     p.add_argument("--tie-break", choices=list(TIE_BREAKS), default="true")
@@ -425,9 +414,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+LITERAL_OPTIONS = ("--assignment", "--expand")
+
+
+def join_literal_values(argv: list[str]) -> list[str]:
+    """Rewrite `OPTION VALUE` as `OPTION=VALUE` when OPTION is one of
+    LITERAL_OPTIONS, or an abbreviation of one, and VALUE starts with a single
+    '-'. argparse takes such a value, like '-x0,x1' or '-1,2', for an option
+    and rejects it; joined to its option it is read as the value."""
+    out: list[str] = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if (token.startswith("-") and not token.startswith("--") and len(option) > 2
+                and any(name.startswith(option) for name in LITERAL_OPTIONS)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(join_literal_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except DimacsError as exc:

@@ -54,26 +54,19 @@ class ExperimentSummary:
     n: int
     r: float
     records: list[InstanceRecord] = field(default_factory=list)
-    means: dict[str, float] = field(default_factory=dict)
-    stdevs: dict[str, float] = field(default_factory=dict)
 
-    def recompute_aggregates(self) -> None:
+    def to_json_dict(self) -> dict:
+        """The records with the mean and population standard deviation of the
+        satisfied fraction per generator, computed from them."""
         by_gen: dict[str, list[float]] = {}
         for rec in self.records:
             by_gen.setdefault(rec.generator, []).append(rec.fraction)
-        self.means = {g: statistics.fmean(v) for g, v in by_gen.items()}
-        self.stdevs = {g: (statistics.pstdev(v) if len(v) > 1 else 0.0)
-                       for g, v in by_gen.items()}
-
-    def to_json_dict(self) -> dict:
-        fresh = ExperimentSummary(self.n, self.r, self.records)
-        fresh.recompute_aggregates()
-        assert fresh.means == self.means and fresh.stdevs == self.stdevs
         return {
             "n": self.n,
             "r": self.r,
-            "means": self.means,
-            "stdevs": self.stdevs,
+            "means": {g: statistics.fmean(v) for g, v in by_gen.items()},
+            "stdevs": {g: (statistics.pstdev(v) if len(v) > 1 else 0.0)
+                       for g, v in by_gen.items()},
             "records": [vars(rec) for rec in self.records],
         }
 
@@ -117,7 +110,6 @@ def run_fraction_experiment(n: int = 500, r: float = 4.25, count: int = 100,
                 subclause_count=subclause_count(space, a),
                 minimum_threshold=th.minimum, maximum_threshold=th.maximum,
                 inflection=inflection))
-    summary.recompute_aggregates()
     return summary
 
 

@@ -1,15 +1,21 @@
-"""Per-literal implication graphs, the 2n-graph hypernodal family, merged
-assignment graphs with contradiction detection, reachability/SCC utilities
-and the recursive literal expansion.
+"""The hypernodal family of implication graphs, merged assignment graphs with
+contradiction detection, reachability/SCC utilities and the recursive literal
+expansion.
 
 Every sub-clause (l1 v l2) contributes the implications -l1 -> l2 and
 -l2 -> l1 to its creator's graph. Node labels are literals, and each label's
 own graph exists in the family: nodes are themselves graphs.
+
+There is one graph representation, `ImplicationGraph`: 2n successor lists
+indexed by literal code, built by `implication_adjacency` from a list of
+sub-clauses. The family stores no graphs. `HypernodalGraph` is a view of the
+sub-clause space it came from, and a literal's graph, like an assignment's
+merged graph, is built on request from the sub-clauses it activates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (Assignment, GuardrailError, Literal, check_consistent,
                       literal_str, make_literal, negate)
@@ -18,20 +24,6 @@ from .subclauses import SubClauseSpace
 TRANSITIVE_CLOSURE_MAX_NODES = 2000
 
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph over integer-labeled nodes (here: literal codes)."""
-
-    nodes: tuple[int, ...]
-    edges: frozenset[Edge]
-
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {u: [] for u in self.nodes}
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-        return adj
 
 
 def implication_adjacency(n: int, pairs) -> list[list[Literal]]:
@@ -109,82 +101,66 @@ def component_ids(adjacency: list[list[int]]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class LiteralGraph:
-    """Implication graph of one literal's activated sub-clauses, plus the
-    owner node itself. Cross-edges to equal-labeled nodes in other graphs
-    are implied by the labels and materialized only on DOT export."""
+class ImplicationGraph:
+    """Implication graph over the 2n literal codes, as the successor lists
+    implication_adjacency builds."""
 
-    owner: Literal
-    nodes: frozenset[Literal]
-    edges: frozenset[Edge]
+    adjacency: list[list[Literal]]
 
-
-def build_literal_graph(space: SubClauseSpace, owner: Literal) -> LiteralGraph:
-    nodes = {owner}
-    edges = set()
-    for sid in space.created_by.get(owner, ()):
-        l1, l2 = space.pairs[sid]
-        edges.add((negate(l1), l2))
-        edges.add((negate(l2), l1))
-        nodes.update((l1, negate(l1), l2, negate(l2)))
-    return LiteralGraph(owner=owner, nodes=frozenset(nodes), edges=frozenset(edges))
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset((u, v) for u, successors in enumerate(self.adjacency)
+                         for v in successors)
 
 
 @dataclass(frozen=True)
 class HypernodalGraph:
-    """One implication graph per literal: 2n graphs in all."""
+    """The 2n-graph family, as a view of its sub-clause space: the graph of
+    literal l holds the implications of the sub-clauses l creates."""
 
-    n: int
-    graphs: dict[Literal, LiteralGraph] = field(default_factory=dict)
+    space: SubClauseSpace
 
-    def graph_of(self, lit: Literal) -> LiteralGraph:
-        return self.graphs[lit]
+    @property
+    def n(self) -> int:
+        return self.space.n
+
+    def graph_of(self, lit: Literal) -> ImplicationGraph:
+        return merge_active(self, {lit})
 
 
 def build_hypernodal(space: SubClauseSpace) -> HypernodalGraph:
-    graphs = {}
-    for v in range(space.n):
-        for lit in (make_literal(v), make_literal(v, True)):
-            graphs[lit] = build_literal_graph(space, lit)
-    return HypernodalGraph(n=space.n, graphs=graphs)
+    return HypernodalGraph(space)
 
 
-def merge_active(hg: HypernodalGraph, a: Assignment) -> Digraph:
-    """Union of the assigned literals' implication edges over the shared
-    2n-literal node universe; equals the implication graph of the 2-SAT
-    formula the assignment induces."""
+def merge_active(hg: HypernodalGraph, a: Assignment) -> ImplicationGraph:
+    """Union of the assigned literals' graphs: the implication graph of the
+    2-SAT formula the assignment induces.
+
+    Sub-clauses are added in sorted order, so successor lists, and with them
+    SCC numbering and witness paths, do not depend on set iteration order."""
     a = check_consistent(a)
-    edges: set[Edge] = set()
-    for lit in a:
-        edges |= hg.graphs[lit].edges
-    return Digraph(nodes=tuple(range(2 * hg.n)), edges=frozenset(edges))
+    space = hg.space
+    return ImplicationGraph(implication_adjacency(
+        space.n, sorted(space.pairs[sid] for sid in space.activated(a))))
 
 
-def transitive_closure(g: Digraph) -> dict[int, frozenset[int]]:
+def transitive_closure(g: ImplicationGraph) -> dict[int, frozenset[int]]:
     """Map node -> nodes reachable along a path of one or more edges."""
-    if len(g.nodes) > TRANSITIVE_CLOSURE_MAX_NODES:
+    if len(g.adjacency) > TRANSITIVE_CLOSURE_MAX_NODES:
         raise GuardrailError(f"transitive closure limited to {TRANSITIVE_CLOSURE_MAX_NODES} nodes; "
-                         f"use strongly_connected_components instead")
-    adjacency = g.adjacency()
+                             f"use tarjan_scc instead")
     closure: dict[int, frozenset[int]] = {}
-    for start in g.nodes:
+    for start, successors in enumerate(g.adjacency):
         seen: set[int] = set()
-        frontier = list(adjacency.get(start, ()))
+        frontier = list(successors)
         while frontier:
             node = frontier.pop()
             if node in seen:
                 continue
             seen.add(node)
-            frontier.extend(adjacency.get(node, ()))
+            frontier.extend(g.adjacency[node])
         closure[start] = frozenset(seen)
     return closure
-
-
-def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
-    position = {node: i for i, node in enumerate(g.nodes)}
-    adjacency = g.adjacency()
-    components = tarjan_scc([[position[v] for v in adjacency[u]] for u in g.nodes])
-    return [tuple(g.nodes[i] for i in comp) for comp in components]
 
 
 @dataclass(frozen=True)
@@ -237,17 +213,14 @@ def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionRepo
     to a negation of one of its literals, or a variable whose two literals
     are strongly connected.
 
-    Runs in time linear in the merged graph, up to sorting its edges: one
-    Tarjan pass for the conflicts and one multi-source breadth-first search
+    Runs in time linear in the merged graph, up to sorting its sub-clauses:
+    one Tarjan pass for the conflicts and one multi-source breadth-first search
     for the witness paths. The last check is not implied by the others for
     partial assignments, where an unassigned variable can be in conflict
     without any edge leaving the assignment."""
     a = check_consistent(a)
-    edges = merge_active(hg, a).edges
-    escaped = tuple(sorted((u, v) for (u, v) in edges if u in a and v not in a))
-    # Edge u -> v comes from the sub-clause (-u v v); keep each sub-clause once.
-    pairs = sorted((negate(u), v) for (u, v) in edges if negate(u) < v)
-    adjacency = implication_adjacency(hg.n, pairs)
+    adjacency = merge_active(hg, a).adjacency
+    escaped = tuple(sorted((u, v) for u in a for v in adjacency[u] if v not in a))
     comp = component_ids(adjacency)
     conflicts = tuple(v for v in range(hg.n)
                       if comp[make_literal(v)] == comp[make_literal(v, True)])
@@ -334,50 +307,54 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '\\"') + '"'
 
 
+def _endpoints(edges) -> set[Literal]:
+    return {lit for edge in edges for lit in edge}
+
+
 def _dot_hypernodal(hg: HypernodalGraph) -> str:
     lines = ["digraph hypernodal {", "  compound=true;"]
     stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(hg.n)]),
               ("cluster_false", "false literals", [make_literal(v, True) for v in range(hg.n)]))
     node_name = lambda owner, lit: f"g{owner}_n{lit}"
+    leaves: dict[Literal, set[Literal]] = {}   # owner -> labels of its other nodes
     for cluster, label, owners in stacks:
         lines.append(f"  subgraph {_quote(cluster)} {{")
         lines.append(f"    label={_quote(label)};")
         for owner in owners:
-            graph = hg.graphs[owner]
+            edges = sorted(hg.graph_of(owner).edges)
+            leaves[owner] = _endpoints(edges) - {owner}
             lines.append(f"    subgraph {_quote('cluster_I_' + literal_str(owner))} {{")
             lines.append(f"      label={_quote('I(' + literal_str(owner) + ')')};")
             lines.append(f"      {_quote(node_name(owner, owner))} "
                          f"[label={_quote(literal_str(owner))}, style=filled, fillcolor=black, fontcolor=white];")
-            for lit in sorted(graph.nodes - {owner}):
+            for lit in sorted(leaves[owner]):
                 lines.append(f"      {_quote(node_name(owner, lit))} [label={_quote(literal_str(lit))}];")
-            for u, v in sorted(graph.edges):
+            for u, v in edges:
                 lines.append(f"      {_quote(node_name(owner, u))} -> {_quote(node_name(owner, v))};")
             lines.append("    }")
         lines.append("  }")
+    owners = sorted(leaves)
     # Containment (dashed): a leaf labeled l contains the graph I(l).
-    for owner, graph in sorted(hg.graphs.items()):
-        for lit in sorted(graph.nodes - {owner}):
+    for owner in owners:
+        for lit in sorted(leaves[owner]):
             lines.append(f"  {_quote(node_name(owner, lit))} -> {_quote(node_name(lit, lit))} "
                          "[dir=none, style=dashed, constraint=false];")
     # Cross-edges (dotted): equal-labeled leaves of different graphs.
-    owners = sorted(hg.graphs)
     for i, owner_a in enumerate(owners):
         for owner_b in owners[i + 1:]:
-            shared = (hg.graphs[owner_a].nodes - {owner_a}) & (hg.graphs[owner_b].nodes - {owner_b})
-            for lit in sorted(shared):
+            for lit in sorted(leaves[owner_a] & leaves[owner_b]):
                 lines.append(f"  {_quote(node_name(owner_a, lit))} -> {_quote(node_name(owner_b, lit))} "
                              "[dir=none, style=dotted, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _dot_digraph(g: Digraph) -> str:
+def _dot_merged(g: ImplicationGraph) -> str:
     lines = ["digraph merged {"]
-    used = {u for e in g.edges for u in e}
-    for node in g.nodes:
-        if node in used:
-            lines.append(f"  {_quote('n' + str(node))} [label={_quote(literal_str(node))}];")
-    for u, v in sorted(g.edges):
+    edges = sorted(g.edges)
+    for node in sorted(_endpoints(edges)):
+        lines.append(f"  {_quote('n' + str(node))} [label={_quote(literal_str(node))}];")
+    for u, v in edges:
         lines.append(f"  {_quote('n' + str(u))} -> {_quote('n' + str(v))};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -412,8 +389,8 @@ def export_dot(obj) -> str:
     expansion tree as DOT text."""
     if isinstance(obj, HypernodalGraph):
         return _dot_hypernodal(obj)
-    if isinstance(obj, Digraph):
-        return _dot_digraph(obj)
+    if isinstance(obj, ImplicationGraph):
+        return _dot_merged(obj)
     if isinstance(obj, ExpansionTree):
         return _dot_expansion(obj)
     raise TypeError(f"cannot export {type(obj).__name__} as DOT")

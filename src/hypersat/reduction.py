@@ -35,6 +35,13 @@ class TwoSatFormula:
     clauses: tuple[Pair, ...]
     provenance: dict[Pair, tuple[tuple[Literal, int], ...]]
 
+    @classmethod
+    def from_formula(cls, f: Formula) -> TwoSatFormula:
+        """A width-2 formula as it stands, with no provenance."""
+        if f.width != 2:
+            raise ValueError(f"expected a width-2 formula, got width {f.width}")
+        return cls(n=f.n, clauses=f.clauses, provenance={c: () for c in f.clauses})
+
     @property
     def m(self) -> int:
         return len(self.clauses)
@@ -87,17 +94,11 @@ class TwoSatResult:
     witness_variable: int | None = None   # variable whose two literals share an SCC
 
 
-def _implication_sccs(n: int, clauses) -> list[int]:
-    """Component id per literal node of the implication graph, numbered in
-    completion order (reverse topological)."""
-    return component_ids(implication_adjacency(n, clauses))
-
-
 def solve_2sat(t: TwoSatFormula) -> TwoSatResult:
     """Decide satisfiability via strongly connected components of the
     implication graph; unsatisfiable iff some variable's two literals are
     mutually reachable. A returned assignment is re-checked against t."""
-    comp = _implication_sccs(t.n, t.clauses)
+    comp = component_ids(implication_adjacency(t.n, t.clauses))
     for v in range(t.n):
         if comp[make_literal(v)] == comp[make_literal(v, True)]:
             return TwoSatResult(satisfiable=False, witness_variable=v)

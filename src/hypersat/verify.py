@@ -12,11 +12,11 @@ import random
 from dataclasses import dataclass, field
 
 from .assignments import random_assignment, subclause_count, subclause_total, thresholds
-from .formula import (ORACLE_MAX_VARS, Formula, GuardrailError, evaluate,
+from .formula import (ORACLE_MAX_VARS, GuardrailError, evaluate,
                       random_formula, solve_exhaustive)
 from .hypernodal import build_hypernodal, find_contradictions
-from .reduction import (assignment_satisfies_2sat, reduce_to_2sat, solve_2sat,
-                        verify_corollary1, verify_theorem)
+from .reduction import (TwoSatFormula, assignment_satisfies_2sat, reduce_to_2sat,
+                        solve_2sat, verify_corollary1, verify_theorem)
 from .subclauses import build_space, space_census
 
 
@@ -74,9 +74,9 @@ def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
                        details={"satisfiable_instances": satisfiable})
 
 
-def corollary1_suite(instances: int = 500, assignments_per_instance: int = 10,
-                     n_range: tuple[int, int] = (6, 12), r: float = 4.25,
-                     seed: int = 1) -> SuiteReport:
+def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
+                     r: float = 4.25, seed: int = 1,
+                     assignments_per_instance: int = 10) -> SuiteReport:
     """Every complete non-satisfying assignment must leave an activated
     sub-clause unsolved."""
     _check_n(n_range[1])
@@ -103,18 +103,23 @@ def corollary1_suite(instances: int = 500, assignments_per_instance: int = 10,
                        details={"satisfying_assignments_resampled": resampled})
 
 
-def twosat_oracle_suite(instances: int = 500, max_n: int = 12,
-                        seed: int = 1) -> SuiteReport:
+def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
+                        r: float = 4.25, seed: int = 1) -> SuiteReport:
     """solve_2sat must agree with exhaustive enumeration, and its returned
-    assignments must satisfy the instance."""
-    _check_n(max_n)
+    assignments must satisfy the instance.
+
+    The instances are width-2 formulas with n drawn from 2..min(n_range[1], 12)
+    and clause ratios cycling through 0.8..2.0, the range where random 2-SAT
+    turns from satisfiable to unsatisfiable (threshold 1). `r` is a 3-SAT
+    ratio, far above that range, so it is ignored."""
+    max_n = min(n_range[1], 12)
     rng = random.Random(seed)
     checks = falsifications = sat_count = 0
     ratios = (0.8, 1.0, 1.5, 2.0)
     for i in range(instances):
         n = rng.randint(2, max_n)
         f = random_formula(n, ratios[i % len(ratios)], seed=seed + 7919 * (i + 1), k=2)
-        t = _as_twosat(f)
+        t = TwoSatFormula.from_formula(f)
         verdict = solve_2sat(t)
         oracle_sat = bool(solve_exhaustive(f, cap=1))
         checks += 1
@@ -130,21 +135,15 @@ def twosat_oracle_suite(instances: int = 500, max_n: int = 12,
                        details={"satisfiable_instances": sat_count})
 
 
-def _as_twosat(f: Formula):
-    from .reduction import TwoSatFormula
-    return TwoSatFormula(n=f.n, clauses=f.clauses,
-                         provenance={c: () for c in f.clauses})
-
-
-def merge_equivalence_suite(pairs: int = 500, n_range: tuple[int, int] = (6, 16),
+def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6, 16),
                             r: float = 4.25, seed: int = 1) -> SuiteReport:
-    """Three views of one fact must agree for every (instance, assignment)
-    pair: the merged implication graph is contradiction-free, the assignment
-    satisfies its induced 2-SAT formula, and no activated sub-clause is left
-    unsolved."""
+    """Three views of one fact must agree for every instance and its random
+    assignment: the merged implication graph is contradiction-free, the
+    assignment satisfies its induced 2-SAT formula, and no activated
+    sub-clause is left unsolved."""
     rng = random.Random(seed)
     checks = disagreements = consistent_count = 0
-    for i in range(pairs):
+    for i in range(instances):
         n = rng.randint(*n_range)
         f = random_formula(n, r, seed=seed + 7919 * (i + 1))
         space = build_space(f)
@@ -161,12 +160,12 @@ def merge_equivalence_suite(pairs: int = 500, n_range: tuple[int, int] = (6, 16)
             consistent_count += 1
         if not (graph_verdict == sat_verdict == unsolved_verdict):
             disagreements += 1
-    return SuiteReport(suite="merge", instances=pairs, checks=checks,
+    return SuiteReport(suite="merge", instances=instances, checks=checks,
                        falsifications=disagreements,
                        details={"consistent_pairs": consistent_count})
 
 
-def sandwich_suite(pairs: int = 1000, n_range: tuple[int, int] = (6, 24),
+def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
                    r: float = 4.25, seed: int = 1) -> SuiteReport:
     """Per-literal activation totals must lie between the thresholds, and the
     distinct activated count can never exceed the maximum. The distinct count
@@ -174,7 +173,7 @@ def sandwich_suite(pairs: int = 1000, n_range: tuple[int, int] = (6, 24),
     reported, not failed."""
     rng = random.Random(seed)
     checks = falsifications = distinct_below_minimum = 0
-    for i in range(pairs):
+    for i in range(instances):
         n = rng.randint(*n_range)
         f = random_formula(n, r, seed=seed + 7919 * (i + 1))
         space = build_space(f)
@@ -188,7 +187,7 @@ def sandwich_suite(pairs: int = 1000, n_range: tuple[int, int] = (6, 24),
             falsifications += 1
         if distinct < th.minimum:
             distinct_below_minimum += 1
-    return SuiteReport(suite="sandwich", instances=pairs, checks=checks,
+    return SuiteReport(suite="sandwich", instances=instances, checks=checks,
                        falsifications=falsifications,
                        details={"distinct_below_minimum": distinct_below_minimum})
 
@@ -210,6 +209,7 @@ def census_suite(instances: int = 200, n_range: tuple[int, int] = (4, 40),
                        falsifications=falsifications)
 
 
+# Every suite takes (instances, n_range, r, seed).
 SUITES = {
     "theorem": theorem_suite,
     "corollary1": corollary1_suite,

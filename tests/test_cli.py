@@ -1,6 +1,9 @@
+import hashlib
 import json
 
-from hypersat import emit_dimacs, negate, parse_literal
+import pytest
+
+from hypersat import emit_dimacs, experiments, negate, parse_literal
 from hypersat.assignments import MIN_CREATE_MAX_SOLVE_READING
 from hypersat.cli import EXIT_OK, EXIT_USAGE, main
 
@@ -73,3 +76,74 @@ def test_export_consistent_assignment_has_no_witness(capsys, f3, tmp_path):
     assert err.splitlines() == [
         "merged graph consistent: True",
         "escaped implications: 0, SCC conflicts: 0, witness paths: 0"]
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# stdout of fixed commands, pinned so that refactors keep it byte-identical.
+PINNED_STDOUT = [
+    (("verify", "--instances", "50", "--n-range", "6..16", "--seed", "3"), "4a535884c3ed98b4"),
+    (("export", "--gen", "30,4.25,2", "--dot"), "aaf9ec493c26edf4"),
+    (("export", "--gen", "30,4.25,2", "--dot", "--assignment", "x0,x1,-x2,x3,x4,x5,-x6,x7"),
+     "6b70a6e1c8dfbc47"),
+    (("experiment", "--count", "5"), "c23cf7ab3cc51666"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in PINNED_STDOUT])
+def test_pinned_stdout(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert digest(out) == expected
+
+
+@pytest.mark.parametrize("command", ["analyze", "reduce", "export"])
+@pytest.mark.parametrize("value", ["-x0,x1", "-1,2"])
+def test_assignment_may_start_with_a_negative_literal(capsys, command, value):
+    base = (command, "--gen", "8,4.25,1")
+    code, separate, _ = run(capsys, *base, "--assignment", value)
+    assert code == EXIT_OK
+    code, joined, _ = run(capsys, *base, f"--assignment={value}")
+    assert code == EXIT_OK
+    assert separate == joined
+    if command != "export":
+        payload = json.loads(separate)
+        literals = payload["assignment"] if command == "reduce" else payload["assignment"]["literals"]
+        assert literals == ["-x0", "x1"]
+
+
+@pytest.mark.parametrize("option,value", [("--assign", "-x0,x1"), ("--expand", "-x0"),
+                                          ("--exp", "-x0")])
+def test_literal_option_or_abbreviation_may_take_a_negative_literal(capsys, option, value):
+    base = ("export", "--gen", "8,4.25,1")
+    code, separate, _ = run(capsys, *base, option, value)
+    assert code == EXIT_OK
+    code, joined, _ = run(capsys, *base, f"{option}={value}")
+    assert code == EXIT_OK
+    assert separate == joined
+    if option != "--assign":
+        assert json.loads(separate)["root"]["literal"] == "-x0"
+
+
+def test_experiment_leaves_unset_sizes_to_each_experiment(capsys, monkeypatch):
+    calls = {}
+
+    def fake(name, result):
+        def run_experiment(**kwargs):
+            calls[name] = kwargs
+            return result
+        return run_experiment
+
+    monkeypatch.setattr(experiments, "run_fraction_experiment",
+                        fake("fraction", experiments.ExperimentSummary(n=0, r=0.0)))
+    monkeypatch.setattr(experiments, "run_curve_experiment",
+                        fake("curve", experiments.CurveExperiment(n=0, r=0.0, method="")))
+    assert run(capsys, "experiment", "--curve", "--instances", "3")[0] == EXIT_OK
+    assert run(capsys, "experiment", "--count", "2")[0] == EXIT_OK
+    assert "n" not in calls["curve"] and "r" not in calls["curve"]
+    assert "n" not in calls["fraction"] and "r" not in calls["fraction"]
+    assert run(capsys, "experiment", "--curve", "--n", "40", "--r", "2")[0] == EXIT_OK
+    assert (calls["curve"]["n"], calls["curve"]["r"]) == (40, 2.0)

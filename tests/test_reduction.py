@@ -13,10 +13,6 @@ from hypersat.reduction import TwoSatFormula
 from conftest import clause, lits
 
 
-def as_twosat(f):
-    return TwoSatFormula(n=f.n, clauses=f.clauses, provenance={c: () for c in f.clauses})
-
-
 def test_reduce_satisfying_f3(f3, f3_space):
     a = lits("-x0", "-x1", "x2")
     t = reduce_to_2sat(f3_space, f3, a)
@@ -87,7 +83,7 @@ def test_reduce_ksat_chain_ends_inside_assignment():
             continue
         for a in solutions:
             g2 = reduce_ksat(f, a)
-            assert not assignment_satisfies_2sat(as_twosat(g2), a)
+            assert not assignment_satisfies_2sat(TwoSatFormula.from_formula(g2), a)
             g1 = reduce_ksat(g2, a)
             assert g1.width == 1
             assert all(c[0] in a for c in g1.clauses)
@@ -101,15 +97,15 @@ def test_reduce_ksat_rejects_width_1():
 
 
 def test_solve_2sat_forced_literal():
-    t = as_twosat(formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2))
+    t = TwoSatFormula.from_formula(formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2))
     result = solve_2sat(t)
     assert result.satisfiable
     assert parse_literal("x1") in result.assignment
 
 
 def test_solve_2sat_unsat_witness():
-    t = as_twosat(formula(2, [clause("x0 x1"), clause("x0 -x1"),
-                              clause("-x0 x1"), clause("-x0 -x1")], width=2))
+    t = TwoSatFormula.from_formula(formula(2, [clause("x0 x1"), clause("x0 -x1"),
+                                               clause("-x0 x1"), clause("-x0 -x1")], width=2))
     result = solve_2sat(t)
     assert not result.satisfiable
     assert result.witness_variable in (0, 1)
@@ -123,7 +119,7 @@ def test_solve_2sat_agrees_with_enumeration():
     for i in range(150):
         n = rng.randint(2, 12)
         f = random_formula(n, ratios[i % 4], seed=rng.getrandbits(30), k=2)
-        t = as_twosat(f)
+        t = TwoSatFormula.from_formula(f)
         verdict = solve_2sat(t)
         oracle = bool(solve_exhaustive(f, cap=1))
         assert verdict.satisfiable == oracle
@@ -133,6 +129,15 @@ def test_solve_2sat_agrees_with_enumeration():
         else:
             unsat_seen += 1
     assert sat_seen and unsat_seen
+
+
+def test_twosat_from_formula_requires_width_2(f3):
+    g = formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2)
+    t = TwoSatFormula.from_formula(g)
+    assert (t.n, t.clauses) == (g.n, g.clauses)
+    assert t.provenance == {c: () for c in g.clauses}
+    with pytest.raises(ValueError):
+        TwoSatFormula.from_formula(f3)
 
 
 def test_assignment_satisfies_empty():
