@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import csv
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ def subclause_total(space: SubClauseSpace, a: Assignment) -> int:
     distinct count can fall below the minimum when literals of different
     variables create the same sub-clause."""
     a = check_consistent(a)
-    return sum(len(space.created_by.get(lit, ())) for lit in a)
+    return sum(len(space.created_by[lit]) for lit in a)
 
 
 def consumption_rate(space: SubClauseSpace, a: Assignment) -> float:
@@ -117,10 +118,11 @@ def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) 
     noticeably more clauses than the plain counts.
     """
     prefer_true = _prefer(tie_break)
-    counts = [0] * (2 * f.n)
-    for clause in f.clauses:
+    occurrences: list[list[int]] = [[] for _ in range(2 * f.n)]
+    for cid, clause in enumerate(f.clauses):
         for lit in clause:
-            counts[lit] += 1
+            occurrences[lit].append(cid)
+    counts = [len(cids) for cids in occurrences]
     if not dynamic:
         out = []
         for v in range(f.n):
@@ -131,29 +133,33 @@ def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) 
                 out.append(pos if prefer_true else neg)
         return frozenset(out)
 
-    occurrences = f.occurrences()
+    # Each step fixes the literal with the largest key (count, preferred, -v).
+    # The heap holds negated keys with lazy deletion: an entry is dropped when
+    # popped if its variable is fixed or its count is stale, and every
+    # decrement pushes a fresh entry.
+    preferred_bit = 0 if prefer_true else 1
+
+    def entry(lit: Literal) -> tuple[int, int, int, Literal]:
+        return (-counts[lit], -((lit & 1) == preferred_bit), lit >> 1, lit)
+
+    heap = [entry(lit) for lit in range(2 * f.n)]
+    heapq.heapify(heap)
     clause_satisfied = [False] * f.m
     fixed = [False] * f.n
     out = []
-    for _ in range(f.n):
-        best_lit = None
-        best = (-1, 0, 0)
-        for v in range(f.n):
-            if fixed[v]:
-                continue
-            for lit in (make_literal(v), make_literal(v, True)):
-                preferred = (lit & 1) == (0 if prefer_true else 1)
-                key = (counts[lit], 1 if preferred else 0, -v)
-                if key > best:
-                    best, best_lit = key, lit
-        v = var_of(best_lit)
+    while len(out) < f.n:
+        neg_count, _, v, lit = heapq.heappop(heap)
+        if fixed[v] or -neg_count != counts[lit]:
+            continue
         fixed[v] = True
-        out.append(best_lit)
-        for cid in occurrences.get(best_lit, ()):
+        out.append(lit)
+        for cid in occurrences[lit]:
             if not clause_satisfied[cid]:
                 clause_satisfied[cid] = True
-                for lit in f.clauses[cid]:
-                    counts[lit] -= 1
+                for other in f.clauses[cid]:
+                    counts[other] -= 1
+                    if not fixed[var_of(other)]:
+                        heapq.heappush(heap, entry(other))
     return frozenset(out)
 
 
@@ -206,10 +212,11 @@ def unsolved_curve(space: SubClauseSpace, a: Assignment, order) -> CurveSeries:
         # The new literal solves any open sub-clause containing it, and
         # activates its created sub-clauses (solved immediately when one of
         # their literals is already assigned).
-        for sid in space.containing.get(lit, set()) & open_ids:
-            open_ids.discard(sid)
-            solved.add(sid)
-        for sid in space.created_by.get(lit, ()):
+        for sid in space.containing[lit]:
+            if sid in open_ids:
+                open_ids.discard(sid)
+                solved.add(sid)
+        for sid in space.created_by[lit]:
             if sid in activated:
                 continue
             activated.add(sid)
@@ -241,5 +248,5 @@ def excluded_literals(space: SubClauseSpace, a: Assignment) -> ExclusionReport:
     activated = space.activated(a)
     unsolved = frozenset(sid for sid in activated
                          if not (space.pairs[sid][0] in a or space.pairs[sid][1] in a))
-    excluded = frozenset(space.creators_of(unsolved) & a)
+    excluded = frozenset(lit for lit in a if not unsolved.isdisjoint(space.created_by[lit]))
     return ExclusionReport(unsolved=unsolved, excluded=excluded, allowed=frozenset(a - excluded))

@@ -144,8 +144,8 @@ def cmd_analyze(args) -> int:
                            for lit in all_literals}
     report["subclauses"] = [
         {"id": sid, "literals": [literal_str(x) for x in space.pairs[sid]],
-         "creators": sorted(literal_str(c) for c in space.creators[sid]),
-         "parents": sorted(space.parents[sid])}
+         "creators": sorted(literal_str(c) for c in space.creators_of((sid,))),
+         "parents": sorted(space.parents_of((sid,)))}
         for sid in range(len(space))]
     report["created"] = {literal_str(lit): sorted(space.subclauses_of(lit))
                          for lit in all_literals}
@@ -264,7 +264,7 @@ def cmd_verify(args) -> int:
                                      r=args.r, seed=args.seed)
         print(report.summary_line(), file=sys.stderr)
         reports.append(report)
-    sys.stdout.write(dump_json([vars(rep) for rep in reports]))
+    sys.stdout.write(dump_json([rep.to_json_dict() for rep in reports]))
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_FALSIFIED
 
 
@@ -304,6 +304,8 @@ def cmd_export(args) -> int:
     space = build_space(f)
     if args.expand is not None:
         lit = parse_literal(args.expand)
+        if var_of(lit) >= f.n:
+            raise UsageError(f"--expand {literal_str(lit)} out of range for n={f.n}")
         if args.depth < 0:
             raise UsageError("--depth must be >= 0")
         tree = expand_literal(space, lit, args.depth)

@@ -15,6 +15,7 @@ merged graph, is built on request from the sub-clauses it activates.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .formula import (Assignment, GuardrailError, Literal, check_consistent,
@@ -26,14 +27,20 @@ TRANSITIVE_CLOSURE_MAX_NODES = 2000
 Edge = tuple[int, int]
 
 
-def implication_adjacency(n: int, pairs) -> list[list[Literal]]:
-    """Successor lists of the implication graph over the 2n literal codes:
-    each clause (l1 v l2) adds the edges -l1 -> l2 and -l2 -> l1, appended in
-    the order the clauses are given."""
-    adjacency: list[list[Literal]] = [[] for _ in range(2 * n)]
+def implication_edges(pairs) -> Iterator[Edge]:
+    """The implications of the clauses in the order given: each clause
+    (l1 v l2) yields -l1 -> l2, then -l2 -> l1."""
     for l1, l2 in pairs:
-        adjacency[negate(l1)].append(l2)
-        adjacency[negate(l2)].append(l1)
+        yield negate(l1), l2
+        yield negate(l2), l1
+
+
+def implication_adjacency(n: int, pairs) -> list[list[Literal]]:
+    """Successor lists of the implication graph over the 2n literal codes,
+    with each clause's edges appended in the order the clauses are given."""
+    adjacency: list[list[Literal]] = [[] for _ in range(2 * n)]
+    for u, v in implication_edges(pairs):
+        adjacency[u].append(v)
     return adjacency
 
 
@@ -272,7 +279,7 @@ def expand_literal(space: SubClauseSpace, lit: Literal, depth: int) -> Expansion
 
     def build(node_lit: Literal, level: int) -> LiteralNode:
         nonlocal truncated_count
-        created = sorted(space.created_by.get(node_lit, ()))
+        created = sorted(space.created_by[node_lit])
         if not created:
             return LiteralNode(literal=node_lit, truncated=False, subclauses=())
         if level >= depth:
@@ -316,12 +323,15 @@ def _dot_hypernodal(hg: HypernodalGraph) -> str:
     stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(hg.n)]),
               ("cluster_false", "false literals", [make_literal(v, True) for v in range(hg.n)]))
     node_name = lambda owner, lit: f"g{owner}_n{lit}"
+    space = hg.space
     leaves: dict[Literal, set[Literal]] = {}   # owner -> labels of its other nodes
     for cluster, label, owners in stacks:
         lines.append(f"  subgraph {_quote(cluster)} {{")
         lines.append(f"    label={_quote(label)};")
         for owner in owners:
-            edges = sorted(hg.graph_of(owner).edges)
+            # The edges of hg.graph_of(owner), without its 2n successor lists.
+            edges = sorted(set(implication_edges(space.pairs[sid]
+                                                 for sid in space.created_by[owner])))
             leaves[owner] = _endpoints(edges) - {owner}
             lines.append(f"    subgraph {_quote('cluster_I_' + literal_str(owner))} {{")
             lines.append(f"      label={_quote('I(' + literal_str(owner) + ')')};")
@@ -339,12 +349,17 @@ def _dot_hypernodal(hg: HypernodalGraph) -> str:
         for lit in sorted(leaves[owner]):
             lines.append(f"  {_quote(node_name(owner, lit))} -> {_quote(node_name(lit, lit))} "
                          "[dir=none, style=dashed, constraint=false];")
-    # Cross-edges (dotted): equal-labeled leaves of different graphs.
-    for i, owner_a in enumerate(owners):
-        for owner_b in owners[i + 1:]:
-            for lit in sorted(leaves[owner_a] & leaves[owner_b]):
-                lines.append(f"  {_quote(node_name(owner_a, lit))} -> {_quote(node_name(owner_b, lit))} "
-                             "[dir=none, style=dotted, constraint=false];")
+    # Cross-edges (dotted): equal-labeled leaves of different graphs, found
+    # through the owners holding each label and emitted by (owner_a, owner_b, lit).
+    holders: dict[Literal, list[Literal]] = {}
+    for owner in owners:
+        for lit in leaves[owner]:
+            holders.setdefault(lit, []).append(owner)
+    cross = sorted((owner_a, owner_b, lit) for lit, held in holders.items()
+                   for i, owner_a in enumerate(held) for owner_b in held[i + 1:])
+    for owner_a, owner_b, lit in cross:
+        lines.append(f"  {_quote(node_name(owner_a, lit))} -> {_quote(node_name(owner_b, lit))} "
+                     "[dir=none, style=dotted, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -58,7 +58,7 @@ def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> TwoSatFo
     provenance: dict[Pair, tuple[tuple[Literal, int], ...]] = {}
     for sid in ids:
         pair = space.pairs[sid]
-        events = tuple((creator, parent) for creator, parent in space.records[sid]
+        events = tuple((creator, parent) for creator, parent in space.events_of(sid)
                        if creator in a)
         for creator, parent in events:
             # Soundness: the sub-clause is its parent minus the creator's negation.

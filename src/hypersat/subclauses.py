@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .formula import Formula, Literal, literal_str, negate, var_of
+from .formula import Clause, Formula, Literal, literal_str, negate, var_of
 
 Pair = tuple[int, int]
 
@@ -29,21 +29,28 @@ def literal_columns(n: int) -> list[Literal]:
 
 @dataclass
 class SubClauseSpace:
-    """Deduplicated sub-clause set with creator/parent annotations.
+    """Deduplicated sub-clause set with the events that created it.
 
     Ids follow first-encounter order in a clause-order scan of the formula;
-    use id_of() to locate a sub-clause by its literal pair.
+    use id_of() to locate a sub-clause by its literal pair. The scan removes
+    each literal of clause cid in turn: the j-th removal is event 3*cid + j,
+    with parent clause cid and creator the negation of the removed literal.
+    Each sub-clause's events form a chain in scan order, from
+    first_event[sid] along next_event to -1. Those chains are the only record
+    of provenance; events_of, creators_of and parents_of read them.
+    created_by and containing hold one list per literal code.
     """
 
     n: int
-    pairs: list[Pair] = field(default_factory=list)
-    index: dict[Pair, int] = field(default_factory=dict)
-    creators: list[set[Literal]] = field(default_factory=list)
-    parents: list[set[int]] = field(default_factory=list)
-    # (creator, parent clause) insertion events, kept for provenance.
-    records: list[list[tuple[Literal, int]]] = field(default_factory=list)
-    created_by: dict[Literal, set[int]] = field(default_factory=dict)
-    containing: dict[Literal, set[int]] = field(default_factory=dict)
+    clauses: tuple[Clause, ...]
+    pairs: list[Pair]
+    index: dict[Pair, int]
+    first_event: list[int]
+    next_event: list[int]
+    # ids each literal creates, each id once, in first-creation order
+    created_by: list[list[int]]
+    # ids of the sub-clauses containing each literal, ascending
+    containing: list[list[int]]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -64,40 +71,43 @@ class SubClauseSpace:
 
     def subclauses_of(self, a: Literal) -> set[int]:
         """Ids activated by assigning a: reductions of the clauses containing -a."""
-        return set(self.created_by.get(a, ()))
+        return set(self.created_by[a])
 
     def subsat(self, a: Literal, active: set[int] | None = None) -> set[int]:
         """Ids of sub-clauses solved by a; restricted to `active` when given."""
-        full = self.containing.get(a, set())
-        return set(full) if active is None else full & active
+        full = self.containing[a]
+        return set(full) if active is None else active.intersection(full)
 
     def unitclauses(self, a: Literal) -> set[Literal]:
         """Literals forced as units when a collapses the sub-clauses containing -a."""
         units = set()
-        for sid in self.containing.get(negate(a), ()):
+        for sid in self.containing[negate(a)]:
             p, q = self.pairs[sid]
             units.add(q if p == negate(a) else p)
         return units
 
+    def events_of(self, sid: int) -> list[tuple[Literal, int]]:
+        """The (creator, parent clause) events of sub-clause sid, in scan order."""
+        self._check_id(sid)
+        events = []
+        event = self.first_event[sid]
+        while event >= 0:
+            parent, position = divmod(event, 3)
+            events.append((negate(self.clauses[parent][position]), parent))
+            event = self.next_event[event]
+        return events
+
     def creators_of(self, ids) -> set[Literal]:
-        out: set[Literal] = set()
-        for sid in ids:
-            self._check_id(sid)
-            out |= self.creators[sid]
-        return out
+        return {creator for sid in ids for creator, _ in self.events_of(sid)}
 
     def parents_of(self, ids) -> set[int]:
-        out: set[int] = set()
-        for sid in ids:
-            self._check_id(sid)
-            out |= self.parents[sid]
-        return out
+        return {parent for sid in ids for _, parent in self.events_of(sid)}
 
     def activated(self, assignment) -> set[int]:
         """Union of subclauses_of(a) over the assignment."""
         out: set[int] = set()
         for a in assignment:
-            out |= self.created_by.get(a, set())
+            out.update(self.created_by[a])
         return out
 
 
@@ -106,29 +116,36 @@ def build_space(f: Formula) -> SubClauseSpace:
     clause minus {l} as a sub-clause created by negate(l)."""
     if f.width != 3:
         raise ValueError(f"sub-clause space is defined for width-3 formulas, got width {f.width}")
-    space = SubClauseSpace(n=f.n)
-    for lit in literal_columns(f.n):
-        space.created_by[lit] = set()
-        space.containing[lit] = set()
-    for cid, clause in enumerate(f.clauses):
-        for removed in clause:
-            pair = tuple(lit for lit in clause if lit != removed)
-            creator = negate(removed)
-            sid = space.index.get(pair)
+    pairs: list[Pair] = []
+    index: dict[Pair, int] = {}
+    first_event: list[int] = []
+    last_event: list[int] = []   # per id, the end of its chain while scanning
+    next_event: list[int] = []
+    created_by: list[list[int]] = [[] for _ in range(2 * f.n)]
+    containing: list[list[int]] = [[] for _ in range(2 * f.n)]
+    for a, b, c in f.clauses:
+        # negate(l) is l ^ 1, inlined in this loop, the hottest of the scan.
+        for pair, creator in (((b, c), a ^ 1), ((a, c), b ^ 1), ((a, b), c ^ 1)):
+            event = len(next_event)
+            next_event.append(-1)
+            sid = index.get(pair)
             if sid is None:
-                sid = len(space.pairs)
-                space.index[pair] = sid
-                space.pairs.append(pair)
-                space.creators.append(set())
-                space.parents.append(set())
-                space.records.append([])
-                for lit in pair:
-                    space.containing[lit].add(sid)
-            space.creators[sid].add(creator)
-            space.parents[sid].add(cid)
-            space.records[sid].append((creator, cid))
-            space.created_by[creator].add(sid)
-    return space
+                sid = index[pair] = len(pairs)
+                pairs.append(pair)
+                first_event.append(event)
+                last_event.append(event)
+                containing[pair[0]].append(sid)
+                containing[pair[1]].append(sid)
+            else:
+                next_event[last_event[sid]] = event
+                last_event[sid] = event
+            created_by[creator].append(sid)
+    if len(set(f.clauses)) < f.m:
+        # A repeated clause repeats its events but creates nothing new.
+        created_by = [list(dict.fromkeys(ids)) for ids in created_by]
+    return SubClauseSpace(n=f.n, clauses=f.clauses, pairs=pairs, index=index,
+                          first_event=first_event, next_event=next_event,
+                          created_by=created_by, containing=containing)
 
 
 @dataclass(frozen=True)
@@ -179,9 +196,10 @@ def interaction_matrix(space: SubClauseSpace) -> InteractionMatrix:
     cells = []
     for sid in rows:
         p, q = space.pairs[sid]
+        creators = space.creators_of((sid,))
         row = []
         for lit in columns:
-            if lit in space.creators[sid]:
+            if lit in creators:
                 row.append("c")
             elif lit == p or lit == q:
                 row.append("s")

@@ -12,12 +12,28 @@ import random
 from dataclasses import dataclass, field
 
 from .assignments import random_assignment, subclause_count, subclause_total, thresholds
-from .formula import (ORACLE_MAX_VARS, GuardrailError, evaluate,
-                      random_formula, solve_exhaustive)
+from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, evaluate, literal_str,
+                      random_formula, solve_exhaustive, var_of)
 from .hypernodal import build_hypernodal, find_contradictions
 from .reduction import (TwoSatFormula, assignment_satisfies_2sat, reduce_to_2sat,
                         solve_2sat, verify_corollary1, verify_theorem)
 from .subclauses import build_space, space_census
+
+
+# Reproducers a report keeps; falsifications past these are only counted.
+MAX_FAILURES = 10
+
+
+def reproducer(suite: str, seed: int, instance: int, n: int, r: float,
+               assignment: Assignment | None) -> dict:
+    """What reproduces a falsification: instance `instance` of the suite is
+    random_formula(n, r, seed), which `hypersat reduce --gen n,r,seed
+    --assignment ...` regenerates for the width-3 suites; `assignment` is
+    None where the check has none."""
+    literals = None if assignment is None else [
+        literal_str(lit) for lit in sorted(assignment, key=var_of)]
+    return {"suite": suite, "seed": seed, "instance": instance, "n": n, "r": r,
+            "assignment": literals}
 
 
 @dataclass
@@ -28,10 +44,21 @@ class SuiteReport:
     falsifications: int
     skipped: int = 0          # instances where the hypothesis never applied
     details: dict = field(default_factory=dict)
+    failures: list[dict] = field(default_factory=list)  # reproducer() of the first falsifications
+
+    def __post_init__(self):
+        self.failures = self.failures[:MAX_FAILURES]
 
     @property
     def ok(self) -> bool:
         return self.falsifications == 0
+
+    def to_json_dict(self) -> dict:
+        """The report's fields, leaving out `failures` when it is empty."""
+        out = dict(vars(self))
+        if not self.failures:
+            del out["failures"]
+        return out
 
     def summary_line(self) -> str:
         status = "ok" if self.ok else "FALSIFIED"
@@ -55,9 +82,11 @@ def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
     formula it induces."""
     _check_n(n_range[1])
     rng = random.Random(seed)
-    checks = falsifications = satisfiable = 0
+    checks = satisfiable = 0
+    failures = []
     for i, n in enumerate(_instance_sizes(rng, n_range, instances)):
-        f = random_formula(n, r, seed=seed + 7919 * (i + 1))
+        f_seed = seed + 7919 * (i + 1)
+        f = random_formula(n, r, seed=f_seed)
         solutions = solve_exhaustive(f, cap=cap)
         if not solutions:
             continue
@@ -67,11 +96,11 @@ def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
             cert = verify_theorem(f, a, space=space)
             checks += 1
             if not cert.holds:
-                falsifications += 1
+                failures.append(reproducer("theorem", f_seed, i, n, r, a))
     return SuiteReport(suite="theorem", instances=instances, checks=checks,
-                       falsifications=falsifications,
+                       falsifications=len(failures),
                        skipped=instances - satisfiable,
-                       details={"satisfiable_instances": satisfiable})
+                       details={"satisfiable_instances": satisfiable}, failures=failures)
 
 
 def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
@@ -81,9 +110,11 @@ def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
     sub-clause unsolved."""
     _check_n(n_range[1])
     rng = random.Random(seed)
-    checks = falsifications = resampled = 0
+    checks = resampled = 0
+    failures = []
     for i, n in enumerate(_instance_sizes(rng, n_range, instances)):
-        f = random_formula(n, r, seed=seed + 7919 * (i + 1))
+        f_seed = seed + 7919 * (i + 1)
+        f = random_formula(n, r, seed=f_seed)
         space = build_space(f)
         produced = 0
         attempt = 0
@@ -97,10 +128,11 @@ def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
             cert = verify_corollary1(f, a, space=space)
             checks += 1
             if not cert.holds:
-                falsifications += 1
+                failures.append(reproducer("corollary1", f_seed, i, n, r, a))
     return SuiteReport(suite="corollary1", instances=instances, checks=checks,
-                       falsifications=falsifications,
-                       details={"satisfying_assignments_resampled": resampled})
+                       falsifications=len(failures),
+                       details={"satisfying_assignments_resampled": resampled},
+                       failures=failures)
 
 
 def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
@@ -114,25 +146,25 @@ def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12)
     ratio, far above that range, so it is ignored."""
     max_n = min(n_range[1], 12)
     rng = random.Random(seed)
-    checks = falsifications = sat_count = 0
+    checks = sat_count = 0
+    failures = []
     ratios = (0.8, 1.0, 1.5, 2.0)
     for i in range(instances):
         n = rng.randint(2, max_n)
-        f = random_formula(n, ratios[i % len(ratios)], seed=seed + 7919 * (i + 1), k=2)
+        f_seed, f_ratio = seed + 7919 * (i + 1), ratios[i % len(ratios)]
+        f = random_formula(n, f_ratio, seed=f_seed, k=2)
         t = TwoSatFormula.from_formula(f)
         verdict = solve_2sat(t)
         oracle_sat = bool(solve_exhaustive(f, cap=1))
         checks += 1
-        if verdict.satisfiable != oracle_sat:
-            falsifications += 1
-            continue
-        if verdict.satisfiable:
+        if verdict.satisfiable != oracle_sat or (
+                verdict.satisfiable and assignment_satisfies_2sat(t, verdict.assignment)):
+            failures.append(reproducer("2sat-oracle", f_seed, i, n, f_ratio, verdict.assignment))
+        if verdict.satisfiable and oracle_sat:
             sat_count += 1
-            if assignment_satisfies_2sat(t, verdict.assignment):
-                falsifications += 1
     return SuiteReport(suite="2sat-oracle", instances=instances, checks=checks,
-                       falsifications=falsifications,
-                       details={"satisfiable_instances": sat_count})
+                       falsifications=len(failures),
+                       details={"satisfiable_instances": sat_count}, failures=failures)
 
 
 def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6, 16),
@@ -142,10 +174,12 @@ def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6,
     assignment satisfies its induced 2-SAT formula, and no activated
     sub-clause is left unsolved."""
     rng = random.Random(seed)
-    checks = disagreements = consistent_count = 0
+    checks = consistent_count = 0
+    failures = []
     for i in range(instances):
         n = rng.randint(*n_range)
-        f = random_formula(n, r, seed=seed + 7919 * (i + 1))
+        f_seed = seed + 7919 * (i + 1)
+        f = random_formula(n, r, seed=f_seed)
         space = build_space(f)
         hg = build_hypernodal(space)
         a = random_assignment(n, seed=rng.getrandbits(32))
@@ -159,10 +193,10 @@ def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6,
         if graph_verdict:
             consistent_count += 1
         if not (graph_verdict == sat_verdict == unsolved_verdict):
-            disagreements += 1
+            failures.append(reproducer("merge", f_seed, i, n, r, a))
     return SuiteReport(suite="merge", instances=instances, checks=checks,
-                       falsifications=disagreements,
-                       details={"consistent_pairs": consistent_count})
+                       falsifications=len(failures),
+                       details={"consistent_pairs": consistent_count}, failures=failures)
 
 
 def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
@@ -172,10 +206,12 @@ def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
     dropping below the minimum is possible (shared sub-clauses) and is
     reported, not failed."""
     rng = random.Random(seed)
-    checks = falsifications = distinct_below_minimum = 0
+    checks = distinct_below_minimum = 0
+    failures = []
     for i in range(instances):
         n = rng.randint(*n_range)
-        f = random_formula(n, r, seed=seed + 7919 * (i + 1))
+        f_seed = seed + 7919 * (i + 1)
+        f = random_formula(n, r, seed=f_seed)
         space = build_space(f)
         th = thresholds(space)
         a = random_assignment(n, seed=rng.getrandbits(32))
@@ -184,29 +220,32 @@ def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
         checks += 1
         if not (th.minimum <= total <= th.maximum and distinct <= th.maximum
                 and th.minimum <= th.maximum):
-            falsifications += 1
+            failures.append(reproducer("sandwich", f_seed, i, n, r, a))
         if distinct < th.minimum:
             distinct_below_minimum += 1
     return SuiteReport(suite="sandwich", instances=instances, checks=checks,
-                       falsifications=falsifications,
-                       details={"distinct_below_minimum": distinct_below_minimum})
+                       falsifications=len(failures),
+                       details={"distinct_below_minimum": distinct_below_minimum},
+                       failures=failures)
 
 
 def census_suite(instances: int = 200, n_range: tuple[int, int] = (4, 40),
                  r: float = 4.25, seed: int = 1) -> SuiteReport:
     """|S| never exceeds min(3m, 2n(n-1)) on generated instances."""
     rng = random.Random(seed)
-    checks = falsifications = 0
+    checks = 0
+    failures = []
     for i in range(instances):
         n = rng.randint(*n_range)
-        f = random_formula(n, r, seed=seed + 7919 * (i + 1))
+        f_seed = seed + 7919 * (i + 1)
+        f = random_formula(n, r, seed=f_seed)
         space = build_space(f)
         census = space_census(space, f)
         checks += 1
         if census.actual > min(census.per_clause_bound, census.possible):
-            falsifications += 1
+            failures.append(reproducer("census", f_seed, i, n, r, None))
     return SuiteReport(suite="census", instances=instances, checks=checks,
-                       falsifications=falsifications)
+                       falsifications=len(failures), failures=failures)
 
 
 # Every suite takes (instances, n_range, r, seed).

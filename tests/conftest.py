@@ -1,6 +1,10 @@
-import pytest
+import math
 
-from hypersat import build_space, formula, parse_literal
+import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from hypersat import Formula, build_space, formula, parse_literal, random_formula
 
 
 def lits(*names):
@@ -63,3 +67,18 @@ def from_paper(f3_space):
         return {mapping[s] for s in ids}
 
     return convert
+
+
+@st.composite
+def formulas(draw, n_range, ratios):
+    """Random width-3 formulas, with up to three repeated clauses at drawn
+    positions: parse_dimacs keeps repeated clauses, random_formula never
+    draws them."""
+    n = draw(st.integers(*n_range))
+    r = draw(st.sampled_from(ratios))
+    assume(round(r * n) <= math.comb(n, 3) * 8)
+    f = random_formula(n, r, seed=draw(st.integers(0, 2**30)))
+    clauses = list(f.clauses)
+    for _ in range(draw(st.integers(0, 3))):
+        clauses.insert(draw(st.integers(0, len(clauses))), draw(st.sampled_from(f.clauses)))
+    return Formula(n=n, clauses=tuple(clauses))

@@ -2,6 +2,7 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
 
 from hypersat import (build_space, consumption_rate, evaluate, excluded_literals,
                       formula, generate_greedy, generate_heuristic, literal_str,
@@ -10,7 +11,7 @@ from hypersat import (build_space, consumption_rate, evaluate, excluded_literals
                       unsolved_curve)
 from hypersat.formula import var_of
 
-from conftest import clause, lits
+from conftest import clause, formulas, lits
 
 
 def test_thresholds_f3(f3_space):
@@ -104,6 +105,47 @@ def test_greedy_empty_formula_uses_tie_break():
     f = formula(3, [])
     assert generate_greedy(f) == lits("x0", "x1", "x2")
     assert generate_greedy(f, tie_break="false") == lits("-x0", "-x1", "-x2")
+
+
+def greedy_dynamic_scan(f, tie_break):
+    """The O(n^2) construction the heap replaced, kept as its oracle: every
+    step rescans all unfixed literals for the largest (count, preferred, -v)."""
+    prefer_true = tie_break == "true"
+    counts = [0] * (2 * f.n)
+    for c in f.clauses:
+        for lit in c:
+            counts[lit] += 1
+    occurrences = f.occurrences()
+    clause_satisfied = [False] * f.m
+    fixed = [False] * f.n
+    out = []
+    for _ in range(f.n):
+        best_lit = None
+        best = (-1, 0, 0)
+        for v in range(f.n):
+            if fixed[v]:
+                continue
+            for lit in (make_literal(v), make_literal(v, True)):
+                preferred = (lit & 1) == (0 if prefer_true else 1)
+                key = (counts[lit], 1 if preferred else 0, -v)
+                if key > best:
+                    best, best_lit = key, lit
+        fixed[var_of(best_lit)] = True
+        out.append(best_lit)
+        for cid in occurrences.get(best_lit, ()):
+            if not clause_satisfied[cid]:
+                clause_satisfied[cid] = True
+                for lit in f.clauses[cid]:
+                    counts[lit] -= 1
+    return frozenset(out)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 60), ratios=(1, 2.5, 4.25, 6)))
+def test_greedy_dynamic_matches_scan_oracle(f):
+    for tie_break in ("true", "false"):
+        assert generate_greedy(f, tie_break=tie_break, dynamic=True) == \
+            greedy_dynamic_scan(f, tie_break)
 
 
 def test_random_assignment_deterministic():

@@ -89,6 +89,14 @@ PINNED_STDOUT = [
     (("export", "--gen", "30,4.25,2", "--dot", "--assignment", "x0,x1,-x2,x3,x4,x5,-x6,x7"),
      "6b70a6e1c8dfbc47"),
     (("experiment", "--count", "5"), "c23cf7ab3cc51666"),
+    (("analyze", "--gen", "30,4.25,2"), "1ca1f5899c3fb3cf"),
+    (("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic", "--tie-break", "true"),
+     "3d4b8628285c8ba2"),
+    (("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic", "--tie-break", "false"),
+     "621c43b71cda37fe"),
+    (("reduce", "--gen", "200,4.25,1"), "3e1d35483fb9cfd1"),
+    (("export", "--gen", "30,4.25,2", "--expand", "-x0"), "29a3c655b6190789"),
+    (("experiment", "--curve", "--instances", "3"), "335b6bd56d12da73"),
 ]
 
 
@@ -98,6 +106,25 @@ def test_pinned_stdout(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert digest(out) == expected
+
+
+# Files whose path stdout echoes, so the file is pinned rather than stdout.
+PINNED_FILES = [
+    (("analyze", "--gen", "30,4.25,2", "--matrix"), "e510c5324eccbb5a"),
+    (("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic", "--tie-break", "true",
+      "--curve-csv"), "6378d667c4364c6c"),
+    (("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic", "--tie-break", "false",
+      "--curve-csv"), "bb7d462b670ebfc8"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_FILES,
+                         ids=[" ".join(argv) for argv, _ in PINNED_FILES])
+def test_pinned_file(capsys, tmp_path, argv, expected):
+    path = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *argv, str(path))
+    assert code == EXIT_OK
+    assert digest(path.read_text()) == expected
 
 
 @pytest.mark.parametrize("command", ["analyze", "reduce", "export"])
@@ -113,6 +140,12 @@ def test_assignment_may_start_with_a_negative_literal(capsys, command, value):
         payload = json.loads(separate)
         literals = payload["assignment"] if command == "reduce" else payload["assignment"]["literals"]
         assert literals == ["-x0", "x1"]
+
+
+def test_expand_rejects_a_literal_out_of_range(capsys):
+    code, out, err = run(capsys, "export", "--gen", "8,4.25,1", "--expand", "x8")
+    assert code == EXIT_USAGE
+    assert out == "" and "x8 out of range" in err
 
 
 @pytest.mark.parametrize("option,value", [("--assign", "-x0,x1"), ("--expand", "-x0"),

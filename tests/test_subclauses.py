@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from hypersat import (build_space, formula, interaction_matrix, literal_str,
+from hypersat import (Formula, build_space, formula, interaction_matrix, literal_str,
                       make_literal, negate, parse_literal, random_formula,
-                      space_census)
+                      space_census, thresholds)
 from hypersat.formula import var_of
 
-from conftest import SUBCLAUSE_NUMBERING, clause, lits
+from conftest import SUBCLAUSE_NUMBERING, clause, formulas, lits
 
 
 def test_f3_space_enumerates_all_twelve(f3_space):
@@ -84,7 +85,7 @@ def test_creators_f3(f3_space, from_paper):
     assert f3_space.creators_of({s8}) == lits("x0", "-x0")
     assert f3_space.creators_of(set()) == set()
     union = f3_space.creators_of(range(len(f3_space)))
-    per_literal = {lit for lit, ids in f3_space.created_by.items() if ids}
+    per_literal = {lit for lit, ids in enumerate(f3_space.created_by) if ids}
     assert union == per_literal
 
 
@@ -107,9 +108,9 @@ def test_parent_reconstruction_invariant():
         space = build_space(f)
         for sid in range(len(space)):
             pair = set(space.pairs[sid])
-            for creator in space.creators[sid]:
+            for creator in space.creators_of({sid}):
                 assert tuple(sorted(pair | {negate(creator)}, key=var_of)) in f.clauses
-            for parent in space.parents[sid]:
+            for parent in space.parents_of({sid}):
                 assert pair < set(f.clauses[parent])
 
 
@@ -211,4 +212,72 @@ def test_space_ids_follow_scan_order(f3, f3_space):
     assert f3_space.pairs[0] == clause("-x1 -x2")
     assert f3_space.pairs[1] == clause("-x0 -x2")
     assert f3_space.pairs[2] == clause("-x0 -x1")
-    assert literal_str(next(iter(f3_space.creators[0]))) == "x0"
+    assert literal_str(next(iter(f3_space.creators_of({0})))) == "x0"
+
+
+def reference_space(f):
+    """The set-based builder the flat space replaced, kept as its oracle:
+    per sub-clause its creator set, parent set and (creator, parent) records;
+    per literal the sets of ids it creates and of ids containing it."""
+    pairs, index, creators, parents, records = [], {}, [], [], []
+    created_by = {lit: set() for lit in range(2 * f.n)}
+    containing = {lit: set() for lit in range(2 * f.n)}
+    for cid, c in enumerate(f.clauses):
+        for removed in c:
+            pair = tuple(lit for lit in c if lit != removed)
+            creator = negate(removed)
+            sid = index.get(pair)
+            if sid is None:
+                sid = len(pairs)
+                index[pair] = sid
+                pairs.append(pair)
+                creators.append(set())
+                parents.append(set())
+                records.append([])
+                for lit in pair:
+                    containing[lit].add(sid)
+            creators[sid].add(creator)
+            parents[sid].add(cid)
+            records[sid].append((creator, cid))
+            created_by[creator].add(sid)
+    return pairs, index, creators, parents, records, created_by, containing
+
+
+def assert_matches_reference(f):
+    space = build_space(f)
+    pairs, index, creators, parents, records, created_by, containing = reference_space(f)
+    assert space.pairs == pairs
+    assert space.index == index
+    assert all(space.id_of(pair) == sid for pair, sid in index.items())
+    assert [space.events_of(sid) for sid in range(len(pairs))] == records
+    for lit in range(2 * f.n):
+        assert set(space.created_by[lit]) == created_by[lit]
+        assert len(space.created_by[lit]) == len(created_by[lit])
+        assert set(space.containing[lit]) == containing[lit]
+        assert len(space.containing[lit]) == len(containing[lit])
+    for sid in range(len(pairs)):
+        assert space.creators_of({sid}) == creators[sid]
+        assert space.parents_of({sid}) == parents[sid]
+    assert space.creators_of(range(len(pairs))) == set().union(*creators)
+    th = thresholds(space)
+    sizes = [(len(created_by[2 * v]), len(created_by[2 * v + 1])) for v in range(f.n)]
+    assert (th.minimum, th.maximum) == (sum(map(min, sizes)), sum(map(max, sizes)))
+
+
+def test_space_matches_reference_with_repeated_clauses(f3):
+    # Clause 0 appears three times and clause 4 twice: each repeat adds
+    # events and parents, but no creator and no created_by entry.
+    f = Formula(n=3, clauses=(f3.clauses[0],) + f3.clauses + (f3.clauses[4], f3.clauses[0]))
+    assert_matches_reference(f)
+    space = build_space(f)
+    sid = space.id_of(clause("-x1 -x2"))
+    assert space.parents_of({sid}) == {0, 1, 6, 9}
+    assert space.events_of(sid) == [(parse_literal("x0"), 0), (parse_literal("x0"), 1),
+                                       (parse_literal("-x0"), 6), (parse_literal("x0"), 9)]
+    assert space.created_by[parse_literal("x0")].count(sid) == 1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 30), ratios=(1, 2.5, 4.25, 6)))
+def test_space_matches_reference(f):
+    assert_matches_reference(f)

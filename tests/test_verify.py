@@ -1,9 +1,14 @@
+import contextlib
 import inspect
+import io
+import json
 
 import pytest
 
-from hypersat import verify
+from hypersat import build_space, random_formula, reduce_to_2sat, verify
+from hypersat.cli import EXIT_FALSIFIED, EXIT_OK, main
 from hypersat.formula import GuardrailError
+from hypersat.reduction import Corollary1Certificate
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
@@ -37,3 +42,52 @@ def test_oracle_suites_refuse_large_n():
     for name in ("theorem", "corollary1"):
         with pytest.raises(GuardrailError):
             verify.SUITES[name](instances=1, n_range=(6, 40), r=4.25, seed=1)
+
+
+def falsify_corollary1(monkeypatch, calls):
+    """Make verify's corollary 1 check fail from call number `calls` on,
+    recording every (formula, assignment) it was given."""
+    seen = []
+
+    def check(f, a, space=None):
+        seen.append((f, a))
+        return Corollary1Certificate(holds=len(seen) < calls, witnesses=(),
+                                     unsatisfied_clauses=())
+
+    monkeypatch.setattr(verify, "verify_corollary1", check)
+    return seen
+
+
+def test_falsification_carries_a_reproducer(monkeypatch):
+    seen = falsify_corollary1(monkeypatch, calls=4)
+    report = verify.corollary1_suite(instances=3, n_range=(6, 8), r=4.25, seed=5,
+                                     assignments_per_instance=2)
+    assert report.falsifications == 3 and not report.ok
+    assert len(report.failures) == 3
+    first = report.failures[0]
+    assert sorted(first) == ["assignment", "instance", "n", "r", "seed", "suite"]
+    assert (first["suite"], first["instance"], first["r"]) == ("corollary1", 1, 4.25)
+    f, a = seen[3]
+    assert random_formula(first["n"], first["r"], first["seed"]) == f
+    argv = ["reduce", "--gen", f"{first['n']},{first['r']},{first['seed']}",
+            "--assignment", ",".join(first["assignment"])]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    payload = json.loads(out.getvalue())
+    assert payload["input"] == f"gen(n={f.n},r=4.25,seed={first['seed']})"
+    assert set(payload["assignment"]) == set(first["assignment"])
+    assert payload["clauses"] == reduce_to_2sat(build_space(f), f, a).m
+    assert report.to_json_dict()["failures"] == report.failures
+
+
+def test_failures_are_bounded_and_left_out_when_empty(monkeypatch, capsys):
+    clean = verify.corollary1_suite(instances=2, n_range=(6, 8), r=4.25, seed=5)
+    assert clean.failures == [] and "failures" not in clean.to_json_dict()
+    falsify_corollary1(monkeypatch, calls=1)
+    report = verify.corollary1_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
+    assert report.falsifications == 30
+    assert len(report.failures) == verify.MAX_FAILURES == 10
+    assert main(["verify", "--suite", "corollary1", "--instances", "2"]) == EXIT_FALSIFIED
+    [payload] = json.loads(capsys.readouterr().out)
+    assert payload["falsifications"] == 20 and len(payload["failures"]) == 10
