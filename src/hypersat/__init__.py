@@ -10,7 +10,7 @@ from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .formula import (Assignment, Clause, EvalReport, Formula, GuardrailError, Literal,
                       check_consistent, evaluate, formula, is_complete, literal_str,
                       make_clause, make_literal, negate, parse_literal, random_formula,
-                      satisfied, solve_exhaustive, var_of)
+                      solve_exhaustive, var_of)
 from .hypernodal import (ExpansionTree, HypernodalGraph, ImplicationGraph, build_hypernodal,
                          expand_literal, expansion_to_json, export_dot, find_contradictions,
                          merge_active, transitive_closure)

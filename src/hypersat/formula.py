@@ -18,6 +18,8 @@ Assignment = frozenset[int]
 
 # Guardrail for the exhaustive oracle: 2^n assignments are enumerated.
 ORACLE_MAX_VARS = 26
+# The exhaustive oracle tests up to 2^ORACLE_BLOCK_BITS assignments per step.
+ORACLE_BLOCK_BITS = 16
 
 
 class GuardrailError(ValueError):
@@ -121,13 +123,6 @@ def is_complete(a: Assignment, n: int) -> bool:
     return len(a) == n and {var_of(lit) for lit in a} == set(range(n))
 
 
-def satisfied(f: Formula, lit: Literal) -> set[int]:
-    """Ids of clauses containing the literal (the clauses it satisfies)."""
-    if not 0 <= var_of(lit) < f.n:
-        raise ValueError(f"variable x{var_of(lit)} out of range [0,{f.n})")
-    return {cid for cid, clause in enumerate(f.clauses) if lit in clause}
-
-
 @dataclass(frozen=True)
 class EvalReport:
     satisfied_count: int
@@ -146,8 +141,37 @@ def evaluate(f: Formula, a: Assignment) -> EvalReport:
     return EvalReport(sat, unsat, sat / f.m if f.m else 1.0)
 
 
+def _falsifying_columns(low: int) -> list[int]:
+    """Per literal code over x0..x(low-1), the 2^low-bit word whose bit s is
+    set when word s falsifies the literal: bit v of s is 1 when x_v is true.
+
+    Built by doubling: the columns over 2w bits are the columns over w bits
+    repeated twice, plus the new variable's column, w zeros then w ones.
+    """
+    columns: list[int] = []
+    w = 1
+    for _ in range(low):
+        columns = [c | (c << w) for c in columns]
+        columns.append(((1 << w) - 1) << w)
+        w <<= 1
+    full = (1 << w) - 1
+    falsifying = []
+    for column in columns:
+        falsifying += [full ^ column, column]   # x_v false / -x_v false
+    return falsifying
+
+
 def solve_exhaustive(f: Formula, cap: int = 10) -> list[Assignment]:
     """Enumerate all 2^n complete assignments; return up to `cap` satisfying ones.
+
+    Word s sets x_v true when bit v of s is 1, and the result lists solutions
+    in ascending word order. The low L = min(n, ORACLE_BLOCK_BITS) variables
+    index the bits of a 2^L-bit block word and the high n - L variables the
+    block, so each of the 2^(n-L) blocks is tested at once: a clause's
+    falsified words in a block are the AND of its low literals' falsifying
+    columns, present only in blocks whose high bits falsify its high literals.
+    Clauses are grouped by that high pattern, ORing their low words, so memory
+    grows with the number of distinct high patterns, not with m.
 
     An empty result means UNSAT. Refuses n > ORACLE_MAX_VARS.
     """
@@ -155,29 +179,40 @@ def solve_exhaustive(f: Formula, cap: int = 10) -> list[Assignment]:
         raise GuardrailError(f"exhaustive oracle limited to n <= {ORACLE_MAX_VARS}, got n = {f.n}")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    # Bitmask per clause: clause falsified by word s iff (s & vmask) == fpattern,
-    # where bit v of s is 1 when x_v is true and the falsifying value of a
-    # positive literal is 0 (and of a negative literal is 1).
-    vmasks = []
-    fpatterns = []
+    n = f.n
+    low = min(n, ORACLE_BLOCK_BITS)
+    falsifying = _falsifying_columns(low)
+    full = (1 << (1 << low)) - 1
+    # (high variable mask, falsifying high bits) -> OR of the group's low words.
+    groups: dict[tuple[int, int], int] = {}
     for clause in f.clauses:
-        vm = 0
-        fp = 0
+        word = full
+        hv = hf = 0
         for lit in clause:
-            bit = 1 << var_of(lit)
-            vm |= bit
-            if is_negative(lit):
-                fp |= bit
-        vmasks.append(vm)
-        fpatterns.append(fp)
-    pairs = list(zip(vmasks, fpatterns))
+            v = var_of(lit)
+            if v < low:
+                word &= falsifying[lit]
+            else:
+                bit = 1 << (v - low)
+                hv |= bit
+                if is_negative(lit):
+                    hf |= bit
+        groups[hv, hf] = groups.get((hv, hf), 0) | word
     found: list[Assignment] = []
-    for s in range(1 << f.n):
-        if all((s & vm) != fp for vm, fp in pairs):
+    for hi in range(1 << (n - low)):
+        bad = 0
+        for (hv, hf), word in groups.items():
+            if hi & hv == hf:
+                bad |= word
+        good = full ^ bad
+        while good:
+            lowest = good & -good
+            s = (hi << low) | (lowest.bit_length() - 1)
             found.append(frozenset(
-                make_literal(v, negative=((s >> v) & 1) == 0) for v in range(f.n)))
+                make_literal(v, negative=((s >> v) & 1) == 0) for v in range(n)))
             if len(found) >= cap:
-                break
+                return found
+            good ^= lowest
     return found
 
 

@@ -70,15 +70,15 @@ def from_paper(f3_space):
 
 
 @st.composite
-def formulas(draw, n_range, ratios):
-    """Random width-3 formulas, with up to three repeated clauses at drawn
+def formulas(draw, n_range, ratios, k=3):
+    """Random width-k formulas, with up to three repeated clauses at drawn
     positions: parse_dimacs keeps repeated clauses, random_formula never
     draws them."""
     n = draw(st.integers(*n_range))
     r = draw(st.sampled_from(ratios))
-    assume(round(r * n) <= math.comb(n, 3) * 8)
-    f = random_formula(n, r, seed=draw(st.integers(0, 2**30)))
+    assume(round(r * n) <= math.comb(n, k) * (1 << k))
+    f = random_formula(n, r, seed=draw(st.integers(0, 2**30)), k=k)
     clauses = list(f.clauses)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if clauses else 0):
         clauses.insert(draw(st.integers(0, len(clauses))), draw(st.sampled_from(f.clauses)))
-    return Formula(n=n, clauses=tuple(clauses))
+    return Formula(n=n, clauses=tuple(clauses), width=k)

@@ -1,13 +1,20 @@
+import importlib
 import random
+import tracemalloc
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypersat import (DimacsError, emit_dimacs, evaluate, formula, literal_str,
+from hypersat import (DimacsError, Formula, emit_dimacs, evaluate, formula, literal_str,
                       make_clause, make_literal, negate, parse_dimacs, parse_literal,
-                      random_formula, satisfied, solve_exhaustive)
-from hypersat.formula import GuardrailError, check_consistent, is_complete, var_of
+                      random_formula, solve_exhaustive)
+from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, GuardrailError,
+                              check_consistent, is_complete, is_negative, var_of)
 
-from conftest import clause, lits
+from conftest import clause, formulas, lits
 
 
 def test_negate_flips_polarity():
@@ -73,6 +80,15 @@ def test_emit_parse_round_trip(f3):
     assert parse_dimacs(emit_dimacs(f3)) == f3
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda k: formulas(n_range=(k, 30), ratios=(1, 2.5, 4.25), k=k)))
+def test_emit_parse_round_trip_property(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # repeated clauses are kept, with a warning
+        assert parse_dimacs(emit_dimacs(f), width=f.width) == f
+
+
 def test_emit_empty_formula():
     empty = formula(0, [])
     assert emit_dimacs(empty) == "p cnf 0 0\n"
@@ -121,29 +137,25 @@ def test_generator_invariants_over_many_seeds():
 
 def test_satisfied_f3_sets(f3):
     expected = {
-        "-x0": {0, 1, 2, 3}, "-x1": {0, 1, 5, 6}, "-x2": {0, 2, 5},
-        "x0": {4, 5, 6}, "x1": {2, 3, 4}, "x2": {1, 3, 4, 6},
+        "-x0": [0, 1, 2, 3], "-x1": [0, 1, 5, 6], "-x2": [0, 2, 5],
+        "x0": [4, 5, 6], "x1": [2, 3, 4], "x2": [1, 3, 4, 6],
     }
+    occurrences = f3.occurrences()
     for name, ids in expected.items():
-        assert satisfied(f3, parse_literal(name)) == ids
+        assert occurrences[parse_literal(name)] == ids
 
 
 def test_satisfied_absent_literal():
     f = formula(4, [clause("x0 x1 x2")])
-    assert satisfied(f, parse_literal("x3")) == set()
-
-
-def test_satisfied_out_of_range(f3):
-    with pytest.raises(ValueError):
-        satisfied(f3, parse_literal("x3"))
+    assert parse_literal("x3") not in f.occurrences()
 
 
 def test_satisfied_polarities_disjoint():
     for seed in range(20):
-        f = random_formula(10, 4.25, seed=seed)
-        for v in range(f.n):
+        occurrences = random_formula(10, 4.25, seed=seed).occurrences()
+        for v in range(10):
             pos, neg = make_literal(v), make_literal(v, True)
-            assert not (satisfied(f, pos) & satisfied(f, neg))
+            assert not set(occurrences.get(pos, ())) & set(occurrences.get(neg, ()))
 
 
 def test_evaluate_f3(f3):
@@ -205,6 +217,122 @@ def test_solve_exhaustive_guardrail():
     f = formula(27, [], width=3)
     with pytest.raises(GuardrailError):
         solve_exhaustive(f)
+
+
+def exhaustive_scan(f, cap=10):
+    """The per-word loop solve_exhaustive replaced, kept as its oracle: every
+    word s in ascending order, with one test per clause."""
+    masks = []
+    for c in f.clauses:
+        vm = fp = 0
+        for lit in c:
+            bit = 1 << var_of(lit)
+            vm |= bit
+            if is_negative(lit):
+                fp |= bit
+        masks.append((vm, fp))
+    found = []
+    for s in range(1 << f.n):
+        if all((s & vm) != fp for vm, fp in masks):
+            found.append(frozenset(
+                make_literal(v, negative=((s >> v) & 1) == 0) for v in range(f.n)))
+            if len(found) >= cap:
+                break
+    return found
+
+
+def word_of(a):
+    return sum(1 << var_of(lit) for lit in a if not is_negative(lit))
+
+
+CAPS = st.sampled_from((1, 3, 10, None))   # None: 2^n, every solution
+
+
+def assert_matches_scan(f, cap):
+    cap = 1 << f.n if cap is None else cap
+    found = solve_exhaustive(f, cap)
+    assert found == exhaustive_scan(f, cap)
+    return found
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 12), ratios=(0.5, 1, 2.5, 4.25, 6)), CAPS)
+def test_solve_exhaustive_matches_scan(f, cap):
+    assert_matches_scan(f, cap)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(2, 12), ratios=(0.5, 1, 2, 3), k=2), CAPS)
+def test_solve_exhaustive_matches_scan_width_2(f, cap):
+    assert_matches_scan(f, cap)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 10), ratios=(0.5, 1, 2.5, 4.25)), CAPS, st.integers(0, 4))
+def test_solve_exhaustive_small_blocks_match_scan(f, cap, block_bits):
+    """Blocks of 2^block_bits words put most variables in the high part."""
+    with mock.patch.object(importlib.import_module("hypersat.formula"),
+                           "ORACLE_BLOCK_BITS", block_bits):
+        assert_matches_scan(f, cap)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+@pytest.mark.parametrize("cap", [1, 3, 10, None])
+def test_solve_exhaustive_empty_formula_matches_scan(n, cap):
+    found = assert_matches_scan(formula(n, []), cap)
+    assert len(found) == min(1 << n, cap or 1 << n)
+
+
+@pytest.mark.parametrize("n, r, seed, cap", [
+    (17, 0.25, 1, 50_000),
+    (18, 1.0, 2, 10_000),
+    (19, 1.5, 3, 5_000),
+    (20, 2.0, 3, 3_000),
+    (17, 3.0, 4, None),
+])
+def test_solve_exhaustive_crosses_blocks(n, r, seed, cap):
+    """Few clauses over n > ORACLE_BLOCK_BITS: many solutions, the last of
+    them past the first block of 2^ORACLE_BLOCK_BITS words."""
+    found = assert_matches_scan(random_formula(n, r, seed), cap)
+    assert word_of(found[-1]) >= 1 << ORACLE_BLOCK_BITS
+
+
+def test_solve_exhaustive_unsat_at_max_vars():
+    """2^26 words in 2^10 blocks: about 10 ms, where the per-word scan takes
+    about 30 s."""
+    assert solve_exhaustive(random_formula(ORACLE_MAX_VARS, 8.0, seed=1), cap=1) == []
+
+
+def test_solve_exhaustive_satisfiable_at_max_vars():
+    f = random_formula(ORACLE_MAX_VARS, 2.0, seed=1)
+    found = solve_exhaustive(f, cap=5)
+    assert len(found) == 5
+    for a in found:
+        assert is_complete(a, f.n) and not evaluate(f, a).unsatisfied_ids
+    words = [word_of(a) for a in found]
+    assert words == sorted(set(words))
+
+
+def test_solve_exhaustive_memory_follows_high_patterns():
+    """10k clauses at n = 26 with at most 600 distinct high patterns: one
+    2^16-bit word per clause would need over 80 MB."""
+    rng = random.Random(5)
+    high = range(ORACLE_BLOCK_BITS, ORACLE_MAX_VARS)
+
+    def random_clause(variables):
+        return make_clause(make_literal(v, bool(rng.getrandbits(1)))
+                           for v in rng.sample(variables, 3))
+
+    pool = ([random_clause(high) for _ in range(300)]
+            + [random_clause(range(ORACLE_MAX_VARS)) for _ in range(300)])
+    f = Formula(n=ORACLE_MAX_VARS, clauses=tuple(rng.choice(pool) for _ in range(10_000)))
+    tracemalloc.start()
+    try:
+        solve_exhaustive(f, cap=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_assignment_helpers():

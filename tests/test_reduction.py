@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from hypersat import (HypothesisError, assignment_satisfies_2sat, build_space,
                       decompose, evaluate, formula, make_literal, negate,
@@ -10,7 +11,7 @@ from hypersat import (HypothesisError, assignment_satisfies_2sat, build_space,
 from hypersat.formula import var_of
 from hypersat.reduction import TwoSatFormula
 
-from conftest import clause, lits
+from conftest import clause, formulas, lits
 
 
 def test_reduce_satisfying_f3(f3, f3_space):
@@ -131,6 +132,16 @@ def test_solve_2sat_agrees_with_enumeration():
     assert sat_seen and unsat_seen
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(2, 14), ratios=(0.5, 0.8, 1.2, 1.6, 2.0), k=2))
+def test_solve_2sat_agrees_with_oracle_property(f):
+    t = TwoSatFormula.from_formula(f)
+    verdict = solve_2sat(t)
+    assert verdict.satisfiable == bool(solve_exhaustive(f, cap=1))
+    if verdict.satisfiable:
+        assert assignment_satisfies_2sat(t, verdict.assignment) == []
+
+
 def test_twosat_from_formula_requires_width_2(f3):
     g = formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2)
     t = TwoSatFormula.from_formula(g)
@@ -168,6 +179,14 @@ def test_verify_theorem_over_oracle_assignments():
         for a in solve_exhaustive(f, cap=5):
             assert verify_theorem(f, a).holds
             checked += 1
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 12), ratios=(2, 3, 4.25)))
+def test_theorem_holds_for_every_oracle_solution(f):
+    space = build_space(f)
+    for a in solve_exhaustive(f, cap=1 << f.n):
+        assert verify_theorem(f, a, space=space).holds
 
 
 def test_verify_corollary1_f3(f3, to_paper):
