@@ -8,15 +8,15 @@ from .assignments import (CurveSeries, ExclusionReport, Thresholds, consumption_
                           thresholds, unsolved_curve)
 from .dimacs import DimacsError, emit_dimacs, parse_dimacs
 from .formula import (Assignment, Clause, EvalReport, Formula, GuardrailError, Literal,
-                      check_consistent, evaluate, formula, is_complete, literal_str,
-                      make_clause, make_literal, negate, parse_literal, random_formula,
-                      solve_exhaustive, var_of)
+                      check_consistent, evaluate, formula, literal_str, make_clause,
+                      make_literal, negate, parse_literal, random_formula, solve_exhaustive,
+                      var_of)
 from .hypernodal import (ExpansionTree, HypernodalGraph, ImplicationGraph, build_hypernodal,
                          expand_literal, expansion_to_json, export_dot, find_contradictions,
-                         merge_active, transitive_closure)
+                         merge_active)
 from .reduction import (Decomposition, HypothesisError, TwoSatFormula, TwoSatResult,
-                        assignment_satisfies_2sat, decompose, reduce_ksat,
-                        reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)
+                        assignment_satisfies_2sat, decompose, reduce_to_2sat, solve_2sat,
+                        verify_corollary1, verify_theorem)
 from .subclauses import (InteractionMatrix, SubClauseSpace, build_space,
                          interaction_matrix, space_census)
 

@@ -118,10 +118,7 @@ def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) 
     noticeably more clauses than the plain counts.
     """
     prefer_true = _prefer(tie_break)
-    occurrences: list[list[int]] = [[] for _ in range(2 * f.n)]
-    for cid, clause in enumerate(f.clauses):
-        for lit in clause:
-            occurrences[lit].append(cid)
+    occurrences = f.occurrences()
     counts = [len(cids) for cids in occurrences]
     if not dynamic:
         out = []
@@ -245,8 +242,6 @@ def excluded_literals(space: SubClauseSpace, a: Assignment) -> ExclusionReport:
     """Split an assignment into literals that created unsolved sub-clauses
     and the rest. Satisfying assignments exclude nothing."""
     a = check_consistent(a)
-    activated = space.activated(a)
-    unsolved = frozenset(sid for sid in activated
-                         if not (space.pairs[sid][0] in a or space.pairs[sid][1] in a))
+    unsolved = frozenset(space.unsolved(a))
     excluded = frozenset(lit for lit in a if not unsolved.isdisjoint(space.created_by[lit]))
     return ExclusionReport(unsolved=unsolved, excluded=excluded, allowed=frozenset(a - excluded))

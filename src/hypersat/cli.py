@@ -3,7 +3,7 @@ generation, 2-SAT reduction, verification suites, batch experiments and
 graph/expansion exports.
 
 Exit codes: 0 success, 2 bad usage or parameters, 3 DIMACS parse error,
-4 size guardrail, 5 hypothesis failure, 6 claim falsified.
+4 size guardrail, 6 claim falsified.
 """
 
 from __future__ import annotations
@@ -12,26 +12,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import experiments, verify
-from .assignments import (HEURISTICS, MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS,
-                          consumption_rate, excluded_literals, subclause_count,
-                          subclause_total, thresholds, unsolved_curve)
+from .assignments import (MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS, consumption_rate,
+                          excluded_literals, subclause_count, subclause_total, thresholds,
+                          unsolved_curve)
 from .dimacs import DimacsError, emit_dimacs, literal_to_dimacs, parse_dimacs
 from .formula import (Assignment, Formula, GuardrailError, check_consistent, evaluate,
                       literal_str, make_literal, parse_literal, random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_json,
                          export_dot, find_contradictions, merge_active)
-from .reduction import (HypothesisError, assignment_satisfies_2sat, reduce_to_2sat,
-                        solve_2sat)
+from .reduction import assignment_satisfies_2sat, reduce_to_2sat, solve_2sat
 from .subclauses import build_space, interaction_matrix, space_census
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_GUARDRAIL = 4
-EXIT_HYPOTHESIS = 5
 EXIT_FALSIFIED = 6
 
 OUT_DIR_ENV = "HYPERSAT_OUT"
@@ -59,29 +56,21 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-@dataclass
-class RunConfig:
-    """Resolved input for commands that accept a file or a generator spec."""
-
-    source: str            # "file" or "generated"
-    formula: Formula
-    label: str
-
-
-def resolve_formula(args) -> RunConfig:
+def resolve_formula(args) -> tuple[Formula, str]:
+    """The formula named by INPUT or --gen, and a label for it."""
     has_input = getattr(args, "input", None) is not None
     has_gen = getattr(args, "gen", None) is not None
     if has_input == has_gen:
         raise UsageError("exactly one input source required: INPUT path or --gen n,r,seed")
     if has_input:
         with open(args.input, "rb") as handle:
-            return RunConfig("file", parse_dimacs(handle.read()), args.input)
+            return parse_dimacs(handle.read()), args.input
     try:
         n_text, r_text, seed_text = args.gen.split(",")
         n, r, seed = int(n_text), float(r_text), int(seed_text)
     except ValueError:
         raise UsageError(f"--gen expects 'n,r,seed', got {args.gen!r}") from None
-    return RunConfig("generated", random_formula(n, r, seed), f"gen(n={n},r={r},seed={seed})")
+    return random_formula(n, r, seed), f"gen(n={n},r={r},seed={seed})"
 
 
 class UsageError(ValueError):
@@ -134,14 +123,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = resolve_formula(args)
-    f = config.formula
-    report: dict = {"input": config.label, "n": f.n, "m": f.m, "ratio": f.ratio}
+    f, label = resolve_formula(args)
+    report: dict = {"input": label, "n": f.n, "m": f.m, "ratio": f.ratio}
     space = build_space(f)
     occurrences = f.occurrences()
     all_literals = [lit for v in range(f.n) for lit in (make_literal(v, True), make_literal(v))]
-    report["satisfied"] = {literal_str(lit): sorted(occurrences.get(lit, []))
-                           for lit in all_literals}
+    report["satisfied"] = {literal_str(lit): occurrences[lit] for lit in all_literals}
     report["subclauses"] = [
         {"id": sid, "literals": [literal_str(x) for x in space.pairs[sid]],
          "creators": sorted(literal_str(c) for c in space.creators_of((sid,))),
@@ -178,14 +165,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    config = resolve_formula(args)
-    f = config.formula
+    f, label = resolve_formula(args)
     space = build_space(f)
     a = experiments.generate_assignment(args.heuristic, f, space,
                                         seed=args.seed, tie_break=args.tie_break)
     report = evaluate(f, a)
     payload: dict = {
-        "input": config.label,
+        "input": label,
         "heuristic": args.heuristic,
         "tie_break": args.tie_break,
         "metadata": {"minCreateMaxSolve_reading": MIN_CREATE_MAX_SOLVE_READING},
@@ -213,8 +199,7 @@ def cmd_assign(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    config = resolve_formula(args)
-    f = config.formula
+    f, label = resolve_formula(args)
     space = build_space(f)
     if args.assignment:
         a = parse_assignment(args.assignment, f.n)
@@ -224,7 +209,7 @@ def cmd_reduce(args) -> int:
     verdict = solve_2sat(t)
     violated = assignment_satisfies_2sat(t, a)
     payload = {
-        "input": config.label,
+        "input": label,
         "assignment": assignment_json(a),
         "clauses": t.m,
         "satisfiable": verdict.satisfiable,
@@ -274,33 +259,23 @@ def cmd_experiment(args) -> int:
     if args.curve:
         result = experiments.run_curve_experiment(
             **sizes, instances=args.instances, seed=args.seed)
-        payload = result.to_json_dict()
-        if args.out_base:
-            json_path = args.out_base + ".json"
-            csv_path = args.out_base + ".csv"
-            write_atomic(json_path, dump_json(payload))
-            write_atomic(csv_path, result.curve_csv())
-            payload["files"] = [json_path, csv_path]
-        sys.stdout.write(dump_json(payload))
-        return EXIT_OK
-    generators = tuple(args.generators.split(","))
-    summary = experiments.run_fraction_experiment(
-        **sizes, count=args.count, generators=generators,
-        seed=args.seed, tie_break=args.tie_break, with_curves=args.with_curves)
-    payload = summary.to_json_dict()
+    else:
+        result = experiments.run_fraction_experiment(
+            **sizes, count=args.count, generators=tuple(args.generators.split(",")),
+            seed=args.seed, tie_break=args.tie_break, with_curves=args.with_curves)
+    payload = result.to_json_dict()
     if args.out_base:
         json_path = args.out_base + ".json"
         csv_path = args.out_base + ".csv"
         write_atomic(json_path, dump_json(payload))
-        write_atomic(csv_path, summary.to_csv())
+        write_atomic(csv_path, result.to_csv())
         payload["files"] = [json_path, csv_path]
     sys.stdout.write(dump_json(payload))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    config = resolve_formula(args)
-    f = config.formula
+    f, _ = resolve_formula(args)
     space = build_space(f)
     if args.expand is not None:
         lit = parse_literal(args.expand)
@@ -363,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assign", help="generate an assignment and evaluate it")
     add_input(p)
     p.add_argument("--heuristic", required=True,
-                   choices=list(HEURISTICS) + ["greedy", "greedyDynamic", "random"])
+                   choices=experiments.GENERATORS)
     p.add_argument("--tie-break", choices=list(TIE_BREAKS), default="true")
     p.add_argument("--seed", type=int, default=1, help="seed for --heuristic random")
     p.add_argument("--curve-csv", default=None, help="write the unsolved-sub-clause curve")
@@ -374,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--assignment", default=None)
     p.add_argument("--heuristic", default="minCreate",
-                   choices=list(HEURISTICS) + ["greedy", "greedyDynamic", "random"])
+                   choices=experiments.GENERATORS)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out-base", default=None,
                    help="write BASE.cnf and BASE.provenance.json")
@@ -446,9 +421,6 @@ def main(argv=None) -> int:
     except GuardrailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL
-    except HypothesisError as exc:
-        print(f"error: hypothesis not met: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -137,7 +137,7 @@ class CurveExperiment:
             "mean_curve": self.mean_curve,
         }
 
-    def curve_csv(self) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["step", "mean_open"])

@@ -23,7 +23,8 @@ ORACLE_BLOCK_BITS = 16
 
 
 class GuardrailError(ValueError):
-    """A size guardrail was exceeded (exhaustive oracle, closure, batch caps)."""
+    """A size guardrail was exceeded (exhaustive oracle, expansion tree,
+    interaction matrix, batch caps)."""
 
 
 def make_literal(var: int, negative: bool = False) -> Literal:
@@ -95,12 +96,12 @@ class Formula:
     def ratio(self) -> float:
         return self.m / self.n if self.n else 0.0
 
-    def occurrences(self) -> dict[int, list[int]]:
-        """Map literal code -> ids of clauses containing it."""
-        occ: dict[int, list[int]] = {}
+    def occurrences(self) -> list[list[int]]:
+        """Per literal code, the ids of the clauses containing it, ascending."""
+        occ: list[list[int]] = [[] for _ in range(2 * self.n)]
         for cid, clause in enumerate(self.clauses):
             for lit in clause:
-                occ.setdefault(lit, []).append(cid)
+                occ[lit].append(cid)
         return occ
 
 
@@ -117,10 +118,6 @@ def check_consistent(literals) -> Assignment:
             raise ValueError(f"inconsistent assignment: both {literal_str(lit)} and "
                              f"{literal_str(negate(lit))}")
     return a
-
-
-def is_complete(a: Assignment, n: int) -> bool:
-    return len(a) == n and {var_of(lit) for lit in a} == set(range(n))
 
 
 @dataclass(frozen=True)

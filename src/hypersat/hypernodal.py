@@ -1,6 +1,6 @@
 """The hypernodal family of implication graphs, merged assignment graphs with
-contradiction detection, reachability/SCC utilities and the recursive literal
-expansion.
+contradiction detection, strongly connected components and the recursive
+literal expansion.
 
 Every sub-clause (l1 v l2) contributes the implications -l1 -> l2 and
 -l2 -> l1 to its creator's graph. Node labels are literals, and each label's
@@ -9,8 +9,9 @@ own graph exists in the family: nodes are themselves graphs.
 There is one graph representation, `ImplicationGraph`: 2n successor lists
 indexed by literal code, built by `implication_adjacency` from a list of
 sub-clauses. The family stores no graphs. `HypernodalGraph` is a view of the
-sub-clause space it came from, and a literal's graph, like an assignment's
-merged graph, is built on request from the sub-clauses it activates.
+sub-clause space it came from, and a literal's graph, merge_active(hg, {lit}),
+like an assignment's merged graph, is built on request from the sub-clauses
+it activates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .formula import (Assignment, GuardrailError, Literal, check_consistent,
                       literal_str, make_literal, negate)
 from .subclauses import SubClauseSpace
 
-TRANSITIVE_CLOSURE_MAX_NODES = 2000
+# Guardrail for expand_literal: literal and sub-clause nodes in the tree.
+EXPANSION_MAX_NODES = 10**6
 
 Edge = tuple[int, int]
 
@@ -131,9 +133,6 @@ class HypernodalGraph:
     def n(self) -> int:
         return self.space.n
 
-    def graph_of(self, lit: Literal) -> ImplicationGraph:
-        return merge_active(self, {lit})
-
 
 def build_hypernodal(space: SubClauseSpace) -> HypernodalGraph:
     return HypernodalGraph(space)
@@ -149,25 +148,6 @@ def merge_active(hg: HypernodalGraph, a: Assignment) -> ImplicationGraph:
     space = hg.space
     return ImplicationGraph(implication_adjacency(
         space.n, sorted(space.pairs[sid] for sid in space.activated(a))))
-
-
-def transitive_closure(g: ImplicationGraph) -> dict[int, frozenset[int]]:
-    """Map node -> nodes reachable along a path of one or more edges."""
-    if len(g.adjacency) > TRANSITIVE_CLOSURE_MAX_NODES:
-        raise GuardrailError(f"transitive closure limited to {TRANSITIVE_CLOSURE_MAX_NODES} nodes; "
-                             f"use tarjan_scc instead")
-    closure: dict[int, frozenset[int]] = {}
-    for start, successors in enumerate(g.adjacency):
-        seen: set[int] = set()
-        frontier = list(successors)
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(g.adjacency[node])
-        closure[start] = frozenset(seen)
-    return closure
 
 
 @dataclass(frozen=True)
@@ -265,16 +245,44 @@ class ExpansionTree:
     truncated_leaves: int
 
 
+def expansion_size(space: SubClauseSpace, lit: Literal, depth: int) -> int:
+    """Literal and sub-clause nodes in expand_literal(space, lit, depth),
+    counted without building the tree, or some number above
+    EXPANSION_MAX_NODES once the count is known to exceed it.
+
+    size[l] is the size of l's tree with k levels left to expand, computed for
+    every literal from k = 0 up: a literal that creates nothing, or has no
+    level left, is one node; otherwise one node plus, per created sub-clause,
+    one node and both literals' trees with k - 1 levels. Each level costs
+    O(n + m). The root's size grows with k until its tree is whole, so the
+    count stops early once it stops growing or passes the cap.
+    """
+    pairs = space.pairs
+    size = [1] * (2 * space.n)
+    for _ in range(depth):
+        previous = size[lit]
+        size = [1 + sum(1 + size[pairs[sid][0]] + size[pairs[sid][1]] for sid in created)
+                for created in space.created_by]
+        if size[lit] == previous or size[lit] > EXPANSION_MAX_NODES:
+            break
+    return size[lit]
+
+
 def expand_literal(space: SubClauseSpace, lit: Literal, depth: int) -> ExpansionTree:
     """Alternating literal/sub-clause expansion of a literal to a depth bound.
 
     A literal node at level d < depth expands into the sub-clauses it
     creates; each sub-clause is the disjunction of two literal nodes one
     level deeper. Expansions are recursive by nature (a literal can reach
-    itself), so the bound is what terminates them.
+    itself), so the bound is what terminates them. Refuses trees of more
+    than EXPANSION_MAX_NODES nodes.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    nodes = expansion_size(space, lit, depth)
+    if nodes > EXPANSION_MAX_NODES:
+        raise GuardrailError(f"expansion limited to {EXPANSION_MAX_NODES} nodes; "
+                             f"{literal_str(lit)} to depth {depth} has more")
     truncated_count = 0
 
     def build(node_lit: Literal, level: int) -> LiteralNode:
@@ -329,7 +337,7 @@ def _dot_hypernodal(hg: HypernodalGraph) -> str:
         lines.append(f"  subgraph {_quote(cluster)} {{")
         lines.append(f"    label={_quote(label)};")
         for owner in owners:
-            # The edges of hg.graph_of(owner), without its 2n successor lists.
+            # The edges of merge_active(hg, {owner}), without its 2n successor lists.
             edges = sorted(set(implication_edges(space.pairs[sid]
                                                  for sid in space.created_by[owner])))
             leaves[owner] = _endpoints(edges) - {owner}

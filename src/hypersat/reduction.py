@@ -1,6 +1,5 @@
-"""Assignment-induced 3-SAT -> 2-SAT reduction, its k-SAT generalization,
-a linear-time 2-SAT decision procedure, and machine checks of the
-reduction's guarantees:
+"""Assignment-induced 3-SAT -> 2-SAT reduction, a linear-time 2-SAT
+decision procedure, and machine checks of the reduction's guarantees:
 
 * a satisfying assignment always satisfies the 2-SAT formula it induces;
 * a non-satisfying complete assignment always leaves at least one activated
@@ -13,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import (Assignment, Clause, Formula, Literal, check_consistent,
-                      evaluate, make_literal, negate, var_of)
+from .formula import (Assignment, Formula, Literal, check_consistent, evaluate,
+                      make_literal, negate, var_of)
 from .hypernodal import component_ids, implication_adjacency
-from .subclauses import Pair, SubClauseSpace, build_space
+from .subclauses import Pair, SubClauseSpace
 
 
 class HypothesisError(ValueError):
@@ -68,25 +67,6 @@ def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> TwoSatFo
     return TwoSatFormula(n=f.n, clauses=tuple(clauses), provenance=provenance)
 
 
-def reduce_ksat(f: Formula, a: Assignment) -> Formula:
-    """Drop negate(a) from every clause containing it, for each assigned a;
-    the reductions form a width-(k-1) formula (duplicates merged)."""
-    if f.width < 2:
-        raise ValueError("cannot reduce below width 1")
-    a = check_consistent(a)
-    reduced: list[Clause] = []
-    seen: set[Clause] = set()
-    for lit in sorted(a):
-        removed = negate(lit)
-        for clause in f.clauses:
-            if removed in clause:
-                sub = tuple(x for x in clause if x != removed)
-                if sub not in seen:
-                    seen.add(sub)
-                    reduced.append(sub)
-    return Formula(n=f.n, clauses=tuple(reduced), width=f.width - 1)
-
-
 @dataclass(frozen=True)
 class TwoSatResult:
     satisfiable: bool
@@ -128,14 +108,13 @@ class TheoremCertificate:
     provenance_checked: int
 
 
-def verify_theorem(f: Formula, a: Assignment,
-                   space: SubClauseSpace | None = None) -> TheoremCertificate:
+def verify_theorem(f: Formula, a: Assignment, space: SubClauseSpace) -> TheoremCertificate:
     """Check that a satisfying assignment also satisfies its induced 2-SAT
-    formula. Raises HypothesisError when `a` does not satisfy f at all."""
+    formula; `space` is f's sub-clause space. Raises HypothesisError when `a`
+    does not satisfy f at all."""
     a = check_consistent(a)
     if evaluate(f, a).unsatisfied_ids:
         raise HypothesisError("assignment does not satisfy the formula")
-    space = space or build_space(f)
     t = reduce_to_2sat(space, f, a)
     violated = tuple(assignment_satisfies_2sat(t, a))
     checked = sum(len(events) for events in t.provenance.values())
@@ -151,17 +130,14 @@ class Corollary1Certificate:
 
 
 def verify_corollary1(f: Formula, a: Assignment,
-                      space: SubClauseSpace | None = None) -> Corollary1Certificate:
+                      space: SubClauseSpace) -> Corollary1Certificate:
     """Check that a complete non-satisfying assignment leaves at least one
-    activated sub-clause unsolved."""
+    activated sub-clause unsolved; `space` is f's sub-clause space."""
     a = check_consistent(a)
     report = evaluate(f, a)
     if not report.unsatisfied_ids:
         raise HypothesisError("assignment satisfies the formula")
-    space = space or build_space(f)
-    activated = space.activated(a)
-    witnesses = tuple(sorted(sid for sid in activated
-                             if space.pairs[sid][0] not in a and space.pairs[sid][1] not in a))
+    witnesses = tuple(space.unsolved(a))
     return Corollary1Certificate(holds=bool(witnesses), witnesses=witnesses,
                                  unsatisfied_clauses=report.unsatisfied_ids)
 
@@ -184,10 +160,10 @@ def _literal_closure(f: Formula, clause_ids) -> frozenset[Literal]:
     return frozenset(out)
 
 
-def decompose(f: Formula, p: Assignment,
-              space: SubClauseSpace | None = None) -> Decomposition:
+def decompose(f: Formula, p: Assignment, space: SubClauseSpace) -> Decomposition:
     """Split a formula around a partial assignment that solves all of its
-    activated sub-clauses but leaves some clause untouched.
+    activated sub-clauses but leaves some clause untouched; `space` is f's
+    sub-clause space.
 
     Raises HypothesisError when p is complete, satisfies the whole formula,
     or leaves one of its own activated sub-clauses unsolved.
@@ -195,19 +171,16 @@ def decompose(f: Formula, p: Assignment,
     p = check_consistent(p)
     if len(p) >= f.n:
         raise HypothesisError("assignment is not partial")
-    space = space or build_space(f)
-    activated = space.activated(p)
-    unsolved = [sid for sid in activated
-                if space.pairs[sid][0] not in p and space.pairs[sid][1] not in p]
+    unsolved = space.unsolved(p)
     if unsolved:
         raise HypothesisError(
             "partial assignment leaves activated sub-clauses unsolved: "
-            + ", ".join(space.pair_str(sid) for sid in sorted(unsolved)))
+            + ", ".join(space.pair_str(sid) for sid in unsolved))
     untouched = [cid for cid, clause in enumerate(f.clauses)
                  if not any(lit in p for lit in clause)]
     if not untouched:
         raise HypothesisError("partial assignment satisfies every clause")
-    c1 = set(space.parents_of(activated))
+    c1 = set(space.parents_of(space.activated(p)))
     c1 |= {cid for cid, clause in enumerate(f.clauses) if any(lit in p for lit in clause)}
     c2 = sorted(set(range(f.m)) - c1)
     assigned_vars = {var_of(lit) for lit in p}

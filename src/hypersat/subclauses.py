@@ -13,9 +13,12 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formula import Clause, Formula, Literal, literal_str, negate, var_of
+from .formula import Clause, Formula, GuardrailError, Literal, literal_str, negate, var_of
 
 Pair = tuple[int, int]
+
+# Guardrail for the dense interaction matrix: |S| x 2n cells.
+MATRIX_MAX_CELLS = 10**7
 
 
 def literal_columns(n: int) -> list[Literal]:
@@ -73,18 +76,9 @@ class SubClauseSpace:
         """Ids activated by assigning a: reductions of the clauses containing -a."""
         return set(self.created_by[a])
 
-    def subsat(self, a: Literal, active: set[int] | None = None) -> set[int]:
-        """Ids of sub-clauses solved by a; restricted to `active` when given."""
-        full = self.containing[a]
-        return set(full) if active is None else active.intersection(full)
-
-    def unitclauses(self, a: Literal) -> set[Literal]:
-        """Literals forced as units when a collapses the sub-clauses containing -a."""
-        units = set()
-        for sid in self.containing[negate(a)]:
-            p, q = self.pairs[sid]
-            units.add(q if p == negate(a) else p)
-        return units
+    def subsat(self, a: Literal) -> set[int]:
+        """Ids of the sub-clauses solved by a: those containing it."""
+        return set(self.containing[a])
 
     def events_of(self, sid: int) -> list[tuple[Literal, int]]:
         """The (creator, parent clause) events of sub-clause sid, in scan order."""
@@ -109,6 +103,13 @@ class SubClauseSpace:
         for a in assignment:
             out.update(self.created_by[a])
         return out
+
+    def unsolved(self, assignment) -> list[int]:
+        """Ids the assignment activates but does not solve, ascending: neither
+        literal of the sub-clause is assigned."""
+        pairs = self.pairs
+        return sorted(sid for sid in self.activated(assignment)
+                      if pairs[sid][0] not in assignment and pairs[sid][1] not in assignment)
 
 
 def build_space(f: Formula) -> SubClauseSpace:
@@ -169,32 +170,32 @@ def space_census(space: SubClauseSpace, f: Formula) -> SpaceCensus:
 
 @dataclass
 class InteractionMatrix:
-    """Rows are sub-clauses, columns the 2n literals; each cell says how the
-    column literal relates to the row sub-clause: creates it ('c'), solves
-    it ('s'), turns it into a unit clause (the remaining literal), or nothing.
+    """Row sid is sub-clause sid, columns the 2n literals; each cell says how
+    the column literal relates to the row sub-clause: creates it ('c'),
+    solves it ('s'), turns it into a unit clause (the remaining literal), or
+    nothing.
     """
 
     columns: list[Literal]
-    rows: list[int]
     cells: list[list[str]]  # '' | 'c' | 's' | literal string
-
-    def cell(self, sid: int, lit: Literal) -> str:
-        return self.cells[self.rows.index(sid)][self.columns.index(lit)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["subclause"] + [literal_str(lit) for lit in self.columns])
-        for sid, row in zip(self.rows, self.cells):
+        for sid, row in enumerate(self.cells):
             writer.writerow([f"s{sid}"] + row)
         return buf.getvalue()
 
 
 def interaction_matrix(space: SubClauseSpace) -> InteractionMatrix:
+    """The dense |S| x 2n matrix; refuses more than MATRIX_MAX_CELLS cells."""
+    if len(space) * 2 * space.n > MATRIX_MAX_CELLS:
+        raise GuardrailError(f"interaction matrix limited to {MATRIX_MAX_CELLS} cells, "
+                             f"got {len(space)} sub-clauses x {2 * space.n} literals")
     columns = literal_columns(space.n)
-    rows = list(range(len(space)))
     cells = []
-    for sid in rows:
+    for sid in range(len(space)):
         p, q = space.pairs[sid]
         creators = space.creators_of((sid,))
         row = []
@@ -210,4 +211,4 @@ def interaction_matrix(space: SubClauseSpace) -> InteractionMatrix:
             else:
                 row.append("")
         cells.append(row)
-    return InteractionMatrix(columns=columns, rows=rows, cells=cells)
+    return InteractionMatrix(columns=columns, cells=cells)

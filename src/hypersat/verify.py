@@ -186,9 +186,7 @@ def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6,
         graph_verdict = find_contradictions(hg, a).consistent
         t = reduce_to_2sat(space, f, a)
         sat_verdict = not assignment_satisfies_2sat(t, a)
-        activated = space.activated(a)
-        unsolved_verdict = all(space.pairs[sid][0] in a or space.pairs[sid][1] in a
-                               for sid in activated)
+        unsolved_verdict = not space.unsolved(a)
         checks += 1
         if graph_verdict:
             consistent_count += 1

@@ -1,0 +1,27 @@
+import types
+
+import hypersat
+
+# Every public name of the package, so that adding or removing an export
+# shows up in the diff of this list.
+PUBLIC_NAMES = [
+    "Assignment", "Clause", "CurveSeries", "Decomposition", "DimacsError", "EvalReport",
+    "ExclusionReport", "ExpansionTree", "Formula", "GuardrailError", "HypernodalGraph",
+    "HypothesisError", "ImplicationGraph", "InteractionMatrix", "Literal", "SubClauseSpace",
+    "Thresholds", "TwoSatFormula", "TwoSatResult", "assignment_satisfies_2sat",
+    "build_hypernodal", "build_space", "check_consistent", "consumption_rate", "decompose",
+    "emit_dimacs", "evaluate", "excluded_literals", "expand_literal", "expansion_to_json",
+    "export_dot", "find_contradictions", "formula", "generate_greedy", "generate_heuristic",
+    "interaction_matrix", "literal_str", "make_clause", "make_literal", "merge_active",
+    "negate", "parse_dimacs", "parse_literal", "random_assignment", "random_formula",
+    "reduce_to_2sat", "solve_2sat", "solve_exhaustive", "space_census", "subclause_count",
+    "subclause_total", "thresholds", "unsolved_curve", "var_of", "verify_corollary1",
+    "verify_theorem",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules are attributes only once imported, so they are left out.
+    names = sorted(name for name, value in vars(hypersat).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES

@@ -132,7 +132,7 @@ def greedy_dynamic_scan(f, tie_break):
                     best, best_lit = key, lit
         fixed[var_of(best_lit)] = True
         out.append(best_lit)
-        for cid in occurrences.get(best_lit, ()):
+        for cid in occurrences[best_lit]:
             if not clause_satisfied[cid]:
                 clause_satisfied[cid] = True
                 for lit in f.clauses[cid]:
@@ -278,7 +278,7 @@ def test_activated_equals_satisfied_for_satisfying_assignments():
             activated = space.activated(a)
             solved_among_activated = set()
             for lit in a:
-                solved_among_activated |= space.subsat(lit, active=activated)
+                solved_among_activated |= space.subsat(lit) & activated
             assert solved_among_activated == activated
             checked += 1
 

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import time
 
 import pytest
 
-from hypersat import emit_dimacs, experiments, negate, parse_literal
+from hypersat import emit_dimacs, experiments, negate, parse_literal, verify
 from hypersat.assignments import MIN_CREATE_MAX_SOLVE_READING
-from hypersat.cli import EXIT_OK, EXIT_USAGE, main
+from hypersat.cli import (EXIT_FALSIFIED, EXIT_GUARDRAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
+                          main)
 
 from dotcheck import check_dot
 
@@ -180,3 +182,52 @@ def test_experiment_leaves_unset_sizes_to_each_experiment(capsys, monkeypatch):
     assert "n" not in calls["fraction"] and "r" not in calls["fraction"]
     assert run(capsys, "experiment", "--curve", "--n", "40", "--r", "2")[0] == EXIT_OK
     assert (calls["curve"]["n"], calls["curve"]["r"]) == (40, 2.0)
+
+
+def test_malformed_dimacs_exits_3(capsys, tmp_path):
+    path = tmp_path / "bad.cnf"
+    path.write_text("p cnf 3 1\n1 2 x 0\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_PARSE
+    assert out == "" and "non-integer token" in err
+
+
+# Inputs past a size guardrail: the oracle cap (n <= 26), the experiment cap
+# (n <= 2000) and the expansion cap (10^6 nodes; depth 7 here would predict
+# 58,661,689).
+GUARDED = [
+    ("verify", "--n-range", "6..27"),
+    ("experiment", "--n", "2001"),
+    ("experiment", "--curve", "--n", "2001"),
+    ("export", "--gen", "100,4.25,1", "--expand", "x0", "--depth", "7"),
+]
+
+
+@pytest.mark.parametrize("argv", GUARDED, ids=[" ".join(argv) for argv in GUARDED])
+def test_guardrails_exit_4_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_GUARDRAIL
+    assert out == "" and err.startswith("error: ")
+
+
+def test_matrix_guardrail_leaves_no_file(capsys, tmp_path):
+    # n = 1000 has 12,711 sub-clauses: 25.4M cells, over the 10^7 cap.
+    path = tmp_path / "matrix.csv"
+    code, out, err = run(capsys, "analyze", "--gen", "1000,4.25,1", "--matrix", str(path))
+    assert code == EXIT_GUARDRAIL
+    assert out == "" and "interaction matrix" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_falsified_suite_exits_6(capsys, monkeypatch):
+    def falsified(instances, n_range, r, seed):
+        return verify.SuiteReport(suite="census", instances=instances, checks=1,
+                                  falsifications=1)
+
+    monkeypatch.setitem(verify.SUITES, "census", falsified)
+    code, out, err = run(capsys, "verify", "--suite", "census", "--instances", "3")
+    assert code == EXIT_FALSIFIED
+    [report] = json.loads(out)
+    assert report["falsifications"] == 1 and "[FALSIFIED]" in err

@@ -12,7 +12,7 @@ from hypersat import (DimacsError, Formula, emit_dimacs, evaluate, formula, lite
                       make_clause, make_literal, negate, parse_dimacs, parse_literal,
                       random_formula, solve_exhaustive)
 from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, GuardrailError,
-                              check_consistent, is_complete, is_negative, var_of)
+                              check_consistent, is_negative, var_of)
 
 from conftest import clause, formulas, lits
 
@@ -141,13 +141,14 @@ def test_satisfied_f3_sets(f3):
         "x0": [4, 5, 6], "x1": [2, 3, 4], "x2": [1, 3, 4, 6],
     }
     occurrences = f3.occurrences()
+    assert len(occurrences) == 2 * f3.n
     for name, ids in expected.items():
         assert occurrences[parse_literal(name)] == ids
 
 
 def test_satisfied_absent_literal():
     f = formula(4, [clause("x0 x1 x2")])
-    assert parse_literal("x3") not in f.occurrences()
+    assert f.occurrences()[parse_literal("x3")] == []
 
 
 def test_satisfied_polarities_disjoint():
@@ -155,7 +156,7 @@ def test_satisfied_polarities_disjoint():
         occurrences = random_formula(10, 4.25, seed=seed).occurrences()
         for v in range(10):
             pos, neg = make_literal(v), make_literal(v, True)
-            assert not set(occurrences.get(pos, ())) & set(occurrences.get(neg, ()))
+            assert not set(occurrences[pos]) & set(occurrences[neg])
 
 
 def test_evaluate_f3(f3):
@@ -308,7 +309,8 @@ def test_solve_exhaustive_satisfiable_at_max_vars():
     found = solve_exhaustive(f, cap=5)
     assert len(found) == 5
     for a in found:
-        assert is_complete(a, f.n) and not evaluate(f, a).unsatisfied_ids
+        assert sorted(map(var_of, a)) == list(range(f.n))
+        assert not evaluate(f, a).unsatisfied_ids
     words = [word_of(a) for a in found]
     assert words == sorted(set(words))
 
@@ -336,8 +338,6 @@ def test_solve_exhaustive_memory_follows_high_patterns():
 
 
 def test_assignment_helpers():
-    a = check_consistent(lits("x0", "-x1"))
-    assert not is_complete(a, 3)
-    assert is_complete(lits("x0", "-x1", "x2"), 3)
+    assert check_consistent([parse_literal("x0"), parse_literal("-x1")]) == lits("x0", "-x1")
     with pytest.raises(ValueError):
         check_consistent([parse_literal("x0"), parse_literal("-x0")])

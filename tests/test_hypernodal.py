@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from hypersat import (ImplicationGraph, build_hypernodal, build_space, evaluate,
                       expand_literal, expansion_to_json, export_dot, find_contradictions,
                       formula, make_literal, merge_active, negate, parse_literal,
-                      random_assignment, random_formula, reduce_to_2sat, transitive_closure)
+                      random_assignment, random_formula, reduce_to_2sat)
 from hypersat.formula import GuardrailError, literal_str, var_of
-from hypersat.hypernodal import (ExpansionTree, LiteralNode, implication_adjacency,
-                                 tarjan_scc)
+from hypersat.hypernodal import (EXPANSION_MAX_NODES, ExpansionTree, LiteralNode,
+                                 expansion_size, implication_adjacency, tarjan_scc)
 
-from conftest import clause, lits
+from conftest import clause, formulas, lits
 
 from dotcheck import check_dot
 
@@ -28,7 +28,7 @@ def endpoints(graph):
 
 
 def test_literal_graph_f3_neg_x0(f3_space):
-    graph = build_hypernodal(f3_space).graph_of(parse_literal("-x0"))
+    graph = merge_active(build_hypernodal(f3_space), {parse_literal("-x0")})
     expected = {edge("x1", "-x2"), edge("x2", "-x1"),   # from (-x1 v -x2)
                 edge("x1", "x2"), edge("-x2", "-x1"),   # from (-x1 v x2)
                 edge("-x1", "x2"), edge("-x2", "x1")}   # from (x1 v x2)
@@ -39,7 +39,7 @@ def test_literal_graph_f3_neg_x0(f3_space):
 
 def test_literal_graph_no_creations():
     f = formula(4, [clause("x0 x1 x2")])
-    graph = build_hypernodal(build_space(f)).graph_of(parse_literal("x3"))
+    graph = merge_active(build_hypernodal(build_space(f)), {parse_literal("x3")})
     assert graph.adjacency == [[] for _ in range(8)]
     assert graph.edges == frozenset()
 
@@ -51,7 +51,7 @@ def test_literal_graph_edge_count():
         hg = build_hypernodal(space)
         for v in range(f.n):
             for lit in (make_literal(v), make_literal(v, True)):
-                graph = hg.graph_of(lit)
+                graph = merge_active(hg, {lit})
                 assert len(graph.edges) == 2 * len(space.subclauses_of(lit))
 
 
@@ -63,7 +63,7 @@ def test_implication_soundness():
         for owner in range(2 * f.n):
             created_pairs = {frozenset(space.pairs[sid])
                              for sid in space.subclauses_of(owner)}
-            for u, v in hg.graph_of(owner).edges:
+            for u, v in merge_active(hg, {owner}).edges:
                 assert frozenset((negate(u), v)) in created_pairs
 
 
@@ -71,7 +71,7 @@ def test_hypernodal_family(f3_space):
     hg = build_hypernodal(f3_space)
     assert hg.space is f3_space and hg.n == 3
     for owner in range(2 * hg.n):
-        graph = hg.graph_of(owner)
+        graph = merge_active(hg, {owner})
         assert len(graph.adjacency) == 6
         assert endpoints(graph) <= set(range(6))  # nesting closure
 
@@ -86,8 +86,8 @@ def test_merge_singleton(f3_space):
     hg = build_hypernodal(f3_space)
     lit = parse_literal("-x0")
     merged = merge_active(hg, lits("-x0"))
-    assert merged == hg.graph_of(lit)
-    assert merged.edges == hg.graph_of(lit).edges
+    own = sorted(f3_space.pairs[sid] for sid in f3_space.created_by[lit])
+    assert merged == ImplicationGraph(implication_adjacency(3, own))
 
 
 def test_merge_monotonicity(f3_space):
@@ -109,6 +109,23 @@ def test_merge_equals_reduction_implication_graph(f3, f3_space):
     assert merged.edges == expected
 
 
+def transitive_closure(g):
+    """Map node -> nodes reachable along a path of one or more edges: the
+    quadratic reachability that scc_oracle builds on."""
+    closure = {}
+    for start, successors in enumerate(g.adjacency):
+        seen = set()
+        frontier = list(successors)
+        while frontier:
+            node = frontier.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            frontier.extend(g.adjacency[node])
+        closure[start] = frozenset(seen)
+    return closure
+
+
 def test_transitive_closure_chain():
     g = ImplicationGraph([[1], [2], []])
     closure = transitive_closure(g)
@@ -118,12 +135,6 @@ def test_transitive_closure_chain():
 
 def test_transitive_closure_empty():
     assert transitive_closure(ImplicationGraph([])) == {}
-
-
-def test_transitive_closure_guardrail():
-    g = ImplicationGraph([[] for _ in range(2001)])
-    with pytest.raises(GuardrailError):
-        transitive_closure(g)
 
 
 def test_satisfying_merge_reaches_no_negation(f3, f3_space):
@@ -377,6 +388,36 @@ def test_expansion_truncation_accounting(f3_space):
     for depth in range(4):
         tree = expand_literal(f3_space, parse_literal("x0"), depth)
         assert tree.truncated_leaves == count_truncated(tree.root)
+
+
+def count_nodes(node):
+    return 1 + sum(1 + count_nodes(sc.left) + count_nodes(sc.right) for sc in node.subclauses)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 9), ratios=(1, 2.5, 4.25)), st.integers(0, 4), st.data())
+def test_expansion_size_counts_the_tree(f, depth, data):
+    space = build_space(f)
+    lit = data.draw(st.integers(0, 2 * f.n - 1))
+    assert expansion_size(space, lit, depth) == count_nodes(
+        expand_literal(space, lit, depth).root)
+
+
+def test_expansion_size_stops_once_the_tree_is_whole():
+    f = formula(4, [clause("x0 x1 x2"), clause("-x0 x1 x3")])
+    space = build_space(f)
+    # -x0 creates (x1 v x2), whose literals create nothing: 4 nodes at any depth.
+    assert expansion_size(space, parse_literal("-x0"), 10**9) == 4
+
+
+def test_expansion_guardrail():
+    space = build_space(random_formula(100, 4.25, seed=1))
+    lit = parse_literal("x0")
+    assert expansion_size(space, lit, 5) == 382_093
+    assert expansion_size(space, lit, 6) > EXPANSION_MAX_NODES
+    for depth in (6, 7, 10**9):
+        with pytest.raises(GuardrailError):
+            expand_literal(space, lit, depth)
 
 
 def test_expansion_json_schema(f3_space):

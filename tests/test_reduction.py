@@ -3,15 +3,27 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hypersat import (HypothesisError, assignment_satisfies_2sat, build_space,
-                      decompose, evaluate, formula, make_literal, negate,
-                      parse_literal, random_assignment, random_formula, reduce_ksat,
-                      reduce_to_2sat, solve_2sat, solve_exhaustive, verify_corollary1,
-                      verify_theorem)
+from hypersat import (Formula, HypothesisError, assignment_satisfies_2sat, build_space,
+                      check_consistent, decompose, evaluate, formula, make_literal, negate,
+                      parse_literal, random_assignment, random_formula, reduce_to_2sat,
+                      solve_2sat, solve_exhaustive, verify_corollary1, verify_theorem)
 from hypersat.formula import var_of
 from hypersat.reduction import TwoSatFormula
 
 from conftest import clause, formulas, lits
+
+
+def reduce_ksat(f, a):
+    """The width-k generalization of reduce_to_2sat, kept as its reference:
+    drop negate(lit) from every clause containing it, for each assigned lit,
+    giving a width-(k-1) formula with duplicates merged. O(|a| * m)."""
+    a = check_consistent(a)
+    reduced = {}
+    for lit in sorted(a):
+        for c in f.clauses:
+            if negate(lit) in c:
+                reduced.setdefault(tuple(x for x in c if x != negate(lit)), None)
+    return Formula(n=f.n, clauses=tuple(reduced), width=f.width - 1)
 
 
 def test_reduce_satisfying_f3(f3, f3_space):
@@ -91,12 +103,6 @@ def test_reduce_ksat_chain_ends_inside_assignment():
             checked += 1
 
 
-def test_reduce_ksat_rejects_width_1():
-    f1 = formula(2, [(parse_literal("x0"),)], width=1)
-    with pytest.raises(ValueError):
-        reduce_ksat(f1, lits("x0"))
-
-
 def test_solve_2sat_forced_literal():
     t = TwoSatFormula.from_formula(formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2))
     result = solve_2sat(t)
@@ -157,7 +163,7 @@ def test_assignment_satisfies_empty():
 
 
 def test_verify_theorem_f3(f3):
-    cert = verify_theorem(f3, lits("-x0", "-x1", "x2"))
+    cert = verify_theorem(f3, lits("-x0", "-x1", "x2"), build_space(f3))
     assert cert.holds
     assert cert.t_clause_count == 9
     assert cert.provenance_checked >= 9
@@ -166,7 +172,7 @@ def test_verify_theorem_f3(f3):
 
 def test_verify_theorem_hypothesis_gate(f3):
     with pytest.raises(HypothesisError):
-        verify_theorem(f3, lits("-x0", "x1", "x2"))
+        verify_theorem(f3, lits("-x0", "x1", "x2"), build_space(f3))
 
 
 def test_verify_theorem_over_oracle_assignments():
@@ -176,8 +182,9 @@ def test_verify_theorem_over_oracle_assignments():
     while checked < 40:
         seed += 1
         f = random_formula(rng.randint(6, 10), 4.25, seed=seed)
+        space = build_space(f)
         for a in solve_exhaustive(f, cap=5):
-            assert verify_theorem(f, a).holds
+            assert verify_theorem(f, a, space).holds
             checked += 1
 
 
@@ -190,7 +197,7 @@ def test_theorem_holds_for_every_oracle_solution(f):
 
 
 def test_verify_corollary1_f3(f3, to_paper):
-    cert = verify_corollary1(f3, lits("-x0", "x1", "x2"))
+    cert = verify_corollary1(f3, lits("-x0", "x1", "x2"), build_space(f3))
     assert cert.holds
     assert to_paper(cert.witnesses) == [4, 6, 8]
     assert cert.unsatisfied_clauses == (5,)
@@ -198,7 +205,7 @@ def test_verify_corollary1_f3(f3, to_paper):
 
 def test_verify_corollary1_hypothesis_gate(f3):
     with pytest.raises(HypothesisError):
-        verify_corollary1(f3, lits("-x0", "-x1", "x2"))
+        verify_corollary1(f3, lits("-x0", "-x1", "x2"), build_space(f3))
 
 
 def test_verify_corollary1_random():
@@ -211,7 +218,7 @@ def test_verify_corollary1_random():
         a = random_assignment(f.n, seed=rng.getrandbits(30))
         if not evaluate(f, a).unsatisfied_ids:
             continue
-        assert verify_corollary1(f, a).holds
+        assert verify_corollary1(f, a, build_space(f)).holds
         checked += 1
 
 
@@ -241,7 +248,7 @@ def double_f3(f3):
 def test_decompose_disjoint_copies(f3):
     f = double_f3(f3)
     p = lits("-x0", "-x1", "x2")
-    result = decompose(f, p)
+    result = decompose(f, p, build_space(f))
     assert result.holds
     assert result.c1 == tuple(range(7))
     assert result.c2 == tuple(range(7, 14))
@@ -265,7 +272,7 @@ def test_decompose_recovers_planted_blocks():
                          for lit in c) for c in right.clauses]
         f = formula(11, list(left.clauses) + shifted)
         p = solutions[0]
-        result = decompose(f, p)
+        result = decompose(f, p, build_space(f))
         assert result.holds
         assert set(result.c1) == set(range(left.m))
         assert set(result.c2) == set(range(left.m, left.m + right.m))
@@ -276,11 +283,11 @@ def test_decompose_hypothesis_failures(f3):
     f = double_f3(f3)
     # Leaves activated sub-clauses unsolved:
     with pytest.raises(HypothesisError, match="unsolved"):
-        decompose(f, lits("-x0"))
+        decompose(f, lits("-x0"), build_space(f))
     # Not partial:
     with pytest.raises(HypothesisError, match="partial"):
-        decompose(f3, lits("-x0", "-x1", "x2"))
+        decompose(f3, lits("-x0", "-x1", "x2"), build_space(f3))
     # Satisfies every clause (extra idle variable keeps it partial):
     wide = formula(4, list(f3.clauses))
     with pytest.raises(HypothesisError, match="satisfies"):
-        decompose(wide, lits("-x0", "-x1", "x2"))
+        decompose(wide, lits("-x0", "-x1", "x2"), build_space(wide))

@@ -11,6 +11,19 @@ from hypersat.formula import var_of
 from conftest import SUBCLAUSE_NUMBERING, clause, formulas, lits
 
 
+def cell_of(matrix, sid, name):
+    return matrix.cells[sid][matrix.columns.index(parse_literal(name))]
+
+
+def unit_literals(space, lit):
+    """Literals forced as units when lit collapses the sub-clauses containing
+    its negation, read from lit's column of the interaction matrix."""
+    matrix = interaction_matrix(space)
+    column = matrix.columns.index(lit)
+    return {parse_literal(row[column]) for row in matrix.cells
+            if row[column] not in ("", "c", "s")}
+
+
 def test_f3_space_enumerates_all_twelve(f3_space):
     assert len(f3_space) == 12
     for pair in SUBCLAUSE_NUMBERING.values():
@@ -51,33 +64,26 @@ def test_f3_subsat(f3_space, to_paper):
     assert to_paper(f3_space.subsat(parse_literal("x2"))) == [3, 7, 9, 11]
 
 
-def test_subsat_restricted(f3_space):
-    lit = parse_literal("-x0")
-    assert f3_space.subsat(lit, active=set()) == set()
-    active = f3_space.subclauses_of(parse_literal("x1"))
-    assert f3_space.subsat(lit, active=active) == f3_space.subsat(lit) & active
-
-
 def test_unitclauses_worked_example():
     f = formula(9, [clause("-x1 -x4 x5"), clause("-x3 -x4 x8"), clause("-x1 -x3 -x4")])
     space = build_space(f)
     # Restrict to the two sub-clauses containing -x3 (activated by x4).
-    assert space.unitclauses(parse_literal("x3")) >= lits("x8", "-x1")
+    assert unit_literals(space, parse_literal("x3")) >= lits("x8", "-x1")
     # One clause whose sub-clauses containing -x3 are exactly (-x3 v x8) and
     # (-x1 v -x3): assigning x3 forces x8 and -x1.
     small = formula(9, [clause("-x1 -x3 x8")])
     small_space = build_space(small)
-    assert small_space.unitclauses(parse_literal("x3")) == lits("x8", "-x1")
+    assert unit_literals(small_space, parse_literal("x3")) == lits("x8", "-x1")
 
 
 def test_unitclauses_f3(f3_space):
-    assert f3_space.unitclauses(parse_literal("x0")) == lits("-x1", "x1", "-x2", "x2")
+    assert unit_literals(f3_space, parse_literal("x0")) == lits("-x1", "x1", "-x2", "x2")
 
 
 def test_unitclauses_absent_negation():
     f = formula(4, [clause("x0 x1 x2")])
     space = build_space(f)
-    assert space.unitclauses(parse_literal("-x3")) == set()
+    assert unit_literals(space, parse_literal("-x3")) == set()
 
 
 def test_creators_f3(f3_space, from_paper):
@@ -164,7 +170,7 @@ def test_interaction_matrix_spec_example():
     space = build_space(f)
     matrix = interaction_matrix(space)
     s0 = space.id_of(clause("x2 -x3"))
-    cell = lambda name: matrix.cell(s0, parse_literal(name))
+    cell = lambda name: cell_of(matrix, s0, name)
     assert cell("-x0") == "c" and cell("-x1") == "c"
     assert cell("-x2") == "-x3"
     assert cell("x2") == "s" and cell("-x3") == "s"
@@ -175,7 +181,7 @@ def test_interaction_matrix_spec_example():
 def test_interaction_matrix_f3_row(f3_space, from_paper):
     matrix = interaction_matrix(f3_space)
     (s8,) = from_paper({8})  # (-x1 v -x2)
-    cell = lambda name: matrix.cell(s8, parse_literal(name))
+    cell = lambda name: cell_of(matrix, s8, name)
     assert cell("x0") == "c" and cell("-x0") == "c"
     assert cell("-x1") == "s" and cell("-x2") == "s"
     assert cell("x1") == "-x2"

@@ -49,7 +49,7 @@ def falsify_corollary1(monkeypatch, calls):
     recording every (formula, assignment) it was given."""
     seen = []
 
-    def check(f, a, space=None):
+    def check(f, a, space):
         seen.append((f, a))
         return Corollary1Certificate(holds=len(seen) < calls, witnesses=(),
                                      unsatisfied_clauses=())
