@@ -81,12 +81,16 @@ class Formula:
     width: int = 3
 
     def __post_init__(self):
+        width, codes = self.width, 2 * self.n
         for cid, clause in enumerate(self.clauses):
-            if len(clause) != self.width:
-                raise ValueError(f"clause {cid} has width {len(clause)}, expected {self.width}")
-            for lit in clause:
-                if not 0 <= var_of(lit) < self.n:
-                    raise ValueError(f"clause {cid}: variable x{var_of(lit)} out of range [0,{self.n})")
+            if len(clause) != width:
+                raise ValueError(f"clause {cid} has width {len(clause)}, expected {width}")
+            # A literal's variable is in range exactly when its code is in 0..2n-1.
+            if clause and (min(clause) < 0 or max(clause) >= codes):
+                for lit in clause:
+                    if not 0 <= var_of(lit) < self.n:
+                        raise ValueError(f"clause {cid}: variable x{var_of(lit)} "
+                                         f"out of range [0,{self.n})")
 
     @property
     def m(self) -> int:
@@ -113,10 +117,10 @@ def formula(n: int, clause_lists, width: int = 3) -> Formula:
 def check_consistent(literals) -> Assignment:
     """Validate that no variable appears with both polarities."""
     a = frozenset(literals)
-    for lit in a:
-        if negate(lit) in a:
-            raise ValueError(f"inconsistent assignment: both {literal_str(lit)} and "
-                             f"{literal_str(negate(lit))}")
+    if not a.isdisjoint([lit ^ 1 for lit in a]):   # negate, inlined
+        lit = next(lit for lit in a if negate(lit) in a)
+        raise ValueError(f"inconsistent assignment: both {literal_str(lit)} and "
+                         f"{literal_str(negate(lit))}")
     return a
 
 
@@ -130,10 +134,23 @@ class EvalReport:
 def evaluate(f: Formula, a: Assignment) -> EvalReport:
     """Count clauses whose literal set intersects the assignment.
 
-    The empty formula evaluates to fraction 1.0 (vacuous conjunction).
+    The assignment is marked in a truth list over the 2n literal codes, so each
+    clause costs one lookup per literal; assigned literals outside 0..2n-1 are
+    in no clause and are ignored. The empty formula evaluates to fraction 1.0
+    (vacuous conjunction).
     """
     a = check_consistent(a)
-    unsat = tuple(cid for cid, clause in enumerate(f.clauses) if not any(lit in a for lit in clause))
+    codes = 2 * f.n
+    val = [False] * codes
+    for lit in a:
+        if 0 <= lit < codes:
+            val[lit] = True
+    if f.width == 3:
+        unsat = tuple(cid for cid, (x, y, z) in enumerate(f.clauses)
+                      if not (val[x] or val[y] or val[z]))
+    else:
+        unsat = tuple(cid for cid, clause in enumerate(f.clauses)
+                      if not any(val[lit] for lit in clause))
     sat = f.m - len(unsat)
     return EvalReport(sat, unsat, sat / f.m if f.m else 1.0)
 
@@ -202,15 +219,58 @@ def solve_exhaustive(f: Formula, cap: int = 10) -> list[Assignment]:
             if hi & hv == hf:
                 bad |= word
         good = full ^ bad
-        while good:
-            lowest = good & -good
-            s = (hi << low) | (lowest.bit_length() - 1)
-            found.append(frozenset(
-                make_literal(v, negative=((s >> v) & 1) == 0) for v in range(n)))
+        if not good:
+            continue
+        # x_v is 2v when true, 2v + 1 when false.
+        high = [2 * v + 1 - (hi >> (v - low) & 1) for v in range(low, n)]
+        # Bit p of good is at index top - p of its binary text, so searching
+        # the text leftwards yields the block's solutions in ascending order.
+        bits = bin(good)
+        top = len(bits) - 1
+        at = top + 1
+        while (at := bits.rfind("1", 0, at)) != -1:
+            s = top - at
+            found.append(frozenset([2 * v + 1 - (s >> v & 1) for v in range(low)] + high))
             if len(found) >= cap:
                 return found
-            good ^= lowest
     return found
+
+
+# Random.sample(range(n), k) draws from a copy of the population when n is at
+# most this and by rejection above it. The threshold holds for k <= 5; sample
+# raises it for larger k.
+SAMPLE_POOL_MAX = 21
+
+
+def _sample_sorted(rng: random.Random, n: int, k: int) -> list[int]:
+    """sorted(rng.sample(range(n), k)), drawing the same bits from rng.
+
+    sample's randbelow(s) is getrandbits(s.bit_length()), redrawn while the
+    result is >= s. CPython 3.10 to 3.13 share this algorithm; for k > 5 the
+    pool threshold differs, so those samples are left to rng.sample."""
+    if k > 5:
+        return sorted(rng.sample(range(n), k))
+    getrandbits = rng.getrandbits
+    result = []
+    if n <= SAMPLE_POOL_MAX:
+        pool = list(range(n))
+        for i in range(k):
+            size = n - i
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[size - 1]
+    else:
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in result:
+                j = getrandbits(bits)
+            result.append(j)
+    result.sort()
+    return result
 
 
 def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
@@ -220,6 +280,11 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
     polarities; duplicate clauses are rejected and resampled. Uses Python's
     random.Random (Mersenne Twister), so a seed fully determines the instance
     across platforms.
+
+    The variables of a clause are sorted(rng.sample(range(n), k)), then one
+    getrandbits(1) per variable in sorted order is its polarity. For k <= 5 the
+    sample is replayed from getrandbits rather than called (_sample_sorted), so
+    it draws the same bits, and every seed keeps the instance it had.
     """
     if n < k:
         raise ValueError(f"need n >= k, got n = {n}, k = {k}")
@@ -229,13 +294,30 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
         raise ValueError(f"cannot draw {m} distinct width-{k} clauses over {n} variables "
                          f"(only {distinct} exist)")
     rng = random.Random(seed)
-    clauses: list[Clause] = []
-    seen: set[Clause] = set()
-    while len(clauses) < m:
-        variables = sorted(rng.sample(range(n), k))
-        clause = tuple(make_literal(v, negative=bool(rng.getrandbits(1))) for v in variables)
-        if clause in seen:
-            continue
-        seen.add(clause)
-        clauses.append(clause)
-    return Formula(n=n, clauses=tuple(clauses), width=k)
+    getrandbits = rng.getrandbits
+    chosen: dict[Clause, None] = {}   # insertion-ordered; a repeated clause is dropped
+    if k == 3 and n > SAMPLE_POOL_MAX:
+        # sample's rejection branch, inlined: redraw j while j >= n (randbelow)
+        # or j is already chosen.
+        bits = n.bit_length()
+        while len(chosen) < m:
+            x = getrandbits(bits)
+            while x >= n:
+                x = getrandbits(bits)
+            y = getrandbits(bits)
+            while y >= n or y == x:
+                y = getrandbits(bits)
+            z = getrandbits(bits)
+            while z >= n or z == x or z == y:
+                z = getrandbits(bits)
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            chosen[2 * x + getrandbits(1), 2 * y + getrandbits(1), 2 * z + getrandbits(1)] = None
+    else:
+        while len(chosen) < m:
+            chosen[tuple(2 * v + getrandbits(1) for v in _sample_sorted(rng, n, k))] = None
+    return Formula(n=n, clauses=tuple(chosen), width=k)

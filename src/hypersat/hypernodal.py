@@ -23,8 +23,12 @@ from .formula import (Assignment, GuardrailError, Literal, check_consistent,
                       literal_str, make_literal, negate)
 from .subclauses import SubClauseSpace
 
-# Guardrail for expand_literal: literal and sub-clause nodes in the tree.
+# Guardrails for expand_literal: literal and sub-clause nodes in the tree, and
+# literal levels. Building, rendering and serializing the tree each recurse once
+# per level, and the JSON encoder three times, so the depth cap keeps all of
+# them inside Python's default recursion limit of 1000 frames.
 EXPANSION_MAX_NODES = 10**6
+EXPANSION_MAX_DEPTH = 200
 
 Edge = tuple[int, int]
 
@@ -275,7 +279,9 @@ def expand_literal(space: SubClauseSpace, lit: Literal, depth: int) -> Expansion
     creates; each sub-clause is the disjunction of two literal nodes one
     level deeper. Expansions are recursive by nature (a literal can reach
     itself), so the bound is what terminates them. Refuses trees of more
-    than EXPANSION_MAX_NODES nodes.
+    than EXPANSION_MAX_NODES nodes, and trees that still grow past
+    EXPANSION_MAX_DEPTH levels; a larger depth bound is accepted when the
+    tree is whole above it.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -283,6 +289,9 @@ def expand_literal(space: SubClauseSpace, lit: Literal, depth: int) -> Expansion
     if nodes > EXPANSION_MAX_NODES:
         raise GuardrailError(f"expansion limited to {EXPANSION_MAX_NODES} nodes; "
                              f"{literal_str(lit)} to depth {depth} has more")
+    if depth > EXPANSION_MAX_DEPTH and nodes > expansion_size(space, lit, EXPANSION_MAX_DEPTH):
+        raise GuardrailError(f"expansion limited to depth {EXPANSION_MAX_DEPTH}; "
+                             f"{literal_str(lit)} to depth {depth} goes deeper")
     truncated_count = 0
 
     def build(node_lit: Literal, level: int) -> LiteralNode:

@@ -212,6 +212,18 @@ def test_guardrails_exit_4_fast(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--dot"]], ids=["json", "dot"])
+def test_deep_narrow_expansion_never_crashes(capsys, tmp_path, fmt):
+    # Three nodes per level: 6,001 nodes at depth 2000 pass the node cap, and
+    # every level is one more frame of recursion in the build and the output.
+    path = tmp_path / "deep.cnf"
+    path.write_text("p cnf 4 2\n-1 2 3 0\n-2 1 4 0\n")
+    code, out, err = run(capsys, "export", str(path), "--expand", "x0", "--depth", "2000", *fmt)
+    assert code in (EXIT_OK, EXIT_GUARDRAIL)
+    if code == EXIT_GUARDRAIL:
+        assert out == "" and err.startswith("error: ")
+
+
 def test_matrix_guardrail_leaves_no_file(capsys, tmp_path):
     # n = 1000 has 12,711 sub-clauses: 25.4M cells, over the 10^7 cap.
     path = tmp_path / "matrix.csv"

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 import tracemalloc
 import warnings
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersat import (DimacsError, Formula, emit_dimacs, evaluate, formula, literal_str,
-                      make_clause, make_literal, negate, parse_dimacs, parse_literal,
-                      random_formula, solve_exhaustive)
-from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, GuardrailError,
-                              check_consistent, is_negative, var_of)
+from hypersat import (DimacsError, EvalReport, Formula, emit_dimacs, evaluate, formula,
+                      literal_str, make_clause, make_literal, negate, parse_dimacs,
+                      parse_literal, random_formula, solve_exhaustive)
+from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, SAMPLE_POOL_MAX,
+                              GuardrailError, check_consistent, is_negative, var_of)
 
 from conftest import clause, formulas, lits
 
@@ -125,6 +126,56 @@ def test_generator_exhaustion_error():
         random_formula(3, 3.0, seed=1)
 
 
+def sample_formula(n, r, seed, k=3):
+    """The generator random_formula replaced, kept as its oracle: each clause
+    is sorted(rng.sample(range(n), k)) with one getrandbits(1) polarity per
+    variable, and repeated clauses are redrawn."""
+    m = round(r * n)
+    rng = random.Random(seed)
+    clauses = []
+    seen = set()
+    while len(clauses) < m:
+        variables = sorted(rng.sample(range(n), k))
+        c = tuple(make_literal(v, negative=bool(rng.getrandbits(1))) for v in variables)
+        if c not in seen:
+            seen.add(c)
+            clauses.append(c)
+    return Formula(n=n, clauses=tuple(clauses), width=k)
+
+
+@st.composite
+def generator_args(draw):
+    """(n, k, r, seed) with n on both sides of sample's pool threshold and m
+    up to the number of distinct clauses (or 400, whichever is smaller)."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.one_of(st.sampled_from([SAMPLE_POOL_MAX, SAMPLE_POOL_MAX + 1]),
+                       st.integers(k, 2 * SAMPLE_POOL_MAX)))
+    m = draw(st.integers(0, min(math.comb(n, k) << k, 400)))
+    return n, k, m / n, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(generator_args())
+def test_generator_matches_sample(args):
+    n, k, r, seed = args
+    assert random_formula(n, r, seed, k) == sample_formula(n, r, seed, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [6, 7])
+def test_generator_matches_sample_at_the_distinct_clause_limit(n, k):
+    r = (math.comb(n, k) << k) / n
+    assert random_formula(n, r, 3, k) == sample_formula(n, r, 3, k)
+
+
+@pytest.mark.parametrize("n, r, seed, k", [
+    (500, 4.25, 1, 3), (500, 4.25, 2, 3), (500, 1.0, 3, 2), (500, 9.8, 4, 4),
+    (500, 21.0, 5, 5), (500, 4.25, 6, 6), (2000, 4.25, 1, 3), (2000, 4.25, 7, 3),
+])
+def test_generator_matches_sample_at_large_n(n, r, seed, k):
+    assert random_formula(n, r, seed, k) == sample_formula(n, r, seed, k)
+
+
 def test_generator_invariants_over_many_seeds():
     for seed in range(1000):
         f = random_formula(20, 4.25, seed=seed)
@@ -174,6 +225,63 @@ def test_evaluate_empty_formula():
 def test_evaluate_rejects_inconsistent(f3):
     with pytest.raises(ValueError, match="inconsistent"):
         evaluate(f3, frozenset([parse_literal("x0"), parse_literal("-x0")]))
+
+
+def evaluate_by_sets(f, a):
+    """The set-membership rule evaluate replaced, kept as its oracle."""
+    if any(negate(lit) in a for lit in a):
+        raise ValueError("inconsistent assignment")
+    unsat = tuple(cid for cid, c in enumerate(f.clauses) if not any(lit in a for lit in c))
+    sat = f.m - len(unsat)
+    return EvalReport(sat, unsat, sat / f.m if f.m else 1.0)
+
+
+@st.composite
+def evaluations(draw):
+    """A width-2 or width-3 formula and an assignment over some of its
+    variables, plus codes outside 0..2n-1 that no clause holds."""
+    k = draw(st.sampled_from((2, 3)))
+    f = draw(formulas(n_range=(k, 20), ratios=(0.5, 1, 2.5, 4.25), k=k))
+    polarity = st.sampled_from((None, False, True))   # None: unassigned
+    a = {make_literal(v, negative) for v in range(f.n)
+         if (negative := draw(polarity)) is not None}
+    a |= set(draw(st.lists(st.integers(-8, -1) | st.integers(2 * f.n, 2 * f.n + 8),
+                           max_size=3)))
+    return f, frozenset(a)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(evaluations())
+def test_evaluate_matches_set_rule(case):
+    f, a = case
+    try:
+        expected = evaluate_by_sets(f, a)
+    except ValueError:
+        with pytest.raises(ValueError, match="inconsistent assignment"):
+            evaluate(f, a)
+    else:
+        assert evaluate(f, a) == expected
+
+
+def test_evaluate_ignores_codes_outside_the_formula(f3):
+    a = lits("-x0", "-x1") | {-3, 6, 9, 100}
+    assert evaluate(f3, a) == evaluate_by_sets(f3, a)
+    assert evaluate(f3, a).unsatisfied_ids == (4,)
+
+
+@pytest.mark.parametrize("clauses, message", [
+    (((0, 2, 4), (0, 2)), "clause 1 has width 2, expected 3"),
+    (((0, 2, 4, 6),), "clause 0 has width 4, expected 3"),
+    (((0, 2, 99, 6),), "clause 0 has width 4, expected 3"),
+    (((0, 2, 8),), "clause 0: variable x4 out of range [0,4)"),
+    (((0, 9, -1),), "clause 0: variable x4 out of range [0,4)"),
+    (((0, 2, 4), (-1, 2, 4)), "clause 1: variable x-1 out of range [0,4)"),
+    (((0, 2, 8), (0, 2)), "clause 0: variable x4 out of range [0,4)"),
+])
+def test_formula_rejects_width_and_range(clauses, message):
+    with pytest.raises(ValueError) as exc_info:
+        Formula(n=4, clauses=clauses)
+    assert str(exc_info.value) == message
 
 
 def test_clause_satisfaction_xor_all_negations():
@@ -293,8 +401,12 @@ def test_solve_exhaustive_empty_formula_matches_scan(n, cap):
 ])
 def test_solve_exhaustive_crosses_blocks(n, r, seed, cap):
     """Few clauses over n > ORACLE_BLOCK_BITS: many solutions, the last of
-    them past the first block of 2^ORACLE_BLOCK_BITS words."""
-    found = assert_matches_scan(random_formula(n, r, seed), cap)
+    them past the first block of 2^ORACLE_BLOCK_BITS words. Every solution
+    matches the scan, and a smaller cap returns their prefix."""
+    f = random_formula(n, r, seed)
+    every = assert_matches_scan(f, None)
+    found = every if cap is None else solve_exhaustive(f, cap)
+    assert found == every[:cap]
     assert word_of(found[-1]) >= 1 << ORACLE_BLOCK_BITS
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from hypersat import (ImplicationGraph, build_hypernodal, build_space, evaluate,
                       formula, make_literal, merge_active, negate, parse_literal,
                       random_assignment, random_formula, reduce_to_2sat)
 from hypersat.formula import GuardrailError, literal_str, var_of
-from hypersat.hypernodal import (EXPANSION_MAX_NODES, ExpansionTree, LiteralNode,
-                                 expansion_size, implication_adjacency, tarjan_scc)
+from hypersat.hypernodal import (EXPANSION_MAX_DEPTH, EXPANSION_MAX_NODES, ExpansionTree,
+                                 LiteralNode, expansion_size, implication_adjacency, tarjan_scc)
 
 from conftest import clause, formulas, lits
 
@@ -418,6 +419,26 @@ def test_expansion_guardrail():
     for depth in (6, 7, 10**9):
         with pytest.raises(GuardrailError):
             expand_literal(space, lit, depth)
+
+
+def test_expansion_depth_guardrail():
+    # x0 creates (x1 v x2) and x1 creates (-x0 v x3): three nodes per level,
+    # for ever, so the node cap never refuses it.
+    space = build_space(formula(4, [clause("-x0 x1 x2"), clause("x0 -x1 x3")]))
+    lit = parse_literal("x0")
+    tree = expand_literal(space, lit, EXPANSION_MAX_DEPTH)
+    assert count_nodes(tree.root) == 3 * EXPANSION_MAX_DEPTH + 1
+    json.dumps(expansion_to_json(tree), sort_keys=True, indent=2)
+    check_dot(export_dot(tree))
+    for depth in (EXPANSION_MAX_DEPTH + 1, 10**9):
+        with pytest.raises(GuardrailError, match="depth"):
+            expand_literal(space, lit, depth)
+
+
+def test_expansion_depth_past_the_cap_is_kept_when_the_tree_is_whole():
+    space = build_space(formula(4, [clause("x0 x1 x2"), clause("-x0 x1 x3")]))
+    tree = expand_literal(space, parse_literal("-x0"), 10**9)
+    assert tree.depth == 10**9 and count_nodes(tree.root) == 4
 
 
 def test_expansion_json_schema(f3_space):
