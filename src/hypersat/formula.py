@@ -245,30 +245,24 @@ SAMPLE_POOL_MAX = 21
 def _sample_sorted(rng: random.Random, n: int, k: int) -> list[int]:
     """sorted(rng.sample(range(n), k)), drawing the same bits from rng.
 
-    sample's randbelow(s) is getrandbits(s.bit_length()), redrawn while the
-    result is >= s. CPython 3.10 to 3.13 share this algorithm; for k > 5 the
-    pool threshold differs, so those samples are left to rng.sample."""
-    if k > 5:
+    sample's pool branch is replayed, where its randbelow(s) is
+    getrandbits(s.bit_length()), redrawn while the result is >= s. CPython
+    3.10 to 3.13 share this algorithm. The rejection branch, and every sample
+    with k > 5, whose pool threshold differs, are left to rng.sample;
+    random_formula inlines the rejection branch for k = 3."""
+    if k > 5 or n > SAMPLE_POOL_MAX:
         return sorted(rng.sample(range(n), k))
     getrandbits = rng.getrandbits
+    pool = list(range(n))
     result = []
-    if n <= SAMPLE_POOL_MAX:
-        pool = list(range(n))
-        for i in range(k):
-            size = n - i
-            bits = size.bit_length()
+    for i in range(k):
+        size = n - i
+        bits = size.bit_length()
+        j = getrandbits(bits)
+        while j >= size:
             j = getrandbits(bits)
-            while j >= size:
-                j = getrandbits(bits)
-            result.append(pool[j])
-            pool[j] = pool[size - 1]
-    else:
-        bits = n.bit_length()
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in result:
-                j = getrandbits(bits)
-            result.append(j)
+        result.append(pool[j])
+        pool[j] = pool[size - 1]
     result.sort()
     return result
 
@@ -282,9 +276,10 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
     across platforms.
 
     The variables of a clause are sorted(rng.sample(range(n), k)), then one
-    getrandbits(1) per variable in sorted order is its polarity. For k <= 5 the
-    sample is replayed from getrandbits rather than called (_sample_sorted), so
-    it draws the same bits, and every seed keeps the instance it had.
+    getrandbits(1) per variable in sorted order is its polarity. For k = 3,
+    and for sample's pool branch up to k = 5 (_sample_sorted), the sample is
+    replayed from getrandbits rather than called. The replay draws the same
+    bits, so every seed keeps the instance rng.sample gave it.
     """
     if n < k:
         raise ValueError(f"need n >= k, got n = {n}, k = {k}")
