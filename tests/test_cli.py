@@ -99,6 +99,10 @@ PINNED_STDOUT = [
     (("reduce", "--gen", "200,4.25,1"), "3e1d35483fb9cfd1"),
     (("export", "--gen", "30,4.25,2", "--expand", "-x0"), "29a3c655b6190789"),
     (("experiment", "--curve", "--instances", "3"), "335b6bd56d12da73"),
+    (("verify",), "a867a33ffb3db046"),
+    # n > 21 takes random_formula's rejection branch (SAMPLE_POOL_MAX).
+    (("verify", "--n-range", "6..24", "--instances", "200", "--seed", "9"), "3663a472ce610fba"),
+    (("experiment", "--count", "3", "--with-curves"), "19a38b52bb892681"),
 ]
 
 
@@ -117,14 +121,18 @@ PINNED_FILES = [
       "--curve-csv"), "6378d667c4364c6c"),
     (("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic", "--tie-break", "false",
       "--curve-csv"), "bb7d462b670ebfc8"),
+    (("experiment", "--count", "3", "--out-base"), "c996935e8e9d9120"),
+    (("experiment", "--curve", "--instances", "3", "--out-base"), "9760e65b7a8f0de2"),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", PINNED_FILES,
                          ids=[" ".join(argv) for argv, _ in PINNED_FILES])
 def test_pinned_file(capsys, tmp_path, argv, expected):
+    # --out-base takes the path without its suffix and writes BASE.csv.
     path = tmp_path / "out.csv"
-    code, _, _ = run(capsys, *argv, str(path))
+    target = path.with_suffix("") if argv[-1] == "--out-base" else path
+    code, _, _ = run(capsys, *argv, str(target))
     assert code == EXIT_OK
     assert digest(path.read_text()) == expected
 
