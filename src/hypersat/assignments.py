@@ -4,14 +4,12 @@ and excluded-literal extraction.
 
 from __future__ import annotations
 
-import io
-import csv
 import heapq
 import random
 from dataclasses import dataclass
 
-from .formula import (Assignment, Formula, Literal, check_consistent, literal_str,
-                      make_literal, var_of)
+from .formula import (Assignment, Formula, Literal, _csv_text, check_consistent,
+                      literal_str, make_literal, var_of)
 from .subclauses import SubClauseSpace
 
 HEURISTICS = ("minCreate", "minCreateMaxSolve", "maxSolve", "maxCreate")
@@ -184,12 +182,9 @@ class CurveSeries:
         return [s.open for s in self.steps]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "literal", "activated", "satisfied", "open"])
-        for s in self.steps:
-            writer.writerow([s.step, literal_str(s.literal), s.activated, s.satisfied, s.open])
-        return buf.getvalue()
+        return _csv_text(["step", "literal", "activated", "satisfied", "open"],
+                         ([s.step, literal_str(s.literal), s.activated, s.satisfied, s.open]
+                          for s in self.steps))
 
 
 def unsolved_curve(space: SubClauseSpace, a: Assignment, order) -> CurveSeries:

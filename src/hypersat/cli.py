@@ -101,21 +101,19 @@ def assignment_json(a: Assignment) -> list[str]:
     return [literal_str(lit) for lit in sorted(a, key=var_of)]
 
 
-def instance_filename(n: int, r: float, seed: int, k: int) -> str:
+def instance_filename(n: int, r: float, seed: int) -> str:
     r_text = f"{r:g}".replace(".", "p")
-    return f"k{k}_n{n}_r{r_text}_s{seed}.cnf"
+    return f"k3_n{n}_r{r_text}_s{seed}.cnf"
 
 
 def cmd_gen(args) -> int:
-    if args.k != 3:
-        raise UsageError(f"--k {args.k}: only width-3 instances can be read back")
     directory = args.out_dir or out_dir()
     os.makedirs(directory, exist_ok=True)
     seeds = range(args.seed, args.seed + args.count)
     files = []
     for seed in seeds:
-        f = random_formula(args.n, args.r, seed, k=args.k)
-        path = os.path.join(directory, instance_filename(args.n, args.r, seed, args.k))
+        f = random_formula(args.n, args.r, seed)
+        path = os.path.join(directory, instance_filename(args.n, args.r, seed))
         write_atomic(path, emit_dimacs(f, comment=f"n={args.n} r={args.r} seed={seed}"))
         files.append(path)
     sys.stdout.write(dump_json({"files": files}))
@@ -313,13 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "and hypernodal implication graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
     p = sub.add_parser("gen", help="generate random DIMACS instances")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=4.25)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=1, help="files for seeds seed..seed+count-1")
-    p.add_argument("--k", type=int, default=3,
-                   help="clause width; only 3 is accepted, the width the other commands read")
+    p.add_argument("--count", type=count, default=1, help="files for seeds seed..seed+count-1")
     p.add_argument("--out-dir", default=None, help=f"default: ${OUT_DIR_ENV} or .")
     p.set_defaults(func=cmd_gen)
 
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle-driven verification suites")
     p.add_argument("--suite", default="all",
                    choices=list(verify.SUITES) + ["all"])
-    p.add_argument("--instances", type=int, default=500)
+    p.add_argument("--instances", type=count, default=500)
     p.add_argument("--n-range", default="6..12")
     p.add_argument("--r", type=float, default=4.25)
     p.add_argument("--seed", type=int, default=1)
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="batch experiments (fractions or curves)")
     p.add_argument("--n", type=int, default=None, help="default: the chosen experiment's own")
     p.add_argument("--r", type=float, default=None, help="default: the chosen experiment's own")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=count, default=100)
     p.add_argument("--generators", default="minCreateMaxSolve,greedy,random")
     p.add_argument("--tie-break", choices=list(TIE_BREAKS), default="true")
     p.add_argument("--seed", type=int, default=1)
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record the inflection step per record")
     p.add_argument("--curve", action="store_true",
                    help="unsolved-sub-clause curve experiment over satisfiable instances")
-    p.add_argument("--instances", type=int, default=120,
+    p.add_argument("--instances", type=count, default=120,
                    help="satisfiable instances to accept in --curve mode")
     p.add_argument("--out-base", default=None, help="write BASE.json and BASE.csv")
     p.set_defaults(func=cmd_experiment)

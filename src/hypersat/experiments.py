@@ -4,15 +4,13 @@ and the unsolved-sub-clause curve with its inflection step.
 
 from __future__ import annotations
 
-import io
-import csv
 import random
 import statistics
 from dataclasses import dataclass, field
 
 from .assignments import (HEURISTICS, generate_greedy, generate_heuristic,
                           random_assignment, subclause_count, thresholds, unsolved_curve)
-from .formula import (Assignment, Formula, GuardrailError, evaluate,
+from .formula import (Assignment, Formula, GuardrailError, _csv_text, evaluate,
                       random_formula, var_of)
 from .subclauses import SubClauseSpace, build_space
 
@@ -71,16 +69,11 @@ class ExperimentSummary:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["instance", "seed", "generator", "fraction",
-                         "subclause_count", "minimum_threshold", "maximum_threshold",
-                         "inflection"])
-        for rec in self.records:
-            writer.writerow([rec.instance, rec.seed, rec.generator, f"{rec.fraction:.6f}",
-                             rec.subclause_count, rec.minimum_threshold,
-                             rec.maximum_threshold, rec.inflection])
-        return buf.getvalue()
+        return _csv_text(["instance", "seed", "generator", "fraction", "subclause_count",
+                          "minimum_threshold", "maximum_threshold", "inflection"],
+                         ([rec.instance, rec.seed, rec.generator, f"{rec.fraction:.6f}",
+                           rec.subclause_count, rec.minimum_threshold,
+                           rec.maximum_threshold, rec.inflection] for rec in self.records))
 
 
 def run_fraction_experiment(n: int = 500, r: float = 4.25, count: int = 100,
@@ -138,12 +131,9 @@ class CurveExperiment:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "mean_open"])
-        for step, value in enumerate(self.mean_curve, start=1):
-            writer.writerow([step, f"{value:.4f}"])
-        return buf.getvalue()
+        return _csv_text(["step", "mean_open"],
+                         ([step, f"{value:.4f}"]
+                          for step, value in enumerate(self.mean_curve, start=1)))
 
 
 def run_curve_experiment(n: int = 100, r: float = 2.5, instances: int = 120,

@@ -8,6 +8,8 @@ involution and the two polarities of a variable are adjacent codes.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from dataclasses import dataclass
@@ -283,6 +285,8 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
     """
     if n < k:
         raise ValueError(f"need n >= k, got n = {n}, k = {k}")
+    if not (r >= 0 and math.isfinite(r * n)):
+        raise ValueError(f"need a ratio r >= 0 with r * n finite, got r = {r}, n = {n}")
     m = round(r * n)
     distinct = math.comb(n, k) * (1 << k)
     if m > distinct:
@@ -316,3 +320,13 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
         while len(chosen) < m:
             chosen[tuple(2 * v + getrandbits(1) for v in _sample_sorted(rng, n, k))] = None
     return Formula(n=n, clauses=tuple(chosen), width=k)
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """The header and rows as CSV text, each row ending in a bare newline:
+    the form of every CSV file the CLI writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -8,12 +8,11 @@ which clauses it derives from.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formula import Clause, Formula, GuardrailError, Literal, literal_str, negate, var_of
+from .formula import (Clause, Formula, GuardrailError, Literal, _csv_text, literal_str,
+                      negate, var_of)
 
 Pair = tuple[int, int]
 
@@ -180,12 +179,8 @@ class InteractionMatrix:
     cells: list[list[str]]  # '' | 'c' | 's' | literal string
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["subclause"] + [literal_str(lit) for lit in self.columns])
-        for sid, row in enumerate(self.cells):
-            writer.writerow([f"s{sid}"] + row)
-        return buf.getvalue()
+        return _csv_text(["subclause"] + [literal_str(lit) for lit in self.columns],
+                         ([f"s{sid}"] + row for sid, row in enumerate(self.cells)))
 
 
 def interaction_matrix(space: SubClauseSpace) -> InteractionMatrix:

@@ -4,6 +4,14 @@ Every suite generates fresh random instances, pits the claim under test
 against the exhaustive oracle (or an exhaustive 2-SAT enumeration), and
 reports hypothesis failures separately from falsifications: only a
 falsification means the claim (or the code) is wrong.
+
+Instance i (from 0) of a suite run with `seed` is
+random_formula(n, r, seed + 7919 * (i + 1)), so a reproducer's n, r and
+seed regenerate it. The sizes n come from the suite's Random(seed), which
+`corollary1`, `merge` and `sandwich` also draw assignments from:
+`corollary1` draws every size before its first assignment, `merge` and
+`sandwich` alternate size and assignment, and the other suites draw sizes
+only. `2sat-oracle` picks its own n and r (see there).
 """
 
 from __future__ import annotations
@@ -12,11 +20,11 @@ import random
 from dataclasses import dataclass, field
 
 from .assignments import random_assignment, subclause_count, subclause_total, thresholds
-from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, evaluate, literal_str,
+from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, literal_str,
                       random_formula, solve_exhaustive, var_of)
 from .hypernodal import build_hypernodal, find_contradictions
-from .reduction import (TwoSatFormula, assignment_satisfies_2sat, reduce_to_2sat,
-                        solve_2sat, verify_corollary1, verify_theorem)
+from .reduction import (HypothesisError, TwoSatFormula, assignment_satisfies_2sat,
+                        reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)
 from .subclauses import build_space, space_census
 
 
@@ -24,30 +32,31 @@ from .subclauses import build_space, space_census
 MAX_FAILURES = 10
 
 
-def reproducer(suite: str, seed: int, instance: int, n: int, r: float,
-               assignment: Assignment | None) -> dict:
-    """What reproduces a falsification: instance `instance` of the suite is
-    random_formula(n, r, seed), which `hypersat reduce --gen n,r,seed
-    --assignment ...` regenerates for the width-3 suites; `assignment` is
-    None where the check has none."""
-    literals = None if assignment is None else [
-        literal_str(lit) for lit in sorted(assignment, key=var_of)]
-    return {"suite": suite, "seed": seed, "instance": instance, "n": n, "r": r,
-            "assignment": literals}
-
-
 @dataclass
 class SuiteReport:
     suite: str
     instances: int
-    checks: int
-    falsifications: int
+    checks: int = 0
+    falsifications: int = 0
     skipped: int = 0          # instances where the hypothesis never applied
     details: dict = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)  # reproducer() of the first falsifications
+    failures: list[dict] = field(default_factory=list)  # reproducers of the first falsifications
 
-    def __post_init__(self):
-        self.failures = self.failures[:MAX_FAILURES]
+    def record(self, holds: bool, seed: int, instance: int, n: int, r: float,
+               assignment: Assignment | None) -> None:
+        """Count one check, and keep the reproducers of the first MAX_FAILURES
+        falsifications: instance `instance` is random_formula(n, r, seed),
+        which `hypersat reduce --gen n,r,seed --assignment ...` regenerates
+        for the width-3 suites. `assignment` is None where a check has none."""
+        self.checks += 1
+        if holds:
+            return
+        self.falsifications += 1
+        if len(self.failures) < MAX_FAILURES:
+            literals = None if assignment is None else [
+                literal_str(lit) for lit in sorted(assignment, key=var_of)]
+            self.failures.append({"suite": self.suite, "seed": seed, "instance": instance,
+                                  "n": n, "r": r, "assignment": literals})
 
     @property
     def ok(self) -> bool:
@@ -71,9 +80,18 @@ def _check_n(n: int) -> None:
         raise GuardrailError(f"oracle-backed suites are capped at n <= {ORACLE_MAX_VARS}")
 
 
-def _instance_sizes(rng: random.Random, n_range: tuple[int, int], count: int) -> list[int]:
-    lo, hi = n_range
-    return [rng.randint(lo, hi) for _ in range(count)]
+def _instances(rng: random.Random, count: int, n_range: tuple[int, int],
+               ratios: tuple[float, ...], seed: int, k: int = 3, sizes_first: bool = False):
+    """Yield (i, n, r, instance seed, formula) for instances 0..count-1.
+
+    n is rng.randint(*n_range), drawn as instance i is reached, or for every
+    instance before the first when `sizes_first`; r cycles through `ratios`."""
+    sizes = (rng.randint(*n_range) for _ in range(count))
+    if sizes_first:
+        sizes = list(sizes)
+    for i, n in enumerate(sizes):
+        r, f_seed = ratios[i % len(ratios)], seed + 7919 * (i + 1)
+        yield i, n, r, f_seed, random_formula(n, r, seed=f_seed, k=k)
 
 
 def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
@@ -81,26 +99,17 @@ def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
     """Every oracle-found satisfying assignment must satisfy the 2-SAT
     formula it induces."""
     _check_n(n_range[1])
-    rng = random.Random(seed)
-    checks = satisfiable = 0
-    failures = []
-    for i, n in enumerate(_instance_sizes(rng, n_range, instances)):
-        f_seed = seed + 7919 * (i + 1)
-        f = random_formula(n, r, seed=f_seed)
+    report = SuiteReport("theorem", instances)
+    for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
         solutions = solve_exhaustive(f, cap=cap)
         if not solutions:
+            report.skipped += 1
             continue
-        satisfiable += 1
         space = build_space(f)
         for a in solutions:
-            cert = verify_theorem(f, a, space=space)
-            checks += 1
-            if not cert.holds:
-                failures.append(reproducer("theorem", f_seed, i, n, r, a))
-    return SuiteReport(suite="theorem", instances=instances, checks=checks,
-                       falsifications=len(failures),
-                       skipped=instances - satisfiable,
-                       details={"satisfiable_instances": satisfiable}, failures=failures)
+            report.record(verify_theorem(f, a, space=space).holds, f_seed, i, n, r, a)
+    report.details = {"satisfiable_instances": instances - report.skipped}
+    return report
 
 
 def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
@@ -110,29 +119,22 @@ def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
     sub-clause unsolved."""
     _check_n(n_range[1])
     rng = random.Random(seed)
-    checks = resampled = 0
-    failures = []
-    for i, n in enumerate(_instance_sizes(rng, n_range, instances)):
-        f_seed = seed + 7919 * (i + 1)
-        f = random_formula(n, r, seed=f_seed)
+    report = SuiteReport("corollary1", instances,
+                         details={"satisfying_assignments_resampled": 0})
+    for i, n, r, f_seed, f in _instances(rng, instances, n_range, (r,), seed, sizes_first=True):
         space = build_space(f)
-        produced = 0
-        attempt = 0
+        produced = attempt = 0
         while produced < assignments_per_instance and attempt < 50 * assignments_per_instance:
             attempt += 1
             a = random_assignment(n, seed=rng.getrandbits(32))
-            if not evaluate(f, a).unsatisfied_ids:
-                resampled += 1
+            try:
+                cert = verify_corollary1(f, a, space=space)
+            except HypothesisError:   # a satisfies f
+                report.details["satisfying_assignments_resampled"] += 1
                 continue
             produced += 1
-            cert = verify_corollary1(f, a, space=space)
-            checks += 1
-            if not cert.holds:
-                failures.append(reproducer("corollary1", f_seed, i, n, r, a))
-    return SuiteReport(suite="corollary1", instances=instances, checks=checks,
-                       falsifications=len(failures),
-                       details={"satisfying_assignments_resampled": resampled},
-                       failures=failures)
+            report.record(cert.holds, f_seed, i, n, r, a)
+    return report
 
 
 def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
@@ -144,27 +146,18 @@ def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12)
     and clause ratios cycling through 0.8..2.0, the range where random 2-SAT
     turns from satisfiable to unsatisfiable (threshold 1). `r` is a 3-SAT
     ratio, far above that range, so it is ignored."""
-    max_n = min(n_range[1], 12)
-    rng = random.Random(seed)
-    checks = sat_count = 0
-    failures = []
-    ratios = (0.8, 1.0, 1.5, 2.0)
-    for i in range(instances):
-        n = rng.randint(2, max_n)
-        f_seed, f_ratio = seed + 7919 * (i + 1), ratios[i % len(ratios)]
-        f = random_formula(n, f_ratio, seed=f_seed, k=2)
+    report = SuiteReport("2sat-oracle", instances, details={"satisfiable_instances": 0})
+    for i, n, f_ratio, f_seed, f in _instances(random.Random(seed), instances,
+                                               (2, min(n_range[1], 12)),
+                                               (0.8, 1.0, 1.5, 2.0), seed, k=2):
         t = TwoSatFormula.from_formula(f)
         verdict = solve_2sat(t)
         oracle_sat = bool(solve_exhaustive(f, cap=1))
-        checks += 1
-        if verdict.satisfiable != oracle_sat or (
-                verdict.satisfiable and assignment_satisfies_2sat(t, verdict.assignment)):
-            failures.append(reproducer("2sat-oracle", f_seed, i, n, f_ratio, verdict.assignment))
-        if verdict.satisfiable and oracle_sat:
-            sat_count += 1
-    return SuiteReport(suite="2sat-oracle", instances=instances, checks=checks,
-                       falsifications=len(failures),
-                       details={"satisfiable_instances": sat_count}, failures=failures)
+        violated = verdict.satisfiable and assignment_satisfies_2sat(t, verdict.assignment)
+        report.record(verdict.satisfiable == oracle_sat and not violated,
+                      f_seed, i, n, f_ratio, verdict.assignment)
+        report.details["satisfiable_instances"] += verdict.satisfiable and oracle_sat
+    return report
 
 
 def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6, 16),
@@ -174,12 +167,8 @@ def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6,
     assignment satisfies its induced 2-SAT formula, and no activated
     sub-clause is left unsolved."""
     rng = random.Random(seed)
-    checks = consistent_count = 0
-    failures = []
-    for i in range(instances):
-        n = rng.randint(*n_range)
-        f_seed = seed + 7919 * (i + 1)
-        f = random_formula(n, r, seed=f_seed)
+    report = SuiteReport("merge", instances, details={"consistent_pairs": 0})
+    for i, n, r, f_seed, f in _instances(rng, instances, n_range, (r,), seed):
         space = build_space(f)
         hg = build_hypernodal(space)
         a = random_assignment(n, seed=rng.getrandbits(32))
@@ -187,14 +176,9 @@ def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6,
         t = reduce_to_2sat(space, f, a)
         sat_verdict = not assignment_satisfies_2sat(t, a)
         unsolved_verdict = not space.unsolved(a)
-        checks += 1
-        if graph_verdict:
-            consistent_count += 1
-        if not (graph_verdict == sat_verdict == unsolved_verdict):
-            failures.append(reproducer("merge", f_seed, i, n, r, a))
-    return SuiteReport(suite="merge", instances=instances, checks=checks,
-                       falsifications=len(failures),
-                       details={"consistent_pairs": consistent_count}, failures=failures)
+        report.record(graph_verdict == sat_verdict == unsolved_verdict, f_seed, i, n, r, a)
+        report.details["consistent_pairs"] += graph_verdict
+    return report
 
 
 def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
@@ -204,46 +188,28 @@ def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
     dropping below the minimum is possible (shared sub-clauses) and is
     reported, not failed."""
     rng = random.Random(seed)
-    checks = distinct_below_minimum = 0
-    failures = []
-    for i in range(instances):
-        n = rng.randint(*n_range)
-        f_seed = seed + 7919 * (i + 1)
-        f = random_formula(n, r, seed=f_seed)
+    report = SuiteReport("sandwich", instances, details={"distinct_below_minimum": 0})
+    for i, n, r, f_seed, f in _instances(rng, instances, n_range, (r,), seed):
         space = build_space(f)
         th = thresholds(space)
         a = random_assignment(n, seed=rng.getrandbits(32))
         total = subclause_total(space, a)
         distinct = subclause_count(space, a)
-        checks += 1
-        if not (th.minimum <= total <= th.maximum and distinct <= th.maximum
-                and th.minimum <= th.maximum):
-            failures.append(reproducer("sandwich", f_seed, i, n, r, a))
-        if distinct < th.minimum:
-            distinct_below_minimum += 1
-    return SuiteReport(suite="sandwich", instances=instances, checks=checks,
-                       falsifications=len(failures),
-                       details={"distinct_below_minimum": distinct_below_minimum},
-                       failures=failures)
+        report.record(th.minimum <= total <= th.maximum and distinct <= th.maximum
+                      and th.minimum <= th.maximum, f_seed, i, n, r, a)
+        report.details["distinct_below_minimum"] += distinct < th.minimum
+    return report
 
 
 def census_suite(instances: int = 200, n_range: tuple[int, int] = (4, 40),
                  r: float = 4.25, seed: int = 1) -> SuiteReport:
     """|S| never exceeds min(3m, 2n(n-1)) on generated instances."""
-    rng = random.Random(seed)
-    checks = 0
-    failures = []
-    for i in range(instances):
-        n = rng.randint(*n_range)
-        f_seed = seed + 7919 * (i + 1)
-        f = random_formula(n, r, seed=f_seed)
-        space = build_space(f)
-        census = space_census(space, f)
-        checks += 1
-        if census.actual > min(census.per_clause_bound, census.possible):
-            failures.append(reproducer("census", f_seed, i, n, r, None))
-    return SuiteReport(suite="census", instances=instances, checks=checks,
-                       falsifications=len(failures), failures=failures)
+    report = SuiteReport("census", instances)
+    for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
+        census = space_census(build_space(f), f)
+        report.record(census.actual <= min(census.per_clause_bound, census.possible),
+                      f_seed, i, n, r, None)
+    return report
 
 
 # Every suite takes (instances, n_range, r, seed).

@@ -13,7 +13,12 @@ from dotcheck import check_dot
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one command; argparse's usage errors
+    raise SystemExit, whose code is the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -30,6 +35,33 @@ def test_gen_refuses_other_widths(capsys, tmp_path):
     code, out, err = run(capsys, "gen", "--n", "6", "--k", "4", "--out-dir", str(tmp_path))
     assert code == EXIT_USAGE
     assert out == "" and "--k 4" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# A ratio that is negative or not finite, and a negative count of files or
+# instances; none of them may write a file or print to stdout.
+OUT_OF_RANGE = [
+    ("gen", "--n", "5", "--r", "-1"),
+    ("gen", "--n", "5", "--r", "inf"),
+    ("gen", "--n", "5", "--count", "-1"),
+    ("analyze", "--gen", "5,inf,1"),
+    ("analyze", "--gen", "5,1e308,1"),
+    ("verify", "--r", "-1"),
+    ("verify", "--r", "inf"),
+    ("verify", "--instances", "-3"),
+    ("experiment", "--r", "inf"),
+    ("experiment", "--count", "-1"),
+    ("experiment", "--curve", "--instances", "-2"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=[" ".join(argv) for argv in OUT_OF_RANGE])
+def test_out_of_range_numbers_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HYPERSAT_OUT", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -114,6 +114,14 @@ def test_generator_rejects_small_n():
         random_formula(2, 1.0, seed=1)
 
 
+@pytest.mark.parametrize("r", [-1.0, -0.01, math.inf, -math.inf, math.nan, 1e308])
+def test_generator_rejects_a_ratio_that_is_negative_or_not_finite(r):
+    # 1e308 is finite, but r * n is not.
+    with pytest.raises(ValueError, match="r >= 0 with r \\* n finite"):
+        random_formula(5, r, seed=1)
+    assert random_formula(5, 0.0, seed=1).m == 0
+
+
 def test_generator_can_exhaust_all_clauses_of_three_variables():
     f = random_formula(3, 7 / 3, seed=11)
     assert f.m == 7
