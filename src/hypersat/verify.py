@@ -5,13 +5,14 @@ against the exhaustive oracle (or an exhaustive 2-SAT enumeration), and
 reports hypothesis failures separately from falsifications: only a
 falsification means the claim (or the code) is wrong.
 
-Instance i (from 0) of a suite run with `seed` is
-random_formula(n, r, seed + 7919 * (i + 1)), so a reproducer's n, r and
-seed regenerate it. The sizes n come from the suite's Random(seed), which
-`corollary1`, `merge` and `sandwich` also draw assignments from:
-`corollary1` draws every size before its first assignment, `merge` and
-`sandwich` alternate size and assignment, and the other suites draw sizes
-only. `2sat-oracle` picks its own n and r (see there).
+Instance i (from 0) of a suite run with `seed` is random_formula(n, r, s),
+where the instance seed s is `seed` plus 7919 * (i + 1), so the n, r and s
+that a reproducer records regenerate it. The sizes n come from the suite's
+Random(seed), which `corollary1`, `merge` and `sandwich` also draw
+assignments from: `corollary1` draws every size before its first
+assignment, `merge` and `sandwich` alternate size and assignment, and the
+other suites draw sizes only. `2sat-oracle` picks its own n and r (see
+there).
 """
 
 from __future__ import annotations
