@@ -5,6 +5,7 @@ and excluded-literal extraction.
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from dataclasses import dataclass
 
@@ -12,7 +13,15 @@ from .formula import (Assignment, Formula, Literal, _csv_text, check_consistent,
                       literal_str, make_literal, var_of)
 from .subclauses import SubClauseSpace
 
-HEURISTICS = ("minCreate", "minCreateMaxSolve", "maxSolve", "maxCreate")
+# Each heuristic scores a literal as a weighted sum of the sub-clauses it
+# creates and solves: (created weight, solved weight).
+_WEIGHTS = {
+    "minCreate": (-1, 0),
+    "minCreateMaxSolve": (-1, 1),
+    "maxSolve": (0, 1),
+    "maxCreate": (1, 0),
+}
+HEURISTICS = tuple(_WEIGHTS)
 TIE_BREAKS = ("true", "false")
 
 # The name minCreateMaxSolve is honored as argmax(|solved| - |created|);
@@ -34,13 +43,10 @@ class Thresholds:
 
 
 def thresholds(space: SubClauseSpace) -> Thresholds:
-    minimum = maximum = 0
-    for v in range(space.n):
-        pos = len(space.created_by[make_literal(v)])
-        neg = len(space.created_by[make_literal(v, True)])
-        minimum += min(pos, neg)
-        maximum += max(pos, neg)
-    return Thresholds(minimum=minimum, maximum=maximum)
+    created = [len(ids) for ids in space.created_by]
+    per_variable = list(zip(created[0::2], created[1::2]))
+    return Thresholds(minimum=sum(map(min, per_variable)),
+                      maximum=sum(map(max, per_variable)))
 
 
 def subclause_count(space: SubClauseSpace, a: Assignment) -> int:
@@ -72,6 +78,14 @@ def _prefer(tie_break: str) -> bool:
     return tie_break == "true"
 
 
+def _by_polarity(n: int, score, prefer_true: bool) -> Assignment:
+    """For each variable the literal with the higher score, ties to the
+    preferred polarity. score holds one value per literal code."""
+    wins = operator.ge if prefer_true else operator.gt
+    return frozenset(pos if wins(score[pos], score[pos + 1]) else pos + 1
+                     for pos in range(0, 2 * n, 2))
+
+
 def generate_heuristic(space: SubClauseSpace, kind: str, tie_break: str = "true") -> Assignment:
     """One literal per variable by comparing created/solved sub-clause counts.
 
@@ -82,28 +96,10 @@ def generate_heuristic(space: SubClauseSpace, kind: str, tie_break: str = "true"
     if kind not in HEURISTICS:
         raise ValueError(f"unknown heuristic {kind!r}, expected one of {HEURISTICS}")
     prefer_true = _prefer(tie_break)
-    chosen = []
-    for v in range(space.n):
-        pos, neg = make_literal(v), make_literal(v, True)
-        created_pos = len(space.created_by[pos])
-        created_neg = len(space.created_by[neg])
-        solve_pos = len(space.containing[pos])
-        solve_neg = len(space.containing[neg])
-        if kind == "minCreate":
-            score_pos, score_neg = -created_pos, -created_neg
-        elif kind == "maxCreate":
-            score_pos, score_neg = created_pos, created_neg
-        elif kind == "maxSolve":
-            score_pos, score_neg = solve_pos, solve_neg
-        else:  # minCreateMaxSolve
-            score_pos, score_neg = solve_pos - created_pos, solve_neg - created_neg
-        if score_pos > score_neg:
-            chosen.append(pos)
-        elif score_neg > score_pos:
-            chosen.append(neg)
-        else:
-            chosen.append(pos if prefer_true else neg)
-    return frozenset(chosen)
+    created_weight, solved_weight = _WEIGHTS[kind]
+    score = [created_weight * len(created) + solved_weight * len(solved)
+             for created, solved in zip(space.created_by, space.containing)]
+    return _by_polarity(space.n, score, prefer_true)
 
 
 def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) -> Assignment:
@@ -119,14 +115,7 @@ def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) 
     occurrences = f.occurrences()
     counts = [len(cids) for cids in occurrences]
     if not dynamic:
-        out = []
-        for v in range(f.n):
-            pos, neg = make_literal(v), make_literal(v, True)
-            if counts[pos] != counts[neg]:
-                out.append(pos if counts[pos] > counts[neg] else neg)
-            else:
-                out.append(pos if prefer_true else neg)
-        return frozenset(out)
+        return _by_polarity(f.n, counts, prefer_true)
 
     # Each step fixes the literal with the largest key (count, preferred, -v).
     # The heap holds negated keys with lazy deletion: an entry is dropped when
@@ -195,7 +184,6 @@ def unsolved_curve(space: SubClauseSpace, a: Assignment, order) -> CurveSeries:
     if len(order) != len(a) or set(order) != set(a):
         raise ValueError("order must be a permutation of the assignment")
     activated: set[int] = set()
-    solved: set[int] = set()
     open_ids: set[int] = set()
     assigned: set[int] = set()
     steps = []
@@ -203,22 +191,18 @@ def unsolved_curve(space: SubClauseSpace, a: Assignment, order) -> CurveSeries:
         assigned.add(lit)
         # The new literal solves any open sub-clause containing it, and
         # activates its created sub-clauses (solved immediately when one of
-        # their literals is already assigned).
-        for sid in space.containing[lit]:
-            if sid in open_ids:
-                open_ids.discard(sid)
-                solved.add(sid)
+        # their literals is already assigned). Every activated sub-clause is
+        # either open or solved.
+        open_ids.difference_update(space.containing[lit])
         for sid in space.created_by[lit]:
             if sid in activated:
                 continue
             activated.add(sid)
             p, q = space.pairs[sid]
-            if p in assigned or q in assigned:
-                solved.add(sid)
-            else:
+            if p not in assigned and q not in assigned:
                 open_ids.add(sid)
-        steps.append(CurveStep(step, lit, len(activated), len(solved),
-                               len(activated) - len(solved)))
+        steps.append(CurveStep(step, lit, len(activated), len(activated) - len(open_ids),
+                               len(open_ids)))
     if not steps:
         return CurveSeries(steps=(), inflection=0)
     peak = max(s.open for s in steps)

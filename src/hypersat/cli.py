@@ -18,12 +18,12 @@ from .assignments import (MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS, consumption_
                           excluded_literals, subclause_count, subclause_total, thresholds,
                           unsolved_curve)
 from .dimacs import DimacsError, emit_dimacs, literal_to_dimacs, parse_dimacs
-from .formula import (Assignment, Formula, GuardrailError, check_consistent, evaluate,
-                      literal_str, make_literal, parse_literal, random_formula, var_of)
+from .formula import (Assignment, Formula, GuardrailError, assignment_json, check_consistent,
+                      evaluate, literal_str, make_literal, parse_literal, random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_json,
                          export_dot, find_contradictions, merge_active)
 from .reduction import assignment_satisfies_2sat, reduce_to_2sat, solve_2sat
-from .subclauses import build_space, interaction_matrix, space_census
+from .subclauses import build_space, interaction_matrix, literal_columns, space_census
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,10 +97,6 @@ def parse_assignment(text: str, n: int) -> Assignment:
     return check_consistent(literals)
 
 
-def assignment_json(a: Assignment) -> list[str]:
-    return [literal_str(lit) for lit in sorted(a, key=var_of)]
-
-
 def instance_filename(n: int, r: float, seed: int) -> str:
     r_text = f"{r:g}".replace(".", "p")
     return f"k3_n{n}_r{r_text}_s{seed}.cnf"
@@ -108,11 +104,11 @@ def instance_filename(n: int, r: float, seed: int) -> str:
 
 def cmd_gen(args) -> int:
     directory = args.out_dir or out_dir()
-    os.makedirs(directory, exist_ok=True)
-    seeds = range(args.seed, args.seed + args.count)
     files = []
-    for seed in seeds:
+    for seed in range(args.seed, args.seed + args.count):
         f = random_formula(args.n, args.r, seed)
+        if not files:   # after the first draw, so a refused instance leaves no directory
+            os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, instance_filename(args.n, args.r, seed))
         write_atomic(path, emit_dimacs(f, comment=f"n={args.n} r={args.r} seed={seed}"))
         files.append(path)
@@ -125,7 +121,7 @@ def cmd_analyze(args) -> int:
     report: dict = {"input": label, "n": f.n, "m": f.m, "ratio": f.ratio}
     space = build_space(f)
     occurrences = f.occurrences()
-    all_literals = [lit for v in range(f.n) for lit in (make_literal(v, True), make_literal(v))]
+    all_literals = literal_columns(f.n)
     report["satisfied"] = {literal_str(lit): occurrences[lit] for lit in all_literals}
     report["subclauses"] = [
         {"id": sid, "literals": [literal_str(x) for x in space.pairs[sid]],
@@ -189,8 +185,8 @@ def cmd_assign(args) -> int:
         exclusion = excluded_literals(space, a)
         payload["exclusion"] = {
             "unsolved_subclauses": sorted(exclusion.unsolved),
-            "excluded": [literal_str(x) for x in sorted(exclusion.excluded, key=var_of)],
-            "allowed": [literal_str(x) for x in sorted(exclusion.allowed, key=var_of)],
+            "excluded": assignment_json(exclusion.excluded),
+            "allowed": assignment_json(exclusion.allowed),
         }
     emit(args, dump_json(payload))
     return EXIT_OK

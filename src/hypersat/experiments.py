@@ -19,7 +19,9 @@ EXPERIMENT_MAX_VARS = 2000
 GENERATORS = HEURISTICS + ("greedy", "greedyDynamic", "random")
 
 # Order in which generators are tried when hunting for satisfying assignments.
-SATISFYING_POOL = ("minCreate", "minCreateMaxSolve", "maxSolve", "greedy", "greedyDynamic")
+# "greedy" is left out: random_formula never repeats a clause, and without a
+# repeated clause static greedy picks what minCreate picks, which was tried first.
+SATISFYING_POOL = ("minCreate", "minCreateMaxSolve", "maxSolve", "greedyDynamic")
 
 
 def generate_assignment(name: str, f: Formula, space: SubClauseSpace,

@@ -126,6 +126,11 @@ def check_consistent(literals) -> Assignment:
     return a
 
 
+def assignment_json(literals) -> list[str]:
+    """The literals as strings, ascending by variable (one literal per variable)."""
+    return [literal_str(lit) for lit in sorted(literals, key=var_of)]
+
+
 @dataclass(frozen=True)
 class EvalReport:
     satisfied_count: int

@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass, field
 
 from .assignments import random_assignment, subclause_count, subclause_total, thresholds
-from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, literal_str,
-                      random_formula, solve_exhaustive, var_of)
+from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, assignment_json,
+                      random_formula, solve_exhaustive)
 from .hypernodal import build_hypernodal, find_contradictions
 from .reduction import (HypothesisError, TwoSatFormula, assignment_satisfies_2sat,
                         reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)
@@ -31,6 +31,10 @@ from .subclauses import build_space, space_census
 
 # Reproducers a report keeps; falsifications past these are only counted.
 MAX_FAILURES = 10
+# Oracle solutions `theorem` checks per instance, and random non-satisfying
+# assignments `corollary1` checks per instance.
+SOLUTIONS_PER_INSTANCE = 10
+ASSIGNMENTS_PER_INSTANCE = 10
 
 
 @dataclass
@@ -54,8 +58,7 @@ class SuiteReport:
             return
         self.falsifications += 1
         if len(self.failures) < MAX_FAILURES:
-            literals = None if assignment is None else [
-                literal_str(lit) for lit in sorted(assignment, key=var_of)]
+            literals = None if assignment is None else assignment_json(assignment)
             self.failures.append({"suite": self.suite, "seed": seed, "instance": instance,
                                   "n": n, "r": r, "assignment": literals})
 
@@ -96,13 +99,13 @@ def _instances(rng: random.Random, count: int, n_range: tuple[int, int],
 
 
 def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
-                  r: float = 4.25, seed: int = 1, cap: int = 10) -> SuiteReport:
+                  r: float = 4.25, seed: int = 1) -> SuiteReport:
     """Every oracle-found satisfying assignment must satisfy the 2-SAT
     formula it induces."""
     _check_n(n_range[1])
     report = SuiteReport("theorem", instances)
     for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
-        solutions = solve_exhaustive(f, cap=cap)
+        solutions = solve_exhaustive(f, cap=SOLUTIONS_PER_INSTANCE)
         if not solutions:
             report.skipped += 1
             continue
@@ -114,8 +117,7 @@ def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
 
 
 def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
-                     r: float = 4.25, seed: int = 1,
-                     assignments_per_instance: int = 10) -> SuiteReport:
+                     r: float = 4.25, seed: int = 1) -> SuiteReport:
     """Every complete non-satisfying assignment must leave an activated
     sub-clause unsolved."""
     _check_n(n_range[1])
@@ -125,7 +127,7 @@ def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
     for i, n, r, f_seed, f in _instances(rng, instances, n_range, (r,), seed, sizes_first=True):
         space = build_space(f)
         produced = attempt = 0
-        while produced < assignments_per_instance and attempt < 50 * assignments_per_instance:
+        while produced < ASSIGNMENTS_PER_INSTANCE and attempt < 50 * ASSIGNMENTS_PER_INSTANCE:
             attempt += 1
             a = random_assignment(n, seed=rng.getrandbits(32))
             try:

@@ -3,12 +3,14 @@ import statistics
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersat import (build_space, consumption_rate, evaluate, excluded_literals,
                       formula, generate_greedy, generate_heuristic, literal_str,
                       make_literal, parse_literal, random_assignment, random_formula,
                       solve_exhaustive, subclause_count, subclause_total, thresholds,
                       unsolved_curve)
+from hypersat.assignments import HEURISTICS
 from hypersat.formula import var_of
 
 from conftest import clause, formulas, lits
@@ -148,6 +150,82 @@ def test_greedy_dynamic_matches_scan_oracle(f):
             greedy_dynamic_scan(f, tie_break)
 
 
+def heuristic_by_kind(space, kind, tie_break):
+    """The per-variable comparison of created/solved counts, one branch per
+    heuristic, that the shared polarity rule replaced; kept as its oracle."""
+    prefer_true = tie_break == "true"
+    chosen = []
+    for v in range(space.n):
+        pos, neg = make_literal(v), make_literal(v, True)
+        created_pos = len(space.created_by[pos])
+        created_neg = len(space.created_by[neg])
+        solve_pos = len(space.containing[pos])
+        solve_neg = len(space.containing[neg])
+        if kind == "minCreate":
+            score_pos, score_neg = -created_pos, -created_neg
+        elif kind == "maxCreate":
+            score_pos, score_neg = created_pos, created_neg
+        elif kind == "maxSolve":
+            score_pos, score_neg = solve_pos, solve_neg
+        else:  # minCreateMaxSolve
+            score_pos, score_neg = solve_pos - created_pos, solve_neg - created_neg
+        if score_pos > score_neg:
+            chosen.append(pos)
+        elif score_neg > score_pos:
+            chosen.append(neg)
+        else:
+            chosen.append(pos if prefer_true else neg)
+    return frozenset(chosen)
+
+
+def greedy_static_loop(f, tie_break):
+    """Static greedy as its own loop over clause-occurrence counts; the oracle
+    of generate_greedy(dynamic=False)."""
+    prefer_true = tie_break == "true"
+    counts = [len(cids) for cids in f.occurrences()]
+    out = []
+    for v in range(f.n):
+        pos, neg = make_literal(v), make_literal(v, True)
+        if counts[pos] != counts[neg]:
+            out.append(pos if counts[pos] > counts[neg] else neg)
+        else:
+            out.append(pos if prefer_true else neg)
+    return frozenset(out)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 60), ratios=(1, 2.5, 4.25, 6)))
+def test_polarity_rule_matches_the_per_generator_oracles(f):
+    space = build_space(f)
+    for tie_break in ("true", "false"):
+        for kind in HEURISTICS:
+            assert generate_heuristic(space, kind, tie_break) == \
+                heuristic_by_kind(space, kind, tie_break)
+        assert generate_greedy(f, tie_break) == greedy_static_loop(f, tie_break)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(4, 80), st.sampled_from((1, 2.5, 4.25, 6)), st.integers(0, 2**30))
+def test_static_greedy_is_min_create_without_repeated_clauses(n, r, seed):
+    # A literal creates one sub-clause per distinct clause holding its
+    # negation, so fewest created is most clauses satisfied.
+    f = random_formula(n, r, seed)
+    space = build_space(f)
+    for tie_break in ("true", "false"):
+        assert generate_greedy(f, tie_break) == generate_heuristic(space, "minCreate", tie_break)
+
+
+def test_static_greedy_counts_a_repeated_clause_that_min_create_does_not():
+    # x0 holds three copies of one clause, -x0 two distinct clauses: greedy
+    # counts 3 > 2 for x0, but x0 creates 2 sub-clauses and -x0 only 1. This
+    # is why "greedy" stays a generator of its own for DIMACS input.
+    f = formula(3, [clause("x0 x1 x2")] * 3 + [clause("-x0 x1 x2"), clause("-x0 -x1 x2")])
+    space = build_space(f)
+    for tie_break in ("true", "false"):
+        assert parse_literal("x0") in generate_greedy(f, tie_break)
+        assert parse_literal("-x0") in generate_heuristic(space, "minCreate", tie_break)
+
+
 def test_random_assignment_deterministic():
     assert random_assignment(50, seed=9) == random_assignment(50, seed=9)
     assert random_assignment(0, seed=9) == frozenset()
@@ -176,6 +254,43 @@ def curve_oracle(space, order):
                      if set(space.pairs[sid]) & prefix}
         out.append((len(activated), len(satisfied)))
     return out
+
+
+def unsolved_curve_sets(space, order):
+    """(activated, satisfied, open) per step from separate activated, solved,
+    open and assigned sets, the bookkeeping unsolved_curve had before it
+    derived solved as activated minus open; kept as its oracle."""
+    activated, solved, open_ids, assigned = set(), set(), set(), set()
+    out = []
+    for lit in order:
+        assigned.add(lit)
+        for sid in space.containing[lit]:
+            if sid in open_ids:
+                open_ids.discard(sid)
+                solved.add(sid)
+        for sid in space.created_by[lit]:
+            if sid in activated:
+                continue
+            activated.add(sid)
+            p, q = space.pairs[sid]
+            if p in assigned or q in assigned:
+                solved.add(sid)
+            else:
+                open_ids.add(sid)
+        out.append((len(activated), len(solved), len(activated) - len(solved)))
+    return out
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 40), ratios=(1, 2.5, 4.25, 6)), st.randoms(use_true_random=False))
+def test_unsolved_curve_matches_the_four_set_oracle(f, rng):
+    space = build_space(f)
+    a = random_assignment(f.n, seed=rng.getrandbits(30))
+    order = sorted(a, key=var_of)
+    rng.shuffle(order)
+    curve = unsolved_curve(space, a, order)
+    assert [(s.activated, s.satisfied, s.open) for s in curve.steps] == \
+        unsolved_curve_sets(space, order)
 
 
 def test_unsolved_curve_f3(f3_space):

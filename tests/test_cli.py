@@ -52,6 +52,7 @@ OUT_OF_RANGE = [
     ("experiment", "--r", "inf"),
     ("experiment", "--count", "-1"),
     ("experiment", "--curve", "--instances", "-2"),
+    ("gen", "--n", "5", "--r", "-1", "--out-dir", "new"),
 ]
 
 
@@ -130,12 +131,25 @@ PINNED_STDOUT = [
      "621c43b71cda37fe"),
     (("reduce", "--gen", "200,4.25,1"), "3e1d35483fb9cfd1"),
     (("export", "--gen", "30,4.25,2", "--expand", "-x0"), "29a3c655b6190789"),
-    (("experiment", "--curve", "--instances", "3"), "335b6bd56d12da73"),
+    (("experiment", "--curve", "--instances", "3"), "f44ca83c4ba4a72e"),
     (("verify",), "a867a33ffb3db046"),
     # n > 21 takes random_formula's rejection branch (SAMPLE_POOL_MAX).
     (("verify", "--n-range", "6..24", "--instances", "200", "--seed", "9"), "3663a472ce610fba"),
     (("experiment", "--count", "3", "--with-curves"), "19a38b52bb892681"),
-]
+] + [  # the other deterministic generators, both tie-breaks, same instance
+    (("assign", "--gen", "200,2.5,3", "--heuristic", heuristic, "--tie-break", tie_break),
+     expected) for heuristic, tie_break, expected in [
+    ("minCreate", "true", "0c60e52059538411"),
+    ("minCreate", "false", "b26efd341d6c5c7c"),
+    ("minCreateMaxSolve", "true", "e468c64d67b575f9"),
+    ("minCreateMaxSolve", "false", "bd69b3ae6b6c57bb"),
+    ("maxSolve", "true", "3ca3706a87cb02b9"),
+    ("maxSolve", "false", "5de57d32cd643302"),
+    ("maxCreate", "true", "c49a2a55fc3b2d39"),
+    ("maxCreate", "false", "b986592e41565e93"),
+    ("greedy", "true", "2cc898e66d06f23e"),
+    ("greedy", "false", "37f548b351b64769"),
+]]
 
 
 @pytest.mark.parametrize("argv,expected", PINNED_STDOUT,

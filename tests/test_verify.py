@@ -23,7 +23,7 @@ def test_suite_runs_clean_through_the_common_signature(name):
 def test_suites_share_one_signature():
     for suite in verify.SUITES.values():
         params = list(inspect.signature(suite).parameters)
-        assert params[:4] == ["instances", "n_range", "r", "seed"]
+        assert params == ["instances", "n_range", "r", "seed"]
 
 
 def test_suites_are_deterministic_per_seed():
@@ -60,8 +60,8 @@ def falsify_corollary1(monkeypatch, calls):
 
 def test_falsification_carries_a_reproducer(monkeypatch):
     seen = falsify_corollary1(monkeypatch, calls=4)
-    report = verify.corollary1_suite(instances=3, n_range=(6, 8), r=4.25, seed=5,
-                                     assignments_per_instance=2)
+    monkeypatch.setattr(verify, "ASSIGNMENTS_PER_INSTANCE", 2)
+    report = verify.corollary1_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
     assert report.falsifications == 3 and not report.ok
     assert len(report.failures) == 3
     first = report.failures[0]
