@@ -14,7 +14,7 @@ from .formula import (Assignment, Clause, EvalReport, Formula, GuardrailError, L
 from .hypernodal import (ExpansionTree, HypernodalGraph, ImplicationGraph, build_hypernodal,
                          expand_literal, expansion_to_json, export_dot, find_contradictions,
                          merge_active)
-from .reduction import (Decomposition, HypothesisError, TwoSatFormula, TwoSatResult,
+from .reduction import (Decomposition, HypothesisError, TwoSatResult,
                         assignment_satisfies_2sat, decompose, reduce_to_2sat, solve_2sat,
                         verify_corollary1, verify_theorem)
 from .subclauses import (InteractionMatrix, SubClauseSpace, build_space,

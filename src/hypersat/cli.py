@@ -22,7 +22,7 @@ from .formula import (Assignment, Formula, GuardrailError, assignment_json, chec
                       evaluate, literal_str, make_literal, parse_literal, random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_json,
                          export_dot, find_contradictions, merge_active)
-from .reduction import assignment_satisfies_2sat, reduce_to_2sat, solve_2sat
+from .reduction import assignment_satisfies_2sat, provenance, reduce_to_2sat, solve_2sat
 from .subclauses import build_space, interaction_matrix, literal_columns, space_census
 
 EXIT_OK = 0
@@ -213,14 +213,14 @@ def cmd_reduce(args) -> int:
     }
     if args.out_base:
         cnf_path = args.out_base + ".cnf"
-        write_atomic(cnf_path, emit_dimacs(t.to_formula(), comment="2-sat reduction"))
-        provenance = {
+        write_atomic(cnf_path, emit_dimacs(t, comment="2-sat reduction"))
+        sidecar = {
             " ".join(str(literal_to_dimacs(x)) for x in pair): [
                 {"creator": literal_str(creator), "parent_clause": parent}
                 for creator, parent in events]
-            for pair, events in t.provenance.items()}
+            for pair, events in provenance(space, f, a).items()}
         sidecar_path = args.out_base + ".provenance.json"
-        write_atomic(sidecar_path, dump_json(provenance))
+        write_atomic(sidecar_path, dump_json(sidecar))
         payload["files"] = [cnf_path, sidecar_path]
     sys.stdout.write(dump_json(payload))
     return EXIT_OK

@@ -4,7 +4,6 @@ and the unsolved-sub-clause curve with its inflection step.
 
 from __future__ import annotations
 
-import random
 import statistics
 from dataclasses import dataclass, field
 

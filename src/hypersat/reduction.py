@@ -25,46 +25,35 @@ class HypothesisError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class TwoSatFormula:
-    """Width-2 formula with provenance back to the creating literal and
-    parent 3-clause of every clause."""
-
-    n: int
-    clauses: tuple[Pair, ...]
-    provenance: dict[Pair, tuple[tuple[Literal, int], ...]]
-
-    @classmethod
-    def from_formula(cls, f: Formula) -> TwoSatFormula:
-        """A width-2 formula as it stands, with no provenance."""
-        if f.width != 2:
-            raise ValueError(f"expected a width-2 formula, got width {f.width}")
-        return cls(n=f.n, clauses=f.clauses, provenance={c: () for c in f.clauses})
-
-    @property
-    def m(self) -> int:
-        return len(self.clauses)
-
-    def to_formula(self) -> Formula:
-        return Formula(n=self.n, clauses=self.clauses, width=2)
-
-
-def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> TwoSatFormula:
-    """Conjunction of the sub-clauses activated by each assigned literal."""
+def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> Formula:
+    """Conjunction of the sub-clauses activated by each assigned literal, as a
+    width-2 formula over f's variables in ascending sub-clause id order."""
     a = check_consistent(a)
     ids = sorted(space.activated(a))
-    clauses = []
-    provenance: dict[Pair, tuple[tuple[Literal, int], ...]] = {}
-    for sid in ids:
+    return Formula(n=f.n, clauses=tuple(space.pairs[sid] for sid in ids), width=2)
+
+
+def provenance(space: SubClauseSpace, f: Formula,
+               a: Assignment) -> dict[Pair, tuple[tuple[Literal, int], ...]]:
+    """Each clause of reduce_to_2sat(space, f, a), in its order, mapped to the
+    (creator, parent clause) events that activate it under a. Asserts that
+    each clause is its parent minus the negation of its creator."""
+    a = check_consistent(a)
+    out = {}
+    for sid in sorted(space.activated(a)):
         pair = space.pairs[sid]
         events = tuple((creator, parent) for creator, parent in space.events_of(sid)
                        if creator in a)
         for creator, parent in events:
             # Soundness: the sub-clause is its parent minus the creator's negation.
             assert set(pair) == set(f.clauses[parent]) - {negate(creator)}
-        clauses.append(pair)
-        provenance[pair] = events
-    return TwoSatFormula(n=f.n, clauses=tuple(clauses), provenance=provenance)
+        out[pair] = events
+    return out
+
+
+def _require_width_2(t: Formula) -> None:
+    if t.width != 2:
+        raise ValueError(f"expected a width-2 formula, got width {t.width}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +63,12 @@ class TwoSatResult:
     witness_variable: int | None = None   # variable whose two literals share an SCC
 
 
-def solve_2sat(t: TwoSatFormula) -> TwoSatResult:
-    """Decide satisfiability via strongly connected components of the
-    implication graph; unsatisfiable iff some variable's two literals are
-    mutually reachable. A returned assignment is re-checked against t."""
+def solve_2sat(t: Formula) -> TwoSatResult:
+    """Decide satisfiability of a width-2 formula via strongly connected
+    components of the implication graph; unsatisfiable iff some variable's two
+    literals are mutually reachable. A returned assignment is re-checked
+    against t."""
+    _require_width_2(t)
     comp = component_ids(implication_adjacency(t.n, t.clauses))
     for v in range(t.n):
         if comp[make_literal(v)] == comp[make_literal(v, True)]:
@@ -94,8 +85,10 @@ def solve_2sat(t: TwoSatFormula) -> TwoSatResult:
     return TwoSatResult(satisfiable=True, assignment=assignment)
 
 
-def assignment_satisfies_2sat(t: TwoSatFormula, a: Assignment) -> list[Pair]:
-    """Clause-by-clause check; returns the violated clauses (empty = holds)."""
+def assignment_satisfies_2sat(t: Formula, a: Assignment) -> list[Pair]:
+    """Clause-by-clause check of a width-2 formula; returns the violated
+    clauses (empty = holds)."""
+    _require_width_2(t)
     a = check_consistent(a)
     return [pair for pair in t.clauses if pair[0] not in a and pair[1] not in a]
 
@@ -117,7 +110,7 @@ def verify_theorem(f: Formula, a: Assignment, space: SubClauseSpace) -> TheoremC
         raise HypothesisError("assignment does not satisfy the formula")
     t = reduce_to_2sat(space, f, a)
     violated = tuple(assignment_satisfies_2sat(t, a))
-    checked = sum(len(events) for events in t.provenance.values())
+    checked = sum(len(events) for events in provenance(space, f, a).values())
     return TheoremCertificate(holds=not violated, t_clause_count=t.m,
                               violated=violated, provenance_checked=checked)
 

@@ -24,8 +24,8 @@ from .assignments import random_assignment, subclause_count, subclause_total, th
 from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, assignment_json,
                       random_formula, solve_exhaustive)
 from .hypernodal import build_hypernodal, find_contradictions
-from .reduction import (HypothesisError, TwoSatFormula, assignment_satisfies_2sat,
-                        reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)
+from .reduction import (HypothesisError, assignment_satisfies_2sat, reduce_to_2sat,
+                        solve_2sat, verify_corollary1, verify_theorem)
 from .subclauses import build_space, space_census
 
 
@@ -153,10 +153,9 @@ def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12)
     for i, n, f_ratio, f_seed, f in _instances(random.Random(seed), instances,
                                                (2, min(n_range[1], 12)),
                                                (0.8, 1.0, 1.5, 2.0), seed, k=2):
-        t = TwoSatFormula.from_formula(f)
-        verdict = solve_2sat(t)
+        verdict = solve_2sat(f)
         oracle_sat = bool(solve_exhaustive(f, cap=1))
-        violated = verdict.satisfiable and assignment_satisfies_2sat(t, verdict.assignment)
+        violated = verdict.satisfiable and assignment_satisfies_2sat(f, verdict.assignment)
         report.record(verdict.satisfiable == oracle_sat and not violated,
                       f_seed, i, n, f_ratio, verdict.assignment)
         report.details["satisfiable_instances"] += verdict.satisfiable and oracle_sat

@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "Assignment", "Clause", "CurveSeries", "Decomposition", "DimacsError", "EvalReport",
     "ExclusionReport", "ExpansionTree", "Formula", "GuardrailError", "HypernodalGraph",
     "HypothesisError", "ImplicationGraph", "InteractionMatrix", "Literal", "SubClauseSpace",
-    "Thresholds", "TwoSatFormula", "TwoSatResult", "assignment_satisfies_2sat",
+    "Thresholds", "TwoSatResult", "assignment_satisfies_2sat",
     "build_hypernodal", "build_space", "check_consistent", "consumption_rate", "decompose",
     "emit_dimacs", "evaluate", "excluded_literals", "expand_literal", "expansion_to_json",
     "export_dot", "find_contradictions", "formula", "generate_greedy", "generate_heuristic",

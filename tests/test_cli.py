@@ -4,8 +4,11 @@ import time
 
 import pytest
 
-from hypersat import emit_dimacs, experiments, negate, parse_literal, verify
+from hypersat import (build_space, emit_dimacs, experiments, literal_str, negate,
+                      parse_dimacs, parse_literal, random_formula, reduce_to_2sat, verify)
 from hypersat.assignments import MIN_CREATE_MAX_SOLVE_READING
+from hypersat.dimacs import literal_to_dimacs
+from hypersat.reduction import provenance
 from hypersat.cli import (EXIT_FALSIFIED, EXIT_GUARDRAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                           main)
 
@@ -181,6 +184,51 @@ def test_pinned_file(capsys, tmp_path, argv, expected):
     code, _, _ = run(capsys, *argv, str(target))
     assert code == EXIT_OK
     assert digest(path.read_text()) == expected
+
+
+def test_reduce_out_base_reads_back(capsys, tmp_path):
+    base = tmp_path / "reduced"
+    code, out, _ = run(capsys, "reduce", "--gen", "30,4.25,2", "--out-base", str(base))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    cnf, sidecar = tmp_path / "reduced.cnf", tmp_path / "reduced.provenance.json"
+    assert payload["files"] == [str(cnf), str(sidecar)]
+    f = random_formula(30, 4.25, 2)
+    space = build_space(f)
+    a = frozenset(parse_literal(x) for x in payload["assignment"])
+    t = reduce_to_2sat(space, f, a)
+    assert parse_dimacs(cnf.read_bytes(), width=2) == t
+    assert payload["clauses"] == t.m > 0
+
+    def key(pair):
+        return " ".join(str(literal_to_dimacs(x)) for x in pair)
+
+    # The sidecar is written with sorted keys: one per clause, each once.
+    events = json.loads(sidecar.read_text())
+    assert list(events) == sorted(key(pair) for pair in t.clauses)
+    assert events == {key(pair): [{"creator": literal_str(creator), "parent_clause": parent}
+                                  for creator, parent in pair_events]
+                      for pair, pair_events in provenance(space, f, a).items()}
+
+
+# Commands whose --out takes the place of stdout.
+OUT_COMMANDS = [
+    ("analyze", "--gen", "30,4.25,2"),
+    ("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic"),
+    ("export", "--gen", "30,4.25,2", "--dot"),
+    ("export", "--gen", "30,4.25,2", "--expand", "-x0"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[" ".join(argv) for argv in OUT_COMMANDS])
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, argv):
+    code, expected, _ = run(capsys, *argv)
+    assert code == EXIT_OK and expected
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK
+    assert out == ""
+    assert path.read_text() == expected
 
 
 @pytest.mark.parametrize("command", ["analyze", "reduce", "export"])

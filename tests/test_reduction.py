@@ -2,13 +2,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersat import (Formula, HypothesisError, assignment_satisfies_2sat, build_space,
                       check_consistent, decompose, evaluate, formula, make_literal, negate,
                       parse_literal, random_assignment, random_formula, reduce_to_2sat,
                       solve_2sat, solve_exhaustive, verify_corollary1, verify_theorem)
 from hypersat.formula import var_of
-from hypersat.reduction import TwoSatFormula
+from hypersat.reduction import provenance
 
 from conftest import clause, formulas, lits
 
@@ -24,6 +25,49 @@ def reduce_ksat(f, a):
             if negate(lit) in c:
                 reduced.setdefault(tuple(x for x in c if x != negate(lit)), None)
     return Formula(n=f.n, clauses=tuple(reduced), width=f.width - 1)
+
+
+def reduce_with_provenance(space, f, a):
+    """The eager loop that built the reduction and its provenance together,
+    kept as the reference for reduce_to_2sat and provenance: the activated
+    sub-clauses in ascending id order, each with the events whose creator is
+    assigned."""
+    a = check_consistent(a)
+    clauses = []
+    events_by_pair = {}
+    for sid in sorted(space.activated(a)):
+        pair = space.pairs[sid]
+        events = tuple((creator, parent) for creator, parent in space.events_of(sid)
+                       if creator in a)
+        for creator, parent in events:
+            assert set(pair) == set(f.clauses[parent]) - {negate(creator)}
+        clauses.append(pair)
+        events_by_pair[pair] = events
+    return Formula(n=f.n, clauses=tuple(clauses), width=2), events_by_pair
+
+
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "partial"])
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(f=formulas(n_range=(3, 14), ratios=(1, 2, 4.25)), data=st.data())
+def test_reduce_and_provenance_match_eager_loop(complete, f, data):
+    a = random_assignment(f.n, seed=data.draw(st.integers(0, 2**30)))
+    if not complete:
+        keep = data.draw(st.integers(0, f.n - 1))
+        a = frozenset(random.Random(data.draw(st.integers(0, 2**30))).sample(sorted(a), keep))
+    space = build_space(f)
+    expected, expected_events = reduce_with_provenance(space, f, a)
+    t = reduce_to_2sat(space, f, a)
+    assert t == expected    # same clauses in the same order, width 2
+    events = provenance(space, f, a)
+    assert list(events.items()) == list(expected_events.items())
+    assert list(events) == list(t.clauses)
+
+
+def test_provenance_lists_every_copy_of_a_repeated_clause(f3):
+    f = Formula(n=3, clauses=f3.clauses + (f3.clauses[0],))
+    a = lits("x0", "x1", "x2")
+    events = provenance(build_space(f), f, a)
+    assert events[clause("-x1 -x2")] == ((parse_literal("x0"), 0), (parse_literal("x0"), 7))
 
 
 def test_reduce_satisfying_f3(f3, f3_space):
@@ -58,8 +102,7 @@ def test_reduce_empty_assignment(f3, f3_space):
 
 def test_reduce_provenance(f3, f3_space):
     a = lits("-x0", "-x1", "x2")
-    t = reduce_to_2sat(f3_space, f3, a)
-    for pair, events in t.provenance.items():
+    for pair, events in provenance(f3_space, f3, a).items():
         assert events
         for creator, parent in events:
             assert creator in a
@@ -96,7 +139,7 @@ def test_reduce_ksat_chain_ends_inside_assignment():
             continue
         for a in solutions:
             g2 = reduce_ksat(f, a)
-            assert not assignment_satisfies_2sat(TwoSatFormula.from_formula(g2), a)
+            assert not assignment_satisfies_2sat(g2, a)
             g1 = reduce_ksat(g2, a)
             assert g1.width == 1
             assert all(c[0] in a for c in g1.clauses)
@@ -104,15 +147,15 @@ def test_reduce_ksat_chain_ends_inside_assignment():
 
 
 def test_solve_2sat_forced_literal():
-    t = TwoSatFormula.from_formula(formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2))
+    t = formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2)
     result = solve_2sat(t)
     assert result.satisfiable
     assert parse_literal("x1") in result.assignment
 
 
 def test_solve_2sat_unsat_witness():
-    t = TwoSatFormula.from_formula(formula(2, [clause("x0 x1"), clause("x0 -x1"),
-                                               clause("-x0 x1"), clause("-x0 -x1")], width=2))
+    t = formula(2, [clause("x0 x1"), clause("x0 -x1"), clause("-x0 x1"), clause("-x0 -x1")],
+                width=2)
     result = solve_2sat(t)
     assert not result.satisfiable
     assert result.witness_variable in (0, 1)
@@ -126,13 +169,12 @@ def test_solve_2sat_agrees_with_enumeration():
     for i in range(150):
         n = rng.randint(2, 12)
         f = random_formula(n, ratios[i % 4], seed=rng.getrandbits(30), k=2)
-        t = TwoSatFormula.from_formula(f)
-        verdict = solve_2sat(t)
+        verdict = solve_2sat(f)
         oracle = bool(solve_exhaustive(f, cap=1))
         assert verdict.satisfiable == oracle
         if verdict.satisfiable:
             sat_seen += 1
-            assert assignment_satisfies_2sat(t, verdict.assignment) == []
+            assert assignment_satisfies_2sat(f, verdict.assignment) == []
         else:
             unsat_seen += 1
     assert sat_seen and unsat_seen
@@ -141,24 +183,21 @@ def test_solve_2sat_agrees_with_enumeration():
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(formulas(n_range=(2, 14), ratios=(0.5, 0.8, 1.2, 1.6, 2.0), k=2))
 def test_solve_2sat_agrees_with_oracle_property(f):
-    t = TwoSatFormula.from_formula(f)
-    verdict = solve_2sat(t)
+    verdict = solve_2sat(f)
     assert verdict.satisfiable == bool(solve_exhaustive(f, cap=1))
     if verdict.satisfiable:
-        assert assignment_satisfies_2sat(t, verdict.assignment) == []
+        assert assignment_satisfies_2sat(f, verdict.assignment) == []
 
 
-def test_twosat_from_formula_requires_width_2(f3):
-    g = formula(2, [clause("x0 x1"), clause("-x0 x1")], width=2)
-    t = TwoSatFormula.from_formula(g)
-    assert (t.n, t.clauses) == (g.n, g.clauses)
-    assert t.provenance == {c: () for c in g.clauses}
-    with pytest.raises(ValueError):
-        TwoSatFormula.from_formula(f3)
+def test_twosat_requires_width_2(f3):
+    with pytest.raises(ValueError, match="width 3"):
+        solve_2sat(f3)
+    with pytest.raises(ValueError, match="width 3"):
+        assignment_satisfies_2sat(f3, lits("-x0", "-x1", "x2"))
 
 
 def test_assignment_satisfies_empty():
-    t = TwoSatFormula(n=3, clauses=(), provenance={})
+    t = Formula(n=3, clauses=(), width=2)
     assert assignment_satisfies_2sat(t, lits("x0")) == []
 
 
