@@ -11,7 +11,7 @@ from .formula import (Assignment, Clause, EvalReport, Formula, GuardrailError, L
                       check_consistent, evaluate, formula, literal_str, make_clause,
                       make_literal, negate, parse_literal, random_formula, solve_exhaustive,
                       var_of)
-from .hypernodal import (ExpansionTree, HypernodalGraph, ImplicationGraph, build_hypernodal,
+from .hypernodal import (Expansion, HypernodalGraph, ImplicationGraph, build_hypernodal,
                          expand_literal, expansion_to_json, export_dot, find_contradictions,
                          merge_active)
 from .reduction import (Decomposition, HypothesisError, TwoSatResult,

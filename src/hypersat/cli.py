@@ -1,6 +1,6 @@
 """Command-line surface: instance generation, sub-clause analysis, assignment
 generation, 2-SAT reduction, verification suites, batch experiments and
-graph/expansion exports.
+graph and expansion-graph exports.
 
 Exit codes: 0 success, 2 bad usage or parameters, 3 DIMACS parse error,
 4 size guardrail, 6 claim falsified.
@@ -214,11 +214,12 @@ def cmd_reduce(args) -> int:
     if args.out_base:
         cnf_path = args.out_base + ".cnf"
         write_atomic(cnf_path, emit_dimacs(t, comment="2-sat reduction"))
-        sidecar = {
-            " ".join(str(literal_to_dimacs(x)) for x in pair): [
-                {"creator": literal_str(creator), "parent_clause": parent}
-                for creator, parent in events]
-            for pair, events in provenance(space, f, a).items()}
+        # One entry per line of BASE.cnf, in its order.
+        sidecar = [
+            {"clause": " ".join(str(literal_to_dimacs(x)) for x in pair),
+             "events": [{"creator": literal_str(creator), "parent_clause": parent}
+                        for creator, parent in events]}
+            for pair, events in provenance(space, f, a).items()]
         sidecar_path = args.out_base + ".provenance.json"
         write_atomic(sidecar_path, dump_json(sidecar))
         payload["files"] = [cnf_path, sidecar_path]
@@ -275,10 +276,10 @@ def cmd_export(args) -> int:
         lit = parse_literal(args.expand)
         if var_of(lit) >= f.n:
             raise UsageError(f"--expand {literal_str(lit)} out of range for n={f.n}")
-        if args.depth < 0:
-            raise UsageError("--depth must be >= 0")
-        tree = expand_literal(space, lit, args.depth)
-        text = export_dot(tree) if args.dot else dump_json(expansion_to_json(tree))
+        if args.assignment:
+            raise UsageError("--expand and --assignment cannot be combined")
+        expansion = expand_literal(space, lit, args.depth)
+        text = export_dot(expansion) if args.dot else dump_json(expansion_to_json(expansion))
         emit(args, text)
         return EXIT_OK
     hg = build_hypernodal(space)
@@ -378,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-base", default=None, help="write BASE.json and BASE.csv")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("export", help="DOT graphs and expansion trees")
+    p = sub.add_parser("export", help="DOT graphs and expansion graphs")
     add_input(p)
     p.add_argument("--dot", action="store_true", help="emit DOT")
     p.add_argument("--assignment", default=None, help="merged graph for this assignment")
-    p.add_argument("--expand", default=None, metavar="LIT", help="expansion tree root literal")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--expand", default=None, metavar="LIT", help="expansion graph root literal")
+    p.add_argument("--depth", type=count, default=3)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export)
     return parser

@@ -25,8 +25,8 @@ ORACLE_BLOCK_BITS = 16
 
 
 class GuardrailError(ValueError):
-    """A size guardrail was exceeded (exhaustive oracle, expansion tree,
-    interaction matrix, batch caps)."""
+    """A size guardrail was exceeded (exhaustive oracle, interaction matrix,
+    batch caps)."""
 
 
 def make_literal(var: int, negative: bool = False) -> Literal:

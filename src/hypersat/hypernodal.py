@@ -1,6 +1,6 @@
 """The hypernodal family of implication graphs, merged assignment graphs with
-contradiction detection, strongly connected components and the recursive
-literal expansion.
+contradiction detection, strongly connected components and the expansion
+graph of a literal.
 
 Every sub-clause (l1 v l2) contributes the implications -l1 -> l2 and
 -l2 -> l1 to its creator's graph. Node labels are literals, and each label's
@@ -12,6 +12,12 @@ sub-clauses. The family stores no graphs. `HypernodalGraph` is a view of the
 sub-clause space it came from, and a literal's graph, merge_active(hg, {lit}),
 like an assignment's merged graph, is built on request from the sub-clauses
 it activates.
+
+A literal's expansion is the literal/sub-clause graph it reaches. A node
+contained in a graph that it contains is a cycle there, not an endless
+descent, so the graph has at most 2n literals and |S| sub-clauses; one
+breadth-first search records each once, with the first level it is reached
+at, in time linear in n + |S| at any depth bound.
 """
 
 from __future__ import annotations
@@ -19,16 +25,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .formula import (Assignment, GuardrailError, Literal, check_consistent,
-                      literal_str, make_literal, negate)
-from .subclauses import SubClauseSpace
-
-# Guardrails for expand_literal: literal and sub-clause nodes in the tree, and
-# literal levels. Building, rendering and serializing the tree each recurse once
-# per level, and the JSON encoder three times, so the depth cap keeps all of
-# them inside Python's default recursion limit of 1000 frames.
-EXPANSION_MAX_NODES = 10**6
-EXPANSION_MAX_DEPTH = 200
+from .formula import (Assignment, Literal, check_consistent, literal_str, make_literal,
+                      negate)
+from .subclauses import Pair, SubClauseSpace
 
 Edge = tuple[int, int]
 
@@ -225,106 +224,64 @@ def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionRepo
 
 
 @dataclass(frozen=True)
-class LiteralNode:
-    """One literal in the expansion: the literal conjoined with the expansion
-    of each sub-clause it creates. Leaves cut off by the depth bound are
-    marked truncated rather than dropped."""
-
-    literal: Literal
-    truncated: bool
-    subclauses: tuple["SubClauseNode", ...]
-
-
-@dataclass(frozen=True)
-class SubClauseNode:
+class ExpandedSubClause:
     sid: int
-    left: LiteralNode
-    right: LiteralNode
+    literals: Pair
+    creators: tuple[Literal, ...]   # the expanded literals that create it, in the order reached
 
 
 @dataclass(frozen=True)
-class ExpansionTree:
-    root: LiteralNode
+class Expansion:
+    """The literal/sub-clause graph a literal reaches within a depth bound,
+    each node recorded once. A sub-clause's level is that of creators[0].
+    Unfolding the graph from `root` to `depth` gives the expansion tree: a
+    literal at level d < depth conjoins the sub-clauses it creates, ascending
+    by id, and each of those is the disjunction of its literals at d + 1."""
+
+    root: Literal
     depth: int
-    truncated_leaves: int
+    levels: dict[Literal, int]      # first level of each literal, in the order reached
+    subclauses: tuple[ExpandedSubClause, ...]   # in the order reached
+    truncated: frozenset[Literal]   # first reached at `depth`, creating something
 
 
-def expansion_size(space: SubClauseSpace, lit: Literal, depth: int) -> int:
-    """Literal and sub-clause nodes in expand_literal(space, lit, depth),
-    counted without building the tree, or some number above
-    EXPANSION_MAX_NODES once the count is known to exceed it.
-
-    size[l] is the size of l's tree with k levels left to expand, computed for
-    every literal from k = 0 up: a literal that creates nothing, or has no
-    level left, is one node; otherwise one node plus, per created sub-clause,
-    one node and both literals' trees with k - 1 levels. Each level costs
-    O(n + m). The root's size grows with k until its tree is whole, so the
-    count stops early once it stops growing or passes the cap.
-    """
-    pairs = space.pairs
-    size = [1] * (2 * space.n)
-    for _ in range(depth):
-        previous = size[lit]
-        size = [1 + sum(1 + size[pairs[sid][0]] + size[pairs[sid][1]] for sid in created)
-                for created in space.created_by]
-        if size[lit] == previous or size[lit] > EXPANSION_MAX_NODES:
-            break
-    return size[lit]
-
-
-def expand_literal(space: SubClauseSpace, lit: Literal, depth: int) -> ExpansionTree:
-    """Alternating literal/sub-clause expansion of a literal to a depth bound.
-
-    A literal node at level d < depth expands into the sub-clauses it
-    creates; each sub-clause is the disjunction of two literal nodes one
-    level deeper. Expansions are recursive by nature (a literal can reach
-    itself), so the bound is what terminates them. Refuses trees of more
-    than EXPANSION_MAX_NODES nodes, and trees that still grow past
-    EXPANSION_MAX_DEPTH levels; a larger depth bound is accepted when the
-    tree is whole above it.
-    """
+def expand_literal(space: SubClauseSpace, lit: Literal, depth: int) -> Expansion:
+    """One breadth-first search from `lit` (level 0): a literal first reached
+    at level d < depth is expanded into the sub-clauses it creates, in
+    ascending id order, and each sub-clause reaches its two literals at level
+    d + 1. Each literal and sub-clause is visited once, at any depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    nodes = expansion_size(space, lit, depth)
-    if nodes > EXPANSION_MAX_NODES:
-        raise GuardrailError(f"expansion limited to {EXPANSION_MAX_NODES} nodes; "
-                             f"{literal_str(lit)} to depth {depth} has more")
-    if depth > EXPANSION_MAX_DEPTH and nodes > expansion_size(space, lit, EXPANSION_MAX_DEPTH):
-        raise GuardrailError(f"expansion limited to depth {EXPANSION_MAX_DEPTH}; "
-                             f"{literal_str(lit)} to depth {depth} goes deeper")
-    truncated_count = 0
-
-    def build(node_lit: Literal, level: int) -> LiteralNode:
-        nonlocal truncated_count
-        created = sorted(space.created_by[node_lit])
-        if not created:
-            return LiteralNode(literal=node_lit, truncated=False, subclauses=())
-        if level >= depth:
-            truncated_count += 1
-            return LiteralNode(literal=node_lit, truncated=True, subclauses=())
-        children = []
-        for sid in created:
-            left, right = space.pairs[sid]
-            children.append(SubClauseNode(sid=sid,
-                                          left=build(left, level + 1),
-                                          right=build(right, level + 1)))
-        return LiteralNode(literal=node_lit, truncated=False, subclauses=tuple(children))
-
-    root = build(lit, 0)
-    return ExpansionTree(root=root, depth=depth, truncated_leaves=truncated_count)
+    levels = {lit: 0}
+    creators: dict[int, list[Literal]] = {}
+    queue = [lit]
+    for node in queue:   # the queue grows as literals are reached
+        if levels[node] == depth:
+            continue
+        for sid in sorted(space.created_by[node]):
+            if sid not in creators:
+                creators[sid] = []
+                for child in space.pairs[sid]:
+                    if child not in levels:
+                        levels[child] = levels[node] + 1
+                        queue.append(child)
+            creators[sid].append(node)
+    return Expansion(
+        root=lit, depth=depth, levels=levels,
+        subclauses=tuple(ExpandedSubClause(sid, space.pairs[sid], tuple(by))
+                         for sid, by in creators.items()),
+        truncated=frozenset(node for node, level in levels.items()
+                            if level == depth and space.created_by[node]))
 
 
-def expansion_to_json(tree: ExpansionTree) -> dict:
-    def node_json(node: LiteralNode) -> dict:
-        out: dict = {"literal": literal_str(node.literal)}
-        if node.truncated:
-            out["truncated"] = True
-        out["subclauses"] = [[node_json(sc.left), node_json(sc.right)]
-                             for sc in node.subclauses]
-        return out
-
-    return {"depth": tree.depth, "truncated_leaves": tree.truncated_leaves,
-            "root": node_json(tree.root)}
+def expansion_to_json(expansion: Expansion) -> dict:
+    return {"root": literal_str(expansion.root), "depth": expansion.depth,
+            "levels": {literal_str(lit): level for lit, level in expansion.levels.items()},
+            "truncated": sorted(literal_str(lit) for lit in expansion.truncated),
+            "subclauses": [{"id": sc.sid, "level": expansion.levels[sc.creators[0]],
+                            "literals": [literal_str(x) for x in sc.literals],
+                            "creators": [literal_str(x) for x in sc.creators]}
+                           for sc in expansion.subclauses]}
 
 
 def _quote(name: str) -> str:
@@ -392,37 +349,29 @@ def _dot_merged(g: ImplicationGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_expansion(tree: ExpansionTree) -> str:
+def _dot_expansion(expansion: Expansion) -> str:
     lines = ["digraph expansion {"]
-    counter = 0
-
-    def emit(node: LiteralNode) -> str:
-        nonlocal counter
-        name = f"e{counter}"
-        counter += 1
-        label = literal_str(node.literal) + (" (truncated)" if node.truncated else "")
-        lines.append(f"  {_quote(name)} [label={_quote(label)}];")
-        for sc in node.subclauses:
-            sc_name = f"e{counter}"
-            counter += 1
-            lines.append(f"  {_quote(sc_name)} [label={_quote('s' + str(sc.sid))}, shape=box];")
-            lines.append(f"  {_quote(name)} -> {_quote(sc_name)};")
-            for child in (sc.left, sc.right):
-                lines.append(f"  {_quote(sc_name)} -> {_quote(emit(child))};")
-        return name
-
-    emit(tree.root)
+    for lit in expansion.levels:
+        label = literal_str(lit) + (" (truncated)" if lit in expansion.truncated else "")
+        lines.append(f"  {_quote('l' + str(lit))} [label={_quote(label)}];")
+    for sc in expansion.subclauses:
+        name = _quote("s" + str(sc.sid))
+        lines.append(f"  {name} [label={name}, shape=box];")
+        for creator in sc.creators:
+            lines.append(f"  {_quote('l' + str(creator))} -> {name};")
+        for lit in sc.literals:
+            lines.append(f"  {name} -> {_quote('l' + str(lit))};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_dot(obj) -> str:
     """Render a hypernodal family (two cluster stacks), a merged graph, or an
-    expansion tree as DOT text."""
+    expansion graph as DOT text."""
     if isinstance(obj, HypernodalGraph):
         return _dot_hypernodal(obj)
     if isinstance(obj, ImplicationGraph):
         return _dot_merged(obj)
-    if isinstance(obj, ExpansionTree):
+    if isinstance(obj, Expansion):
         return _dot_expansion(obj)
     raise TypeError(f"cannot export {type(obj).__name__} as DOT")

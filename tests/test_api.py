@@ -6,7 +6,7 @@ import hypersat
 # shows up in the diff of this list.
 PUBLIC_NAMES = [
     "Assignment", "Clause", "CurveSeries", "Decomposition", "DimacsError", "EvalReport",
-    "ExclusionReport", "ExpansionTree", "Formula", "GuardrailError", "HypernodalGraph",
+    "ExclusionReport", "Expansion", "Formula", "GuardrailError", "HypernodalGraph",
     "HypothesisError", "ImplicationGraph", "InteractionMatrix", "Literal", "SubClauseSpace",
     "Thresholds", "TwoSatResult", "assignment_satisfies_2sat",
     "build_hypernodal", "build_space", "check_consistent", "consumption_rate", "decompose",

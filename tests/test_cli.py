@@ -55,6 +55,7 @@ OUT_OF_RANGE = [
     ("experiment", "--r", "inf"),
     ("experiment", "--count", "-1"),
     ("experiment", "--curve", "--instances", "-2"),
+    ("export", "--gen", "5,4.25,1", "--expand", "x0", "--depth", "-1"),
     ("gen", "--n", "5", "--r", "-1", "--out-dir", "new"),
 ]
 
@@ -133,7 +134,7 @@ PINNED_STDOUT = [
     (("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic", "--tie-break", "false"),
      "621c43b71cda37fe"),
     (("reduce", "--gen", "200,4.25,1"), "3e1d35483fb9cfd1"),
-    (("export", "--gen", "30,4.25,2", "--expand", "-x0"), "29a3c655b6190789"),
+    (("export", "--gen", "30,4.25,2", "--expand", "-x0"), "d48236fdafd83d37"),
     (("experiment", "--curve", "--instances", "3"), "f44ca83c4ba4a72e"),
     (("verify",), "a867a33ffb3db046"),
     # n > 21 takes random_formula's rejection branch (SAMPLE_POOL_MAX).
@@ -200,15 +201,16 @@ def test_reduce_out_base_reads_back(capsys, tmp_path):
     assert parse_dimacs(cnf.read_bytes(), width=2) == t
     assert payload["clauses"] == t.m > 0
 
-    def key(pair):
-        return " ".join(str(literal_to_dimacs(x)) for x in pair)
-
-    # The sidecar is written with sorted keys: one per clause, each once.
-    events = json.loads(sidecar.read_text())
-    assert list(events) == sorted(key(pair) for pair in t.clauses)
-    assert events == {key(pair): [{"creator": literal_str(creator), "parent_clause": parent}
-                                  for creator, parent in pair_events]
-                      for pair, pair_events in provenance(space, f, a).items()}
+    # Entry i of the sidecar is line i of the CNF body.
+    lines = [line.removesuffix(" 0") for line in cnf.read_text().splitlines()
+             if line and line[0] not in "cp"]
+    entries = json.loads(sidecar.read_text())
+    assert [entry["clause"] for entry in entries] == lines
+    assert lines == [" ".join(str(literal_to_dimacs(x)) for x in pair) for pair in t.clauses]
+    assert [entry["events"] for entry in entries] == [
+        [{"creator": literal_str(creator), "parent_clause": parent}
+         for creator, parent in pair_events]
+        for pair_events in provenance(space, f, a).values()]
 
 
 # Commands whose --out takes the place of stdout.
@@ -252,6 +254,13 @@ def test_expand_rejects_a_literal_out_of_range(capsys):
     assert out == "" and "x8 out of range" in err
 
 
+def test_expand_refuses_an_assignment(capsys):
+    code, out, err = run(capsys, "export", "--gen", "8,4.25,1", "--expand", "x0",
+                         "--assignment", "x1")
+    assert code == EXIT_USAGE
+    assert out == "" and "--expand" in err and "--assignment" in err
+
+
 @pytest.mark.parametrize("option,value", [("--assign", "-x0,x1"), ("--expand", "-x0"),
                                           ("--exp", "-x0")])
 def test_literal_option_or_abbreviation_may_take_a_negative_literal(capsys, option, value):
@@ -262,7 +271,7 @@ def test_literal_option_or_abbreviation_may_take_a_negative_literal(capsys, opti
     assert code == EXIT_OK
     assert separate == joined
     if option != "--assign":
-        assert json.loads(separate)["root"]["literal"] == "-x0"
+        assert json.loads(separate)["root"] == "-x0"
 
 
 def test_experiment_leaves_unset_sizes_to_each_experiment(capsys, monkeypatch):
@@ -294,14 +303,12 @@ def test_malformed_dimacs_exits_3(capsys, tmp_path):
     assert out == "" and "non-integer token" in err
 
 
-# Inputs past a size guardrail: the oracle cap (n <= 26), the experiment cap
-# (n <= 2000) and the expansion cap (10^6 nodes; depth 7 here would predict
-# 58,661,689).
+# Inputs past a size guardrail: the oracle cap (n <= 26) and the experiment
+# cap (n <= 2000).
 GUARDED = [
     ("verify", "--n-range", "6..27"),
     ("experiment", "--n", "2001"),
     ("experiment", "--curve", "--n", "2001"),
-    ("export", "--gen", "100,4.25,1", "--expand", "x0", "--depth", "7"),
 ]
 
 
@@ -314,16 +321,43 @@ def test_guardrails_exit_4_fast(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
+def check_expansion_output(out, fmt, n):
+    if fmt:
+        check_dot(out)
+    else:
+        payload = json.loads(out)
+        assert len(payload["levels"]) <= 2 * n
+
+
 @pytest.mark.parametrize("fmt", [[], ["--dot"]], ids=["json", "dot"])
 def test_deep_narrow_expansion_never_crashes(capsys, tmp_path, fmt):
-    # Three nodes per level: 6,001 nodes at depth 2000 pass the node cap, and
-    # every level is one more frame of recursion in the build and the output.
+    # Its tree grows by three nodes per level, for ever; its graph is one cycle.
     path = tmp_path / "deep.cnf"
     path.write_text("p cnf 4 2\n-1 2 3 0\n-2 1 4 0\n")
+    start = time.perf_counter()
     code, out, err = run(capsys, "export", str(path), "--expand", "x0", "--depth", "2000", *fmt)
-    assert code in (EXIT_OK, EXIT_GUARDRAIL)
-    if code == EXIT_GUARDRAIL:
-        assert out == "" and err.startswith("error: ")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and err == ""
+    check_expansion_output(out, fmt, 4)
+
+
+# Expansions whose trees would be far too large to build: 58,661,689 nodes at
+# depth 7 on n = 100; at n = 2000 the depth bound is never reached.
+LARGE_EXPANSIONS = [
+    ("--gen", "100,4.25,1", "--expand", "x0", "--depth", "7"),
+    ("--gen", "2000,4.25,1", "--expand", "x0", "--depth", "1000000000"),
+]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--dot"]], ids=["json", "dot"])
+@pytest.mark.parametrize("argv", LARGE_EXPANSIONS,
+                         ids=[" ".join(argv) for argv in LARGE_EXPANSIONS])
+def test_large_expansion_exits_0_fast(capsys, argv, fmt):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "export", *argv, *fmt)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and err == ""
+    check_expansion_output(out, fmt, int(argv[1].split(",")[0]))
 
 
 def test_matrix_guardrail_leaves_no_file(capsys, tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,8 @@ from hypersat import (ImplicationGraph, build_hypernodal, build_space, evaluate,
                       expand_literal, expansion_to_json, export_dot, find_contradictions,
                       formula, make_literal, merge_active, negate, parse_literal,
                       random_assignment, random_formula, reduce_to_2sat)
-from hypersat.formula import GuardrailError, literal_str, var_of
-from hypersat.hypernodal import (EXPANSION_MAX_DEPTH, EXPANSION_MAX_NODES, ExpansionTree,
-                                 LiteralNode, expansion_size, implication_adjacency, tarjan_scc)
+from hypersat.formula import literal_str, var_of
+from hypersat.hypernodal import implication_adjacency, tarjan_scc
 
 from conftest import clause, formulas, lits
 
@@ -334,39 +334,86 @@ def test_find_contradictions_reports_are_pinned():
     assert h.hexdigest()[:16] == "68fab93b5e82cbc5"
 
 
+def expand_tree(space, lit, depth, level=0):
+    """The recursive builder expand_literal replaced, kept as its reference:
+    the expansion tree of lit to depth as nested (literal, truncated,
+    ((sid, left, right), ...)) tuples. A literal that creates sub-clauses
+    conjoins them, ascending by id, below depth and is marked truncated at
+    depth; one that creates none is a leaf."""
+    created = sorted(space.created_by[lit])
+    if not created:
+        return (lit, False, ())
+    if level >= depth:
+        return (lit, True, ())
+    return (lit, False, tuple((sid, expand_tree(space, space.pairs[sid][0], depth, level + 1),
+                               expand_tree(space, space.pairs[sid][1], depth, level + 1))
+                              for sid in created))
+
+
+def unfold(expansion):
+    """The expansion tree read back from an Expansion alone, in expand_tree's
+    form."""
+    created = {}
+    for sc in expansion.subclauses:
+        for creator in sc.creators:
+            created.setdefault(creator, []).append(sc)
+
+    def node(lit, level):
+        if level >= expansion.depth:
+            return (lit, lit in expansion.truncated or lit in created, ())
+        return (lit, False, tuple((sc.sid, node(sc.literals[0], level + 1),
+                                   node(sc.literals[1], level + 1))
+                                  for sc in sorted(created.get(lit, ()), key=lambda sc: sc.sid)))
+
+    return node(expansion.root, 0)
+
+
+def tree_nodes(tree, level=0):
+    """(literal or sub-clause id, level, parent literal) for every node of a
+    tree in expand_tree's form; a sub-clause has its parent's level."""
+    lit, _, children = tree
+    yield ("literal", lit), level, None
+    for sid, left, right in children:
+        yield ("subclause", sid), level, lit
+        yield from tree_nodes(left, level + 1)
+        yield from tree_nodes(right, level + 1)
+
+
+def expansion_nodes(expansion):
+    """The same view of an Expansion: each node with its first level and the
+    literals it is expanded from."""
+    nodes = {("literal", lit): (level, set()) for lit, level in expansion.levels.items()}
+    nodes.update({("subclause", sc.sid): (expansion.levels[sc.creators[0]], set(sc.creators))
+                  for sc in expansion.subclauses})
+    return nodes
+
+
 def test_expand_depth_zero(f3_space):
-    tree = expand_literal(f3_space, parse_literal("x0"), 0)
-    assert tree.root.truncated
-    assert tree.root.subclauses == ()
-    assert tree.truncated_leaves == 1
+    expansion = expand_literal(f3_space, parse_literal("x0"), 0)
+    assert expansion.levels == {parse_literal("x0"): 0}
+    assert expansion.subclauses == ()
+    assert expansion.truncated == lits("x0")
 
 
 def test_expand_depth_zero_no_creations():
     f = formula(4, [clause("x0 x1 x2")])
     space = build_space(f)
-    tree = expand_literal(space, parse_literal("x3"), 0)
-    assert not tree.root.truncated
-    assert tree.truncated_leaves == 0
+    expansion = expand_literal(space, parse_literal("x3"), 0)
+    assert expansion.levels == {parse_literal("x3"): 0}
+    assert expansion.truncated == frozenset()
 
 
 def test_expand_f3_depth_one(f3_space, to_paper):
-    tree = expand_literal(f3_space, parse_literal("x0"), 1)
-    assert not tree.root.truncated
-    sids = [sc.sid for sc in tree.root.subclauses]
-    assert to_paper(sids) == [8, 9, 10, 11]
-    for sc in tree.root.subclauses:
-        for child in (sc.left, sc.right):
-            assert child.truncated == bool(f3_space.subclauses_of(child.literal))
-            assert child.subclauses == ()
-
-
-def restrict(node, depth, level=0):
-    if level >= depth or not node.subclauses:
-        truncated = bool(node.subclauses) or node.truncated
-        return (node.literal, truncated and level >= depth, ())
-    return (node.literal, False,
-            tuple((sc.sid, restrict(sc.left, depth, level + 1),
-                   restrict(sc.right, depth, level + 1)) for sc in node.subclauses))
+    x0 = parse_literal("x0")
+    expansion = expand_literal(f3_space, x0, 1)
+    sids = [sc.sid for sc in expansion.subclauses]
+    assert sids == sorted(sids) and to_paper(sids) == [8, 9, 10, 11]
+    for sc in expansion.subclauses:
+        assert sc.creators == (x0,)
+        assert sc.literals == f3_space.pairs[sc.sid]
+    assert expansion.levels == {x0: 0, **{lit: 1 for lit in lits("x1", "-x1", "x2", "-x2")}}
+    assert expansion.truncated == {lit for lit in lits("x1", "-x1", "x2", "-x2")
+                                   if f3_space.subclauses_of(lit)}
 
 
 def test_expansion_prefix_property(f3_space):
@@ -375,82 +422,116 @@ def test_expansion_prefix_property(f3_space):
         for depth in range(3):
             shallow = expand_literal(f3_space, lit, depth)
             deep = expand_literal(f3_space, lit, depth + 1)
-            assert restrict(deep.root, depth) == restrict(shallow.root, depth)
+            assert shallow.levels == {x: level for x, level in deep.levels.items()
+                                      if level <= depth}
+            assert shallow.subclauses == tuple(
+                replace(sc, creators=tuple(x for x in sc.creators if deep.levels[x] < depth))
+                for sc in deep.subclauses if deep.levels[sc.creators[0]] < depth)
 
 
-def count_truncated(node):
-    if node.truncated:
-        return 1
-    return sum(count_truncated(child)
-               for sc in node.subclauses for child in (sc.left, sc.right))
+def truncated_leaves(tree):
+    lit, truncated, children = tree
+    return {lit} if truncated else {x for _, left, right in children
+                                    for x in truncated_leaves(left) | truncated_leaves(right)}
 
 
 def test_expansion_truncation_accounting(f3_space):
     for depth in range(4):
-        tree = expand_literal(f3_space, parse_literal("x0"), depth)
-        assert tree.truncated_leaves == count_truncated(tree.root)
+        expansion = expand_literal(f3_space, parse_literal("x0"), depth)
+        assert expansion.truncated == {lit for lit, level in expansion.levels.items()
+                                       if level == depth and f3_space.subclauses_of(lit)}
+        assert expansion.truncated <= truncated_leaves(
+            expand_tree(f3_space, parse_literal("x0"), depth))
 
 
-def count_nodes(node):
-    return 1 + sum(1 + count_nodes(sc.left) + count_nodes(sc.right) for sc in node.subclauses)
+expansion_cases = (formulas(n_range=(3, 9), ratios=(1, 2.5, 4.25)), st.integers(0, 4), st.data())
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(formulas(n_range=(3, 9), ratios=(1, 2.5, 4.25)), st.integers(0, 4), st.data())
-def test_expansion_size_counts_the_tree(f, depth, data):
+@given(*expansion_cases)
+def test_expansion_unfolds_to_the_reference_tree(f, depth, data):
     space = build_space(f)
     lit = data.draw(st.integers(0, 2 * f.n - 1))
-    assert expansion_size(space, lit, depth) == count_nodes(
-        expand_literal(space, lit, depth).root)
+    assert unfold(expand_literal(space, lit, depth)) == expand_tree(space, lit, depth)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(*expansion_cases)
+def test_expansion_size_counts_the_tree(f, depth, data):
+    # Each node of the tree is recorded once, at the first level the tree
+    # holds it, with every literal the tree expands into it.
+    space = build_space(f)
+    lit = data.draw(st.integers(0, 2 * f.n - 1))
+    expected = {}
+    for key, level, parent in tree_nodes(expand_tree(space, lit, depth)):
+        first, parents = expected.setdefault(key, (level, set()))
+        expected[key] = (min(first, level), parents | ({parent} if parent is not None else set()))
+    expansion = expand_literal(space, lit, depth)
+    assert expansion_nodes(expansion) == expected
+    assert len(expansion.levels) <= 2 * f.n and len(expansion.subclauses) <= len(space)
 
 
 def test_expansion_size_stops_once_the_tree_is_whole():
     f = formula(4, [clause("x0 x1 x2"), clause("-x0 x1 x3")])
     space = build_space(f)
-    # -x0 creates (x1 v x2), whose literals create nothing: 4 nodes at any depth.
-    assert expansion_size(space, parse_literal("-x0"), 10**9) == 4
-
-
-def test_expansion_guardrail():
-    space = build_space(random_formula(100, 4.25, seed=1))
-    lit = parse_literal("x0")
-    assert expansion_size(space, lit, 5) == 382_093
-    assert expansion_size(space, lit, 6) > EXPANSION_MAX_NODES
-    for depth in (6, 7, 10**9):
-        with pytest.raises(GuardrailError):
-            expand_literal(space, lit, depth)
-
-
-def test_expansion_depth_guardrail():
-    # x0 creates (x1 v x2) and x1 creates (-x0 v x3): three nodes per level,
-    # for ever, so the node cap never refuses it.
-    space = build_space(formula(4, [clause("-x0 x1 x2"), clause("x0 -x1 x3")]))
-    lit = parse_literal("x0")
-    tree = expand_literal(space, lit, EXPANSION_MAX_DEPTH)
-    assert count_nodes(tree.root) == 3 * EXPANSION_MAX_DEPTH + 1
-    json.dumps(expansion_to_json(tree), sort_keys=True, indent=2)
-    check_dot(export_dot(tree))
-    for depth in (EXPANSION_MAX_DEPTH + 1, 10**9):
-        with pytest.raises(GuardrailError, match="depth"):
-            expand_literal(space, lit, depth)
+    # -x0 creates (x1 v x2), whose literals create nothing: 4 nodes at any
+    # depth from 1.
+    whole = expand_literal(space, parse_literal("-x0"), 1)
+    assert len(whole.levels) + len(whole.subclauses) == 4 and whole.truncated == frozenset()
+    for depth in (2, 3, 50):
+        assert expand_literal(space, parse_literal("-x0"), depth) == replace(whole, depth=depth)
 
 
 def test_expansion_depth_past_the_cap_is_kept_when_the_tree_is_whole():
+    # Any depth bound is accepted, however far past the levels the graph has.
     space = build_space(formula(4, [clause("x0 x1 x2"), clause("-x0 x1 x3")]))
-    tree = expand_literal(space, parse_literal("-x0"), 10**9)
-    assert tree.depth == 10**9 and count_nodes(tree.root) == 4
+    expansion = expand_literal(space, parse_literal("-x0"), 10**9)
+    assert expansion.depth == expansion_to_json(expansion)["depth"] == 10**9
+    assert len(expansion.levels) + len(expansion.subclauses) == 4
+
+
+def test_expansion_is_linear_where_the_tree_was_exponential():
+    # The tree of x0 had 382,093 nodes at depth 5 and 58,661,689 at depth 7.
+    space = build_space(random_formula(100, 4.25, seed=1))
+    lit = parse_literal("x0")
+    whole = expand_literal(space, lit, 10**9)
+    assert (len(whole.levels), len(whole.subclauses)) == (199, 1234)
+    assert whole.truncated == frozenset()
+    for depth in (5, 6, 7):
+        expansion = expand_literal(space, lit, depth)
+        assert len(expansion.levels) <= 2 * space.n
+        assert len(expansion.subclauses) <= len(space)
+    assert expand_literal(space, lit, 7) == replace(whole, depth=7)
+
+
+def test_expansion_of_an_endless_chain_is_a_cycle():
+    # x0 creates (x1 v x2) and x1 creates (x0 v x3): the tree grows by three
+    # nodes per level for ever, and the graph is the cycle x0 -> (x1 v x2) ->
+    # x1 -> (x0 v x3) -> x0.
+    space = build_space(formula(4, [clause("-x0 x1 x2"), clause("x0 -x1 x3")]))
+    x0, x1 = parse_literal("x0"), parse_literal("x1")
+    cycle = expand_literal(space, x0, 2)
+    assert cycle.levels == {x0: 0, x1: 1, parse_literal("x2"): 1, parse_literal("x3"): 2}
+    assert [(sc.literals, sc.creators) for sc in cycle.subclauses] == [
+        (space.pairs[space.id_of(clause("x1 x2"))], (x0,)),
+        (space.pairs[space.id_of(clause("x0 x3"))], (x1,))]
+    for depth in (2000, 10**9):
+        expansion = expand_literal(space, x0, depth)
+        assert expansion == replace(cycle, depth=depth)
+        json.dumps(expansion_to_json(expansion), sort_keys=True, indent=2)
+        check_dot(export_dot(expansion))
 
 
 def test_expansion_json_schema(f3_space):
-    tree = expand_literal(f3_space, parse_literal("x0"), 1)
-    payload = expansion_to_json(tree)
-    assert payload["depth"] == 1
-    root = payload["root"]
-    assert root["literal"] == "x0"
-    assert len(root["subclauses"]) == 4
-    left, right = root["subclauses"][0]
-    assert left["truncated"] and right["truncated"]
-    assert left["subclauses"] == []
+    payload = expansion_to_json(expand_literal(f3_space, parse_literal("x0"), 1))
+    assert payload["root"] == "x0" and payload["depth"] == 1
+    assert payload["levels"] == {"x0": 0, "x1": 1, "-x1": 1, "x2": 1, "-x2": 1}
+    assert payload["truncated"] == ["-x1", "-x2", "x1", "x2"]
+    assert len(payload["subclauses"]) == 4
+    first = payload["subclauses"][0]
+    assert set(first) == {"id", "level", "literals", "creators"}
+    assert first["level"] == 0 and first["creators"] == ["x0"]
+    assert first["literals"] == [literal_str(x) for x in f3_space.pairs[first["id"]]]
 
 
 def test_export_dot_hypernodal(f3_space):
@@ -479,10 +560,13 @@ def test_export_dot_merged(f3_space):
 
 
 def test_export_dot_expansion(f3_space):
-    tree = expand_literal(f3_space, parse_literal("x0"), 2)
-    text = export_dot(tree)
+    expansion = expand_literal(f3_space, parse_literal("x0"), 2)
+    text = export_dot(expansion)
     check_dot(text)
     assert "(truncated)" in text
+    # One DOT node per literal and sub-clause, each declared once.
+    declared = [line for line in text.splitlines() if "[label=" in line]
+    assert len(declared) == len(set(declared)) == len(expansion.levels) + len(expansion.subclauses)
 
 
 def test_export_dot_rejects_other_types():

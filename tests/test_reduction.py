@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hypersat import (Formula, HypothesisError, assignment_satisfies_2sat, build_space,
@@ -259,6 +259,26 @@ def test_verify_corollary1_random():
             continue
         assert verify_corollary1(f, a, build_space(f)).holds
         checked += 1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 12), ratios=(2, 4.25, 6)), st.integers(0, 2**30))
+def test_verify_corollary1_property(f, seed):
+    # Every unsatisfied clause has all three literals false, so each negated
+    # literal is assigned and creates the clause minus that literal, unsolved.
+    a = random_assignment(f.n, seed=seed)
+    space = build_space(f)
+    try:
+        cert = verify_corollary1(f, a, space)
+    except HypothesisError:
+        reject()
+    assert cert.holds
+    for cid in cert.unsatisfied_clauses:
+        violated_clause = f.clauses[cid]
+        for removed in violated_clause:
+            assert negate(removed) in a
+            sid = space.id_of(tuple(x for x in violated_clause if x != removed))
+            assert sid in cert.witnesses
 
 
 def test_corollary1_single_violated_clause_witnesses():
