@@ -124,10 +124,10 @@ def cmd_analyze(args) -> int:
     all_literals = literal_columns(f.n)
     report["satisfied"] = {literal_str(lit): occurrences[lit] for lit in all_literals}
     report["subclauses"] = [
-        {"id": sid, "literals": [literal_str(x) for x in space.pairs[sid]],
-         "creators": sorted(literal_str(c) for c in space.creators_of((sid,))),
-         "parents": sorted(space.parents_of((sid,)))}
-        for sid in range(len(space))]
+        {"id": sid, "literals": [literal_str(x) for x in pair],
+         "creators": sorted({literal_str(creator) for creator, _ in events}),
+         "parents": sorted({parent for _, parent in events})}
+        for sid, (pair, events) in enumerate(zip(space.pairs, space.events()))]
     report["created"] = {literal_str(lit): sorted(space.subclauses_of(lit))
                          for lit in all_literals}
     report["subsat"] = {literal_str(lit): sorted(space.subsat(lit))
@@ -270,6 +270,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.dot and args.expand is None:
+        raise UsageError("--dot needs --expand: the other exports are always DOT")
     f, _ = resolve_formula(args)
     space = build_space(f)
     if args.expand is not None:
@@ -381,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="DOT graphs and expansion graphs")
     add_input(p)
-    p.add_argument("--dot", action="store_true", help="emit DOT")
+    p.add_argument("--dot", action="store_true",
+                   help="with --expand: DOT instead of JSON")
     p.add_argument("--assignment", default=None, help="merged graph for this assignment")
     p.add_argument("--expand", default=None, metavar="LIT", help="expansion graph root literal")
     p.add_argument("--depth", type=count, default=3)

@@ -4,8 +4,10 @@ decision procedure, and machine checks of the reduction's guarantees:
 * a satisfying assignment always satisfies the 2-SAT formula it induces;
 * a non-satisfying complete assignment always leaves at least one activated
   sub-clause unsolved;
-* a partial assignment that solves all of its activated sub-clauses but not
-  the whole formula splits it into variable-disjoint parts.
+* a partial assignment that solves all of its activated sub-clauses
+  satisfies every clause that mentions one of its variables (it is an
+  autarky), so the formula splits into those clauses and a variable-disjoint
+  rest that is satisfiable iff the formula is.
 """
 
 from __future__ import annotations
@@ -39,15 +41,15 @@ def provenance(space: SubClauseSpace, f: Formula,
     (creator, parent clause) events that activate it under a. Asserts that
     each clause is its parent minus the negation of its creator."""
     a = check_consistent(a)
+    events = space.events()
     out = {}
     for sid in sorted(space.activated(a)):
         pair = space.pairs[sid]
-        events = tuple((creator, parent) for creator, parent in space.events_of(sid)
-                       if creator in a)
-        for creator, parent in events:
+        kept = tuple(event for event in events[sid] if event[0] in a)
+        for creator, parent in kept:
             # Soundness: the sub-clause is its parent minus the creator's negation.
             assert set(pair) == set(f.clauses[parent]) - {negate(creator)}
-        out[pair] = events
+        out[pair] = kept
     return out
 
 
@@ -137,26 +139,16 @@ def verify_corollary1(f: Formula, a: Assignment,
 
 @dataclass(frozen=True)
 class Decomposition:
-    c1: tuple[int, ...]           # clause ids satisfied through the partial assignment
+    c1: tuple[int, ...]           # clause ids that mention an assigned variable
     c2: tuple[int, ...]           # the remaining clauses
-    l1: frozenset[Literal]        # literal closure (literals and negations) of c1
-    l2: frozenset[Literal]
-    holds: bool                   # c2 avoids the assigned variables and l1 != l2
-
-
-def _literal_closure(f: Formula, clause_ids) -> frozenset[Literal]:
-    out: set[Literal] = set()
-    for cid in clause_ids:
-        for lit in f.clauses[cid]:
-            out.add(lit)
-            out.add(negate(lit))
-    return frozenset(out)
+    holds: bool                   # p satisfies every clause of c1: p is an autarky
 
 
 def decompose(f: Formula, p: Assignment, space: SubClauseSpace) -> Decomposition:
     """Split a formula around a partial assignment that solves all of its
-    activated sub-clauses but leaves some clause untouched; `space` is f's
-    sub-clause space.
+    activated sub-clauses but leaves some clause unsatisfied; `space` is f's
+    sub-clause space. c1 is the clauses that mention an assigned variable,
+    and `holds` says that p satisfies each of them.
 
     Raises HypothesisError when p is complete, satisfies the whole formula,
     or leaves one of its own activated sub-clauses unsolved.
@@ -169,17 +161,12 @@ def decompose(f: Formula, p: Assignment, space: SubClauseSpace) -> Decomposition
         raise HypothesisError(
             "partial assignment leaves activated sub-clauses unsolved: "
             + ", ".join(space.pair_str(sid) for sid in unsolved))
-    untouched = [cid for cid, clause in enumerate(f.clauses)
-                 if not any(lit in p for lit in clause)]
-    if not untouched:
+    if all(any(lit in p for lit in clause) for clause in f.clauses):
         raise HypothesisError("partial assignment satisfies every clause")
-    c1 = set(space.parents_of(space.activated(p)))
-    c1 |= {cid for cid, clause in enumerate(f.clauses) if any(lit in p for lit in clause)}
-    c2 = sorted(set(range(f.m)) - c1)
     assigned_vars = {var_of(lit) for lit in p}
-    disjoint = all(var_of(lit) not in assigned_vars
-                   for cid in c2 for lit in f.clauses[cid])
-    l1 = _literal_closure(f, sorted(c1))
-    l2 = _literal_closure(f, c2)
-    return Decomposition(c1=tuple(sorted(c1)), c2=tuple(c2), l1=l1, l2=l2,
-                         holds=disjoint and l1 != l2)
+    c1: list[int] = []
+    c2: list[int] = []
+    for cid, clause in enumerate(f.clauses):
+        (c1 if any(var_of(lit) in assigned_vars for lit in clause) else c2).append(cid)
+    holds = all(any(lit in p for lit in f.clauses[cid]) for cid in c1)
+    return Decomposition(c1=tuple(c1), c2=tuple(c2), holds=holds)

@@ -2,8 +2,9 @@
 
 Assigning a literal `a` reduces every clause that contains -a to the
 2-literal sub-clause left after removing -a. The space collects all such
-pairs (deduplicated), remembering for each one which literals create it and
-which clauses it derives from.
+pairs (deduplicated), with the sub-clauses each literal creates and those
+that contain it; SubClauseSpace.events() derives the clauses each one comes
+from.
 """
 
 from __future__ import annotations
@@ -31,24 +32,19 @@ def literal_columns(n: int) -> list[Literal]:
 
 @dataclass
 class SubClauseSpace:
-    """Deduplicated sub-clause set with the events that created it.
+    """Deduplicated sub-clause set, with what each literal creates and solves.
 
     Ids follow first-encounter order in a clause-order scan of the formula;
-    use id_of() to locate a sub-clause by its literal pair. The scan removes
-    each literal of clause cid in turn: the j-th removal is event 3*cid + j,
-    with parent clause cid and creator the negation of the removed literal.
-    Each sub-clause's events form a chain in scan order, from
-    first_event[sid] along next_event to -1. Those chains are the only record
-    of provenance; events_of, creators_of and parents_of read them.
-    created_by and containing hold one list per literal code.
+    use id_of() to locate a sub-clause by its literal pair. created_by and
+    containing hold one list per literal code. Which events created a
+    sub-clause follows from the clauses, so it is not stored: events()
+    derives it.
     """
 
     n: int
     clauses: tuple[Clause, ...]
     pairs: list[Pair]
     index: dict[Pair, int]
-    first_event: list[int]
-    next_event: list[int]
     # ids each literal creates, each id once, in first-creation order
     created_by: list[list[int]]
     # ids of the sub-clauses containing each literal, ascending
@@ -67,10 +63,6 @@ class SubClauseSpace:
         a, b = self.pairs[sid]
         return f"({literal_str(a)} v {literal_str(b)})"
 
-    def _check_id(self, sid: int) -> None:
-        if not 0 <= sid < len(self.pairs):
-            raise KeyError(f"unknown sub-clause id {sid}")
-
     def subclauses_of(self, a: Literal) -> set[int]:
         """Ids activated by assigning a: reductions of the clauses containing -a."""
         return set(self.created_by[a])
@@ -79,22 +71,17 @@ class SubClauseSpace:
         """Ids of the sub-clauses solved by a: those containing it."""
         return set(self.containing[a])
 
-    def events_of(self, sid: int) -> list[tuple[Literal, int]]:
-        """The (creator, parent clause) events of sub-clause sid, in scan order."""
-        self._check_id(sid)
-        events = []
-        event = self.first_event[sid]
-        while event >= 0:
-            parent, position = divmod(event, 3)
-            events.append((negate(self.clauses[parent][position]), parent))
-            event = self.next_event[event]
-        return events
-
-    def creators_of(self, ids) -> set[Literal]:
-        return {creator for sid in ids for creator, _ in self.events_of(sid)}
-
-    def parents_of(self, ids) -> set[int]:
-        return {parent for sid in ids for _, parent in self.events_of(sid)}
+    def events(self) -> list[list[tuple[Literal, int]]]:
+        """Per sub-clause id, its (creator, parent clause) events in scan
+        order: removing literal l from clause cid is an event of the rest of
+        the clause, created by negate(l). A repeated clause repeats its events."""
+        out: list[list[tuple[Literal, int]]] = [[] for _ in self.pairs]
+        index = self.index
+        for cid, (a, b, c) in enumerate(self.clauses):
+            out[index[b, c]].append((a ^ 1, cid))
+            out[index[a, c]].append((b ^ 1, cid))
+            out[index[a, b]].append((c ^ 1, cid))
+        return out
 
     def activated(self, assignment) -> set[int]:
         """Union of subclauses_of(a) over the assignment."""
@@ -118,33 +105,22 @@ def build_space(f: Formula) -> SubClauseSpace:
         raise ValueError(f"sub-clause space is defined for width-3 formulas, got width {f.width}")
     pairs: list[Pair] = []
     index: dict[Pair, int] = {}
-    first_event: list[int] = []
-    last_event: list[int] = []   # per id, the end of its chain while scanning
-    next_event: list[int] = []
     created_by: list[list[int]] = [[] for _ in range(2 * f.n)]
     containing: list[list[int]] = [[] for _ in range(2 * f.n)]
     for a, b, c in f.clauses:
         # negate(l) is l ^ 1, inlined in this loop, the hottest of the scan.
         for pair, creator in (((b, c), a ^ 1), ((a, c), b ^ 1), ((a, b), c ^ 1)):
-            event = len(next_event)
-            next_event.append(-1)
             sid = index.get(pair)
             if sid is None:
                 sid = index[pair] = len(pairs)
                 pairs.append(pair)
-                first_event.append(event)
-                last_event.append(event)
                 containing[pair[0]].append(sid)
                 containing[pair[1]].append(sid)
-            else:
-                next_event[last_event[sid]] = event
-                last_event[sid] = event
             created_by[creator].append(sid)
     if len(set(f.clauses)) < f.m:
         # A repeated clause repeats its events but creates nothing new.
         created_by = [list(dict.fromkeys(ids)) for ids in created_by]
     return SubClauseSpace(n=f.n, clauses=f.clauses, pairs=pairs, index=index,
-                          first_event=first_event, next_event=next_event,
                           created_by=created_by, containing=containing)
 
 
@@ -190,9 +166,8 @@ def interaction_matrix(space: SubClauseSpace) -> InteractionMatrix:
                              f"got {len(space)} sub-clauses x {2 * space.n} literals")
     columns = literal_columns(space.n)
     cells = []
-    for sid in range(len(space)):
-        p, q = space.pairs[sid]
-        creators = space.creators_of((sid,))
+    for (p, q), events in zip(space.pairs, space.events()):
+        creators = {creator for creator, _ in events}
         row = []
         for lit in columns:
             if lit in creators:

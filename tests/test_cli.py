@@ -91,8 +91,7 @@ def test_assign_metadata_uses_reading_constant(capsys):
 
 def test_export_assignment_stdout_is_dot(capsys):
     assignment = "x0,x1,-x2,x3,x4,x5,-x6,x7"
-    code, out, err = run(capsys, "export", "--gen", "30,4.25,2", "--dot",
-                         "--assignment", assignment)
+    code, out, err = run(capsys, "export", "--gen", "30,4.25,2", "--assignment", assignment)
     assert code == EXIT_OK
     check_dot(out)
     assert out.startswith("digraph merged {")
@@ -124,8 +123,8 @@ def digest(text):
 # stdout of fixed commands, pinned so that refactors keep it byte-identical.
 PINNED_STDOUT = [
     (("verify", "--instances", "50", "--n-range", "6..16", "--seed", "3"), "4a535884c3ed98b4"),
-    (("export", "--gen", "30,4.25,2", "--dot"), "aaf9ec493c26edf4"),
-    (("export", "--gen", "30,4.25,2", "--dot", "--assignment", "x0,x1,-x2,x3,x4,x5,-x6,x7"),
+    (("export", "--gen", "30,4.25,2"), "aaf9ec493c26edf4"),
+    (("export", "--gen", "30,4.25,2", "--assignment", "x0,x1,-x2,x3,x4,x5,-x6,x7"),
      "6b70a6e1c8dfbc47"),
     (("experiment", "--count", "5"), "c23cf7ab3cc51666"),
     (("analyze", "--gen", "30,4.25,2"), "1ca1f5899c3fb3cf"),
@@ -165,6 +164,8 @@ def test_pinned_stdout(capsys, argv, expected):
 
 
 # Files whose path stdout echoes, so the file is pinned rather than stdout.
+# A string pins the one CSV written; a dict maps each suffix --out-base adds
+# to the digest of that file.
 PINNED_FILES = [
     (("analyze", "--gen", "30,4.25,2", "--matrix"), "e510c5324eccbb5a"),
     (("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic", "--tie-break", "true",
@@ -173,18 +174,25 @@ PINNED_FILES = [
       "--curve-csv"), "bb7d462b670ebfc8"),
     (("experiment", "--count", "3", "--out-base"), "c996935e8e9d9120"),
     (("experiment", "--curve", "--instances", "3", "--out-base"), "9760e65b7a8f0de2"),
+    (("reduce", "--gen", "30,4.25,2", "--out-base"),
+     {".provenance.json": "9ad6c5e623c81722", ".cnf": "28e0edc9779b77e4"}),
+    (("reduce", "--gen", "200,4.25,1", "--out-base"),
+     {".provenance.json": "8df212b985d833b6", ".cnf": "f1136b3b2e56a060"}),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", PINNED_FILES,
                          ids=[" ".join(argv) for argv, _ in PINNED_FILES])
 def test_pinned_file(capsys, tmp_path, argv, expected):
-    # --out-base takes the path without its suffix and writes BASE.csv.
-    path = tmp_path / "out.csv"
-    target = path.with_suffix("") if argv[-1] == "--out-base" else path
+    # --out-base takes the path without its suffix; the other options take out.csv.
+    base = tmp_path / "out"
+    if isinstance(expected, str):
+        expected = {".csv": expected}
+    target = base if argv[-1] == "--out-base" else base.with_suffix(".csv")
     code, _, _ = run(capsys, *argv, str(target))
     assert code == EXIT_OK
-    assert digest(path.read_text()) == expected
+    assert {suffix: digest((tmp_path / f"out{suffix}").read_text())
+            for suffix in expected} == expected
 
 
 def test_reduce_out_base_reads_back(capsys, tmp_path):
@@ -217,7 +225,7 @@ def test_reduce_out_base_reads_back(capsys, tmp_path):
 OUT_COMMANDS = [
     ("analyze", "--gen", "30,4.25,2"),
     ("assign", "--gen", "200,2.5,3", "--heuristic", "greedyDynamic"),
-    ("export", "--gen", "30,4.25,2", "--dot"),
+    ("export", "--gen", "30,4.25,2"),
     ("export", "--gen", "30,4.25,2", "--expand", "-x0"),
 ]
 
@@ -252,6 +260,36 @@ def test_expand_rejects_a_literal_out_of_range(capsys):
     code, out, err = run(capsys, "export", "--gen", "8,4.25,1", "--expand", "x8")
     assert code == EXIT_USAGE
     assert out == "" and "x8 out of range" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--assignment", "x1"]], ids=["family", "merged"])
+def test_dot_needs_expand(capsys, extra):
+    code, out, err = run(capsys, "export", "--gen", "8,4.25,1", "--dot", *extra)
+    assert code == EXIT_USAGE
+    assert out == "" and "--dot" in err and "--expand" in err
+
+
+def test_analyze_lists_every_copy_of_a_repeated_clause(capsys, tmp_path):
+    # Clause 2 repeats clause 0: (x1 v x2) is created by -x0 in clauses 0 and
+    # 2 and by x0 in clause 1.
+    path = tmp_path / "repeated.cnf"
+    path.write_text("p cnf 3 3\n1 2 3 0\n-1 2 3 0\n1 2 3 0\n")
+    matrix = tmp_path / "matrix.csv"
+    with pytest.warns(UserWarning, match="duplicate clause at line 4"):
+        code, out, _ = run(capsys, "analyze", str(path), "--matrix", str(matrix))
+    assert code == EXIT_OK
+    subclauses = {tuple(entry["literals"]): entry for entry in json.loads(out)["subclauses"]}
+    assert subclauses["x1", "x2"]["creators"] == ["-x0", "x0"]
+    assert subclauses["x1", "x2"]["parents"] == [0, 1, 2]
+    assert subclauses["x0", "x1"]["creators"] == ["-x2"]
+    assert subclauses["x0", "x1"]["parents"] == [0, 2]
+    header, *rows = [line.split(",") for line in matrix.read_text().splitlines()]
+    cells = {subclause: dict(zip(header[1:], row[1:]))
+             for subclause, row in zip(subclauses, rows)}
+    assert cells["x1", "x2"] == {"-x0": "c", "x0": "c", "-x1": "x2", "x1": "s",
+                                 "-x2": "x1", "x2": "s"}
+    assert cells["x0", "x1"] == {"-x0": "x1", "x0": "s", "-x1": "x0", "x1": "s",
+                                 "-x2": "c", "x2": ""}
 
 
 def test_expand_refuses_an_assignment(capsys):

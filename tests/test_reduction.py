@@ -10,6 +10,7 @@ from hypersat import (Formula, HypothesisError, assignment_satisfies_2sat, build
                       solve_2sat, solve_exhaustive, verify_corollary1, verify_theorem)
 from hypersat.formula import var_of
 from hypersat.reduction import provenance
+from hypersat.subclauses import SubClauseSpace
 
 from conftest import clause, formulas, lits
 
@@ -28,21 +29,17 @@ def reduce_ksat(f, a):
 
 
 def reduce_with_provenance(space, f, a):
-    """The eager loop that built the reduction and its provenance together,
-    kept as the reference for reduce_to_2sat and provenance: the activated
-    sub-clauses in ascending id order, each with the events whose creator is
-    assigned."""
+    """The reference for reduce_to_2sat and provenance: the activated
+    sub-clauses in ascending id order, each with the (creator, parent) events
+    whose creator is assigned, found by removing each literal of each clause
+    of f in turn."""
     a = check_consistent(a)
-    clauses = []
-    events_by_pair = {}
-    for sid in sorted(space.activated(a)):
-        pair = space.pairs[sid]
-        events = tuple((creator, parent) for creator, parent in space.events_of(sid)
-                       if creator in a)
-        for creator, parent in events:
-            assert set(pair) == set(f.clauses[parent]) - {negate(creator)}
-        clauses.append(pair)
-        events_by_pair[pair] = events
+    clauses = [space.pairs[sid] for sid in sorted(space.activated(a))]
+    events_by_pair = {pair: tuple((negate(removed), cid)
+                                  for cid, c in enumerate(f.clauses) for removed in c
+                                  if negate(removed) in a
+                                  and tuple(x for x in c if x != removed) == pair)
+                      for pair in clauses}
     return Formula(n=f.n, clauses=tuple(clauses), width=2), events_by_pair
 
 
@@ -311,9 +308,17 @@ def test_decompose_disjoint_copies(f3):
     assert result.holds
     assert result.c1 == tuple(range(7))
     assert result.c2 == tuple(range(7, 14))
-    assert result.l1 == frozenset(range(6))        # every literal over x0..x2
-    assert result.l2 == frozenset(range(6, 12))    # every literal over x3..x5
-    assert result.l1 != result.l2
+
+
+def test_decompose_holds_only_for_an_autarky(f3, monkeypatch):
+    # Without the gate's unsolved check, p = {-x0} reaches the split, yet it
+    # leaves the clauses with x0 unsatisfied: p is not an autarky.
+    f = double_f3(f3)
+    monkeypatch.setattr(SubClauseSpace, "unsolved", lambda self, a: [])
+    result = decompose(f, lits("-x0"), build_space(f))
+    assert result.c1 == tuple(range(7))
+    assert result.c2 == tuple(range(7, 14))
+    assert not result.holds
 
 
 def test_decompose_recovers_planted_blocks():

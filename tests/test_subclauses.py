@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hypersat import (Formula, build_space, formula, interaction_matrix, literal_str,
+from hypersat import (Formula, build_space, formula, interaction_matrix,
                       make_literal, negate, parse_literal, random_formula,
                       space_census, thresholds)
 from hypersat.formula import var_of
@@ -86,49 +86,50 @@ def test_unitclauses_absent_negation():
     assert unit_literals(space, parse_literal("-x3")) == set()
 
 
+def creators(events):
+    return {creator for creator, _ in events}
+
+
+def parents(events):
+    return {parent for _, parent in events}
+
+
 def test_creators_f3(f3_space, from_paper):
     (s8,) = from_paper({8})
-    assert f3_space.creators_of({s8}) == lits("x0", "-x0")
-    assert f3_space.creators_of(set()) == set()
-    union = f3_space.creators_of(range(len(f3_space)))
+    events = f3_space.events()
+    assert creators(events[s8]) == lits("x0", "-x0")
+    union = set().union(*map(creators, events))
     per_literal = {lit for lit, ids in enumerate(f3_space.created_by) if ids}
     assert union == per_literal
 
 
-def test_creators_unknown_id(f3_space):
-    with pytest.raises(KeyError):
-        f3_space.creators_of({99})
-
-
 def test_parents_f3(f3_space, from_paper):
     (s8,) = from_paper({8})
-    assert f3_space.parents_of({s8}) == {0, 5}
+    events = f3_space.events()
+    assert parents(events[s8]) == {0, 5}
     (s10,) = from_paper({10})
-    assert f3_space.parents_of({s10}) == {2}
-    assert f3_space.parents_of(set()) == set()
+    assert parents(events[s10]) == {2}
 
 
 def test_parent_reconstruction_invariant():
     for seed in range(15):
         f = random_formula(9, 4.25, seed=seed)
         space = build_space(f)
-        for sid in range(len(space)):
-            pair = set(space.pairs[sid])
-            for creator in space.creators_of({sid}):
-                assert tuple(sorted(pair | {negate(creator)}, key=var_of)) in f.clauses
-            for parent in space.parents_of({sid}):
-                assert pair < set(f.clauses[parent])
+        for pair, events in zip(space.pairs, space.events()):
+            for creator, parent in events:
+                assert tuple(sorted({*pair, negate(creator)}, key=var_of)) in f.clauses
+                assert set(pair) < set(f.clauses[parent])
 
 
 def test_duality_invariant():
     for seed in range(10):
         f = random_formula(8, 4.25, seed=seed)
         space = build_space(f)
+        events = space.events()
         for v in range(f.n):
             for lit in (make_literal(v), make_literal(v, True)):
                 for sid in space.subclauses_of(lit):
-                    parents = space.parents_of({sid})
-                    assert any(negate(lit) in f.clauses[cid] for cid in parents)
+                    assert any(negate(lit) in f.clauses[cid] for cid in parents(events[sid]))
 
 
 def test_census_f3(f3, f3_space):
@@ -218,7 +219,7 @@ def test_space_ids_follow_scan_order(f3, f3_space):
     assert f3_space.pairs[0] == clause("-x1 -x2")
     assert f3_space.pairs[1] == clause("-x0 -x2")
     assert f3_space.pairs[2] == clause("-x0 -x1")
-    assert literal_str(next(iter(f3_space.creators_of({0})))) == "x0"
+    assert f3_space.events()[0][0] == (parse_literal("x0"), 0)
 
 
 def reference_space(f):
@@ -255,16 +256,15 @@ def assert_matches_reference(f):
     assert space.pairs == pairs
     assert space.index == index
     assert all(space.id_of(pair) == sid for pair, sid in index.items())
-    assert [space.events_of(sid) for sid in range(len(pairs))] == records
+    events = space.events()
+    assert events == records
     for lit in range(2 * f.n):
         assert set(space.created_by[lit]) == created_by[lit]
         assert len(space.created_by[lit]) == len(created_by[lit])
         assert set(space.containing[lit]) == containing[lit]
         assert len(space.containing[lit]) == len(containing[lit])
-    for sid in range(len(pairs)):
-        assert space.creators_of({sid}) == creators[sid]
-        assert space.parents_of({sid}) == parents[sid]
-    assert space.creators_of(range(len(pairs))) == set().union(*creators)
+    assert [{creator for creator, _ in sid_events} for sid_events in events] == creators
+    assert [{parent for _, parent in sid_events} for sid_events in events] == parents
     th = thresholds(space)
     sizes = [(len(created_by[2 * v]), len(created_by[2 * v + 1])) for v in range(f.n)]
     assert (th.minimum, th.maximum) == (sum(map(min, sizes)), sum(map(max, sizes)))
@@ -277,9 +277,8 @@ def test_space_matches_reference_with_repeated_clauses(f3):
     assert_matches_reference(f)
     space = build_space(f)
     sid = space.id_of(clause("-x1 -x2"))
-    assert space.parents_of({sid}) == {0, 1, 6, 9}
-    assert space.events_of(sid) == [(parse_literal("x0"), 0), (parse_literal("x0"), 1),
-                                       (parse_literal("-x0"), 6), (parse_literal("x0"), 9)]
+    assert space.events()[sid] == [(parse_literal("x0"), 0), (parse_literal("x0"), 1),
+                                   (parse_literal("-x0"), 6), (parse_literal("x0"), 9)]
     assert space.created_by[parse_literal("x0")].count(sid) == 1
 
 
