@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .formula import (Assignment, Formula, Literal, _csv_text, check_consistent,
-                      literal_str, make_literal, var_of)
+                      literal_str, make_literal)
 from .subclauses import SubClauseSpace
 
 # Each heuristic scores a literal as a weighted sum of the sub-clauses it
@@ -110,6 +110,12 @@ def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) 
     recomputed over still-unsatisfied clauses and the globally best literal is
     fixed first (hill-climbing construction); that variant satisfies
     noticeably more clauses than the plain counts.
+
+    The dynamic variant is a bucket queue (Dial 1969) of rank heaps indexed by
+    count: O((n + km) log n) for m width-k clauses, since a literal moves down
+    at most once per unit of its starting count. Once the top count is 0 no
+    unfixed literal is in an unsatisfied clause, and every remaining variable
+    takes the preferred polarity.
     """
     prefer_true = _prefer(tie_break)
     occurrences = f.occurrences()
@@ -118,32 +124,36 @@ def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) 
         return _by_polarity(f.n, counts, prefer_true)
 
     # Each step fixes the literal with the largest key (count, preferred, -v).
-    # The heap holds negated keys with lazy deletion: an entry is dropped when
-    # popped if its variable is fixed or its count is stale, and every
-    # decrement pushes a fresh entry.
+    # A literal's one entry is its rank (preferred polarities first, then by
+    # variable) in a bucket at or above its count; popped stale, it moves down.
     preferred_bit = 0 if prefer_true else 1
-
-    def entry(lit: Literal) -> tuple[int, int, int, Literal]:
-        return (-counts[lit], -((lit & 1) == preferred_bit), lit >> 1, lit)
-
-    heap = [entry(lit) for lit in range(2 * f.n)]
-    heapq.heapify(heap)
-    clause_satisfied = [False] * f.m
-    fixed = [False] * f.n
-    out = []
-    while len(out) < f.n:
-        neg_count, _, v, lit = heapq.heappop(heap)
-        if fixed[v] or -neg_count != counts[lit]:
+    ranked = [2 * v + bit for bit in (preferred_bit, 1 - preferred_bit) for v in range(f.n)]
+    top = max(counts, default=0)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for rank, lit in enumerate(ranked):
+        buckets[counts[lit]].append(rank)   # ascending, so already a heap
+    clauses, pop, push = f.clauses, heapq.heappop, heapq.heappush
+    clause_satisfied, fixed, out = [False] * f.m, [False] * f.n, []
+    while top:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
             continue
-        fixed[v] = True
+        rank = pop(bucket)
+        lit = ranked[rank]
+        if fixed[lit >> 1]:
+            continue
+        if counts[lit] < top:
+            push(buckets[counts[lit]], rank)
+            continue
+        fixed[lit >> 1] = True
         out.append(lit)
         for cid in occurrences[lit]:
             if not clause_satisfied[cid]:
                 clause_satisfied[cid] = True
-                for other in f.clauses[cid]:
+                for other in clauses[cid]:
                     counts[other] -= 1
-                    if not fixed[var_of(other)]:
-                        heapq.heappush(heap, entry(other))
+    out.extend(2 * v + preferred_bit for v in range(f.n) if not fixed[v])
     return frozenset(out)
 
 

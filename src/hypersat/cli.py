@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import experiments, verify
 from .assignments import (MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS, consumption_rate,
@@ -63,8 +64,12 @@ def resolve_formula(args) -> tuple[Formula, str]:
     if has_input == has_gen:
         raise UsageError("exactly one input source required: INPUT path or --gen n,r,seed")
     if has_input:
-        with open(args.input, "rb") as handle:
-            return parse_dimacs(handle.read()), args.input
+        with open(args.input, "rb") as handle, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f = parse_dimacs(handle.read())
+        for warning in caught:
+            sys.stderr.write(f"warning: {args.input} {warning.message}\n")
+        return f, args.input
     try:
         n_text, r_text, seed_text = args.gen.split(",")
         n, r, seed = int(n_text), float(r_text), int(seed_text)

@@ -74,7 +74,7 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
         except ValueError as exc:
             raise DimacsError(lineno, str(exc)) from None
         if clause in seen:
-            warnings.warn(f"duplicate clause at line {lineno}", stacklevel=2)
+            warnings.warn(f"line {lineno}: duplicate clause", stacklevel=2)
         seen.add(clause)
         clauses.append(clause)
     if n < 0:

@@ -13,6 +13,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 Literal = int
 Clause = tuple[int, ...]
@@ -83,11 +84,15 @@ class Formula:
     width: int = 3
 
     def __post_init__(self):
-        width, codes = self.width, 2 * self.n
-        for cid, clause in enumerate(self.clauses):
+        width, codes, clauses = self.width, 2 * self.n, self.clauses
+        # Codes 0..2n-1 are the in-range literals; the walk only names a failure.
+        if set(map(len, clauses)) <= {width} and (
+                min(chain.from_iterable(clauses), default=0) >= 0
+                and max(chain.from_iterable(clauses), default=-1) < codes):
+            return
+        for cid, clause in enumerate(clauses):
             if len(clause) != width:
                 raise ValueError(f"clause {cid} has width {len(clause)}, expected {width}")
-            # A literal's variable is in range exactly when its code is in 0..2n-1.
             if clause and (min(clause) < 0 or max(clause) >= codes):
                 for lit in clause:
                     if not 0 <= var_of(lit) < self.n:

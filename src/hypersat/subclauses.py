@@ -103,20 +103,20 @@ def build_space(f: Formula) -> SubClauseSpace:
     clause minus {l} as a sub-clause created by negate(l)."""
     if f.width != 3:
         raise ValueError(f"sub-clause space is defined for width-3 formulas, got width {f.width}")
-    pairs: list[Pair] = []
     index: dict[Pair, int] = {}
     created_by: list[list[int]] = [[] for _ in range(2 * f.n)]
-    containing: list[list[int]] = [[] for _ in range(2 * f.n)]
+    setdefault = index.setdefault
     for a, b, c in f.clauses:
         # negate(l) is l ^ 1, inlined in this loop, the hottest of the scan.
-        for pair, creator in (((b, c), a ^ 1), ((a, c), b ^ 1), ((a, b), c ^ 1)):
-            sid = index.get(pair)
-            if sid is None:
-                sid = index[pair] = len(pairs)
-                pairs.append(pair)
-                containing[pair[0]].append(sid)
-                containing[pair[1]].append(sid)
-            created_by[creator].append(sid)
+        created_by[a ^ 1].append(setdefault((b, c), len(index)))
+        created_by[b ^ 1].append(setdefault((a, c), len(index)))
+        created_by[c ^ 1].append(setdefault((a, b), len(index)))
+    pairs = list(index)
+    # Ids ascend in insertion order; the stored id objects are reused.
+    containing: list[list[int]] = [[] for _ in range(2 * f.n)]
+    for (p, q), sid in index.items():
+        containing[p].append(sid)
+        containing[q].append(sid)
     if len(set(f.clauses)) < f.m:
         # A repeated clause repeats its events but creates nothing new.
         created_by = [list(dict.fromkeys(ids)) for ids in created_by]

@@ -110,8 +110,8 @@ def test_greedy_empty_formula_uses_tie_break():
 
 
 def greedy_dynamic_scan(f, tie_break):
-    """The O(n^2) construction the heap replaced, kept as its oracle: every
-    step rescans all unfixed literals for the largest (count, preferred, -v)."""
+    """The O(n^2) construction, kept as the bucket queue's oracle: every step
+    rescans all unfixed literals for the largest (count, preferred, -v)."""
     prefer_true = tie_break == "true"
     counts = [0] * (2 * f.n)
     for c in f.clauses:
@@ -148,6 +148,27 @@ def test_greedy_dynamic_matches_scan_oracle(f):
     for tie_break in ("true", "false"):
         assert generate_greedy(f, tie_break=tie_break, dynamic=True) == \
             greedy_dynamic_scan(f, tie_break)
+
+
+# Instances whose top count reaches 0 with variables still unfixed; those
+# take the preferred polarity. Expected sets under tie-breaks true, false.
+COUNT_ZERO_CASES = {
+    "unused variables": (5, ["x0 x1 x2"], ("x0 x1 x2 x3 x4", "x0 -x1 -x2 -x3 -x4")),
+    "pure literal": (4, ["x0 x1 x2", "x0 -x1 x2", "x0 x1 -x2"],
+                     ("x0 x1 x2 x3", "x0 -x1 -x2 -x3")),
+    "repeated clause": (4, ["-x0 x1 x2", "-x0 x1 x2", "x0 -x1 x3"],
+                        ("x0 x1 x2 x3", "-x0 -x1 -x2 -x3")),
+}
+
+
+@pytest.mark.parametrize("n, clauses, expected", COUNT_ZERO_CASES.values(),
+                         ids=COUNT_ZERO_CASES)
+def test_dynamic_greedy_gives_count_zero_variables_the_preferred_polarity(n, clauses,
+                                                                          expected):
+    f = formula(n, [clause(text) for text in clauses])
+    for tie_break, names in zip(("true", "false"), expected):
+        a = generate_greedy(f, tie_break=tie_break, dynamic=True)
+        assert a == greedy_dynamic_scan(f, tie_break) == lits(*names.split())
 
 
 def heuristic_by_kind(space, kind, tie_break):

@@ -292,6 +292,47 @@ def test_formula_rejects_width_and_range(clauses, message):
     assert str(exc_info.value) == message
 
 
+def formula_check_walk(n, clauses, width):
+    """The per-clause walk Formula.__post_init__ ran before its bulk checks,
+    kept as their oracle: the message of the first failure, or None."""
+    codes = 2 * n
+    for cid, clause in enumerate(clauses):
+        if len(clause) != width:
+            return f"clause {cid} has width {len(clause)}, expected {width}"
+        if clause and (min(clause) < 0 or max(clause) >= codes):
+            for lit in clause:
+                if not 0 <= var_of(lit) < n:
+                    return f"clause {cid}: variable x{var_of(lit)} out of range [0,{n})"
+    return None
+
+
+@st.composite
+def raw_formulas(draw):
+    """(n, clauses, width) with widths 0-4, mostly the declared one, and codes
+    from -3 to 2n + 2, so that empty clauses, mixed widths, negative codes and
+    codes >= 2n all occur."""
+    n = draw(st.integers(0, 5))
+    width = draw(st.integers(0, 4))
+    length = st.one_of(st.just(width), st.integers(0, 4))
+    code = st.one_of(st.integers(0, max(0, 2 * n - 1)), st.integers(-3, 2 * n + 2))
+    clauses = draw(st.lists(length.flatmap(
+        lambda k: st.lists(code, min_size=k, max_size=k).map(tuple)), max_size=6))
+    return n, tuple(clauses), width
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(raw_formulas())
+def test_formula_accepts_exactly_what_the_walk_accepts(case):
+    n, clauses, width = case
+    message = formula_check_walk(n, clauses, width)
+    if message is None:
+        assert Formula(n=n, clauses=clauses, width=width).clauses == clauses
+    else:
+        with pytest.raises(ValueError) as exc_info:
+            Formula(n=n, clauses=clauses, width=width)
+        assert str(exc_info.value) == message
+
+
 def test_clause_satisfaction_xor_all_negations():
     rng = random.Random(3)
     for seed in range(30):
