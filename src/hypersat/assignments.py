@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .formula import (Assignment, Formula, Literal, _csv_text, check_consistent,
-                      literal_str, make_literal)
+                      literal_str)
 from .subclauses import SubClauseSpace
 
 # Each heuristic scores a literal as a weighted sum of the sub-clauses it
@@ -159,8 +159,9 @@ def generate_greedy(f: Formula, tie_break: str = "true", dynamic: bool = False) 
 
 def random_assignment(n: int, seed: int) -> Assignment:
     """Independent fair coin per variable (Mersenne Twister, seeded)."""
-    rng = random.Random(seed)
-    return frozenset(make_literal(v, negative=bool(rng.getrandbits(1))) for v in range(n))
+    getrandbits = random.Random(seed).getrandbits
+    # 2v + 1 is -x_v, the literal of a 1 bit.
+    return frozenset([2 * v + getrandbits(1) for v in range(n)])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,13 @@
 generation, 2-SAT reduction, verification suites, batch experiments and
 graph and expansion-graph exports.
 
-Exit codes: 0 success, 2 bad usage or parameters, 3 DIMACS parse error,
-4 size guardrail, 6 claim falsified.
+Exit codes: 0 success, 2 bad usage or parameters (an empty or too small
+`verify --n-range` among them), 3 DIMACS parse error (a non-ASCII byte
+among them, with its line), 4 size guardrail, 6 claim falsified.
+
+Every command that reads or generates a formula refuses one over more than
+INPUT_MAX_VARS (100,000) variables with exit 4, before allocating anything
+per variable: a DIMACS header or --gen can name any n in a few bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ EXIT_FALSIFIED = 6
 
 OUT_DIR_ENV = "HYPERSAT_OUT"
 
+# Variables a command accepts; build_space of an empty formula this size
+# takes a fraction of a second.
+INPUT_MAX_VARS = 100_000
+
 
 def out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
@@ -57,8 +66,15 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def check_vars(n: int) -> None:
+    if n > INPUT_MAX_VARS:
+        raise GuardrailError(f"commands are limited to n <= {INPUT_MAX_VARS} variables, "
+                             f"got n = {n}")
+
+
 def resolve_formula(args) -> tuple[Formula, str]:
-    """The formula named by INPUT or --gen, and a label for it."""
+    """The formula named by INPUT or --gen, and a label for it; refuses more
+    than INPUT_MAX_VARS variables."""
     has_input = getattr(args, "input", None) is not None
     has_gen = getattr(args, "gen", None) is not None
     if has_input == has_gen:
@@ -69,12 +85,14 @@ def resolve_formula(args) -> tuple[Formula, str]:
             f = parse_dimacs(handle.read())
         for warning in caught:
             sys.stderr.write(f"warning: {args.input} {warning.message}\n")
+        check_vars(f.n)
         return f, args.input
     try:
         n_text, r_text, seed_text = args.gen.split(",")
         n, r, seed = int(n_text), float(r_text), int(seed_text)
     except ValueError:
         raise UsageError(f"--gen expects 'n,r,seed', got {args.gen!r}") from None
+    check_vars(n)   # before the draw, which is linear in n
     return random_formula(n, r, seed), f"gen(n={n},r={r},seed={seed})"
 
 
@@ -108,6 +126,7 @@ def instance_filename(n: int, r: float, seed: int) -> str:
 
 
 def cmd_gen(args) -> int:
+    check_vars(args.n)   # every file gen writes must read back
     directory = args.out_dir or out_dir()
     files = []
     for seed in range(args.seed, args.seed + args.count):
@@ -233,11 +252,15 @@ def cmd_reduce(args) -> int:
 
 
 def parse_range(text: str) -> tuple[int, int]:
+    """--n-range's 'lo..hi', with 3 <= lo <= hi: every width-3 suite draws n
+    from lo..hi, and 2sat-oracle from 2..min(hi, 12)."""
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(".."))
     except ValueError:
         raise UsageError(f"--n-range expects 'lo..hi', got {text!r}") from None
+    if not 3 <= lo <= hi:
+        raise UsageError(f"--n-range expects 'lo..hi' with 3 <= lo <= hi, got {text!r}")
+    return lo, hi
 
 
 def cmd_verify(args) -> int:

@@ -22,12 +22,18 @@ class DimacsError(ValueError):
 def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
     """Parse DIMACS CNF text into a width-`width` Formula.
 
-    Rejects, with the line number: a missing or malformed header, clauses of
-    the wrong width, duplicate/contradictory literals inside a clause, and
-    out-of-range variables. Duplicate clauses are kept but warned about.
+    Rejects, with the line number: a non-ASCII byte, a missing or malformed
+    header, clauses of the wrong width, duplicate/contradictory literals
+    inside a clause, and out-of-range variables. Duplicate clauses are kept
+    but warned about.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # The byte's line, numbered as the splitlines loop below numbers it.
+            line = len((text[:exc.start] + b"x").decode("ascii").splitlines())
+            raise DimacsError(line, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
     n = m = -1
     header_line = 0
     clauses: list[Clause] = []

@@ -249,34 +249,8 @@ def solve_exhaustive(f: Formula, cap: int = 10) -> list[Assignment]:
 
 
 # Random.sample(range(n), k) draws from a copy of the population when n is at
-# most this and by rejection above it. The threshold holds for k <= 5; sample
-# raises it for larger k.
+# most this and by rejection above it, for k <= 5.
 SAMPLE_POOL_MAX = 21
-
-
-def _sample_sorted(rng: random.Random, n: int, k: int) -> list[int]:
-    """sorted(rng.sample(range(n), k)), drawing the same bits from rng.
-
-    sample's pool branch is replayed, where its randbelow(s) is
-    getrandbits(s.bit_length()), redrawn while the result is >= s. CPython
-    3.10 to 3.13 share this algorithm. The rejection branch, and every sample
-    with k > 5, whose pool threshold differs, are left to rng.sample;
-    random_formula inlines the rejection branch for k = 3."""
-    if k > 5 or n > SAMPLE_POOL_MAX:
-        return sorted(rng.sample(range(n), k))
-    getrandbits = rng.getrandbits
-    pool = list(range(n))
-    result = []
-    for i in range(k):
-        size = n - i
-        bits = size.bit_length()
-        j = getrandbits(bits)
-        while j >= size:
-            j = getrandbits(bits)
-        result.append(pool[j])
-        pool[j] = pool[size - 1]
-    result.sort()
-    return result
 
 
 def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
@@ -288,10 +262,12 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
     across platforms.
 
     The variables of a clause are sorted(rng.sample(range(n), k)), then one
-    getrandbits(1) per variable in sorted order is its polarity. For k = 3,
-    and for sample's pool branch up to k = 5 (_sample_sorted), the sample is
-    replayed from getrandbits rather than called. The replay draws the same
-    bits, so every seed keeps the instance rng.sample gave it.
+    getrandbits(1) per variable in sorted order is its polarity. For k = 3
+    the sample is replayed from getrandbits rather than called, in both of
+    its branches: sample's randbelow(s) is getrandbits(s.bit_length()),
+    redrawn while the result is >= s, as in CPython 3.10 to 3.13. The replay
+    draws the same bits, so every seed keeps the instance rng.sample gave it.
+    Every other k calls rng.sample.
     """
     if n < k:
         raise ValueError(f"need n >= k, got n = {n}, k = {k}")
@@ -305,20 +281,37 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     chosen: dict[Clause, None] = {}   # insertion-ordered; a repeated clause is dropped
-    if k == 3 and n > SAMPLE_POOL_MAX:
-        # sample's rejection branch, inlined: redraw j while j >= n (randbelow)
-        # or j is already chosen.
-        bits = n.bit_length()
+    if k == 3:
+        pool = n <= SAMPLE_POOL_MAX
+        bits, bits1, bits2 = n.bit_length(), (n - 1).bit_length(), (n - 2).bit_length()
         while len(chosen) < m:
             x = getrandbits(bits)
             while x >= n:
                 x = getrandbits(bits)
-            y = getrandbits(bits)
-            while y >= n or y == x:
+            if pool:
+                # sample's pool branch takes pool[j] for j below n, n - 1 and
+                # n - 2, moving the pool's last entry into slot j after each
+                # draw, so an index drawn again reads the entry moved there.
+                y = getrandbits(bits1)
+                while y >= n - 1:
+                    y = getrandbits(bits1)
+                z = getrandbits(bits2)
+                while z >= n - 2:
+                    z = getrandbits(bits2)
+                if z == y:
+                    z = n - 1 if x == n - 2 else n - 2
+                elif z == x:
+                    z = n - 1
+                if y == x:
+                    y = n - 1
+            else:
+                # The rejection branch redraws j while j >= n or j is already chosen.
                 y = getrandbits(bits)
-            z = getrandbits(bits)
-            while z >= n or z == x or z == y:
+                while y >= n or y == x:
+                    y = getrandbits(bits)
                 z = getrandbits(bits)
+                while z >= n or z == x or z == y:
+                    z = getrandbits(bits)
             if x > y:
                 x, y = y, x
             if y > z:
@@ -328,7 +321,7 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
             chosen[2 * x + getrandbits(1), 2 * y + getrandbits(1), 2 * z + getrandbits(1)] = None
     else:
         while len(chosen) < m:
-            chosen[tuple(2 * v + getrandbits(1) for v in _sample_sorted(rng, n, k))] = None
+            chosen[tuple(2 * v + getrandbits(1) for v in sorted(rng.sample(range(n), k)))] = None
     return Formula(n=n, clauses=tuple(chosen), width=k)
 
 

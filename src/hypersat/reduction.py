@@ -35,22 +35,26 @@ def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> Formula:
     return Formula(n=f.n, clauses=tuple(space.pairs[sid] for sid in ids), width=2)
 
 
+def checked_events(space: SubClauseSpace, f: Formula) -> list[list[tuple[Literal, int]]]:
+    """space.events(), each asserted sound: a sub-clause is its parent clause
+    minus the negation of its creator. No event depends on an assignment, so
+    one call covers every assignment over f."""
+    events = space.events()
+    for pair, sid_events in zip(space.pairs, events):
+        for creator, parent in sid_events:
+            assert set(pair) == set(f.clauses[parent]) - {negate(creator)}
+    return events
+
+
 def provenance(space: SubClauseSpace, f: Formula,
                a: Assignment) -> dict[Pair, tuple[tuple[Literal, int], ...]]:
     """Each clause of reduce_to_2sat(space, f, a), in its order, mapped to the
-    (creator, parent clause) events that activate it under a. Asserts that
-    each clause is its parent minus the negation of its creator."""
+    (creator, parent clause) events that activate it under a. Every event
+    of f is asserted sound first (checked_events)."""
     a = check_consistent(a)
-    events = space.events()
-    out = {}
-    for sid in sorted(space.activated(a)):
-        pair = space.pairs[sid]
-        kept = tuple(event for event in events[sid] if event[0] in a)
-        for creator, parent in kept:
-            # Soundness: the sub-clause is its parent minus the creator's negation.
-            assert set(pair) == set(f.clauses[parent]) - {negate(creator)}
-        out[pair] = kept
-    return out
+    events = checked_events(space, f)
+    return {space.pairs[sid]: tuple(event for event in events[sid] if event[0] in a)
+            for sid in sorted(space.activated(a))}
 
 
 def _require_width_2(t: Formula) -> None:
@@ -103,16 +107,20 @@ class TheoremCertificate:
     provenance_checked: int
 
 
-def verify_theorem(f: Formula, a: Assignment, space: SubClauseSpace) -> TheoremCertificate:
+def verify_theorem(f: Formula, a: Assignment, space: SubClauseSpace,
+                   events: list[list[tuple[Literal, int]]]) -> TheoremCertificate:
     """Check that a satisfying assignment also satisfies its induced 2-SAT
-    formula; `space` is f's sub-clause space. Raises HypothesisError when `a`
-    does not satisfy f at all."""
+    formula; `space` is f's sub-clause space and `events` is
+    checked_events(space, f), derived once per formula. provenance_checked
+    counts the checked events whose creator is in `a`: those that activate
+    the 2-SAT clauses. Raises HypothesisError when `a` does not satisfy f at
+    all."""
     a = check_consistent(a)
     if evaluate(f, a).unsatisfied_ids:
         raise HypothesisError("assignment does not satisfy the formula")
     t = reduce_to_2sat(space, f, a)
     violated = tuple(assignment_satisfies_2sat(t, a))
-    checked = sum(len(events) for events in provenance(space, f, a).values())
+    checked = sum(creator in a for sid_events in events for creator, _ in sid_events)
     return TheoremCertificate(holds=not violated, t_clause_count=t.m,
                               violated=violated, provenance_checked=checked)
 

@@ -24,8 +24,8 @@ from .assignments import random_assignment, subclause_count, subclause_total, th
 from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, assignment_json,
                       random_formula, solve_exhaustive)
 from .hypernodal import build_hypernodal, find_contradictions
-from .reduction import (HypothesisError, assignment_satisfies_2sat, reduce_to_2sat,
-                        solve_2sat, verify_corollary1, verify_theorem)
+from .reduction import (HypothesisError, assignment_satisfies_2sat, checked_events,
+                        reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)
 from .subclauses import build_space, space_census
 
 
@@ -101,7 +101,11 @@ def _instances(rng: random.Random, count: int, n_range: tuple[int, int],
 def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
                   r: float = 4.25, seed: int = 1) -> SuiteReport:
     """Every oracle-found satisfying assignment must satisfy the 2-SAT
-    formula it induces."""
+    formula it induces.
+
+    The soundness of every sub-clause event (checked_events) is asserted
+    once per satisfiable instance, before its solutions are checked; each
+    solution's provenance_checked counts the events it touches."""
     _check_n(n_range[1])
     report = SuiteReport("theorem", instances)
     for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
@@ -110,8 +114,9 @@ def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
             report.skipped += 1
             continue
         space = build_space(f)
+        events = checked_events(space, f)
         for a in solutions:
-            report.record(verify_theorem(f, a, space=space).holds, f_seed, i, n, r, a)
+            report.record(verify_theorem(f, a, space, events).holds, f_seed, i, n, r, a)
     report.details = {"satisfiable_instances": instances - report.skipped}
     return report
 

@@ -8,6 +8,7 @@ from hypersat import (build_space, cli, emit_dimacs, experiments, literal_str, n
                       parse_dimacs, parse_literal, random_formula, reduce_to_2sat, verify)
 from hypersat.assignments import MIN_CREATE_MAX_SOLVE_READING
 from hypersat.dimacs import literal_to_dimacs
+from hypersat.formula import GuardrailError
 from hypersat.reduction import provenance
 from hypersat.cli import (EXIT_FALSIFIED, EXIT_GUARDRAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                           main)
@@ -339,6 +340,65 @@ def test_malformed_dimacs_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == EXIT_PARSE
     assert out == "" and "non-integer token" in err
+
+
+def test_non_ascii_dimacs_exits_3_with_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.cnf"
+    # Lines are numbered as str.splitlines splits them, at "\r" too.
+    path.write_bytes(b"c a comment\rp cnf 3 1\n\xff1 2 3 0\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_PARSE
+    assert out == "" and err == "error: line 3: non-ASCII byte 0xff\n"
+
+
+# Ranges no suite can draw from: empty, or below the three variables of a
+# width-3 clause.
+BAD_N_RANGES = [
+    ("verify", "--n-range", "12..6"),
+    ("verify", "--suite", "2sat-oracle", "--n-range", "1..1"),
+    ("verify", "--suite", "census", "--n-range", "2..6"),
+    ("verify", "--n-range", "6"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_N_RANGES, ids=[" ".join(argv) for argv in BAD_N_RANGES])
+def test_bad_n_range_exits_2_before_any_suite(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: --n-range expects 'lo..hi'")
+
+
+# A few bytes that name more variables than any command accepts: a DIMACS
+# header, --gen and gen --n.
+HUGE = [
+    ("analyze", "HUGE"),
+    ("reduce", "HUGE"),
+    ("analyze", "--gen", "30000000,0,1"),
+    ("assign", "--gen", "30000000,0,1", "--heuristic", "greedy"),
+    ("export", "--gen", "30000000,0,1", "--expand", "x0"),
+    ("gen", "--n", "30000000", "--r", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", HUGE, ids=[" ".join(argv) for argv in HUGE])
+def test_huge_variable_count_exits_4_fast(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HYPERSAT_OUT", raising=False)
+    huge = tmp_path / "huge.cnf"
+    huge.write_text("p cnf 30000000 1\n1 2 3 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *[str(huge) if arg == "HUGE" else arg for arg in argv])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_GUARDRAIL
+    assert out == "" and err == (f"error: commands are limited to n <= {cli.INPUT_MAX_VARS} "
+                                 "variables, got n = 30000000\n")
+    assert list(tmp_path.iterdir()) == [huge]
+
+
+def test_the_variable_cap_admits_its_own_size():
+    cli.check_vars(cli.INPUT_MAX_VARS)
+    with pytest.raises(GuardrailError):
+        cli.check_vars(cli.INPUT_MAX_VARS + 1)
 
 
 # Inputs past a size guardrail: the oracle cap (n <= 26) and the experiment

@@ -176,6 +176,17 @@ def test_generator_matches_sample_at_the_distinct_clause_limit(n, k):
     assert random_formula(n, r, 3, k) == sample_formula(n, r, 3, k)
 
 
+@pytest.mark.parametrize("n", range(3, SAMPLE_POOL_MAX + 1))
+def test_k3_draw_matches_sample_in_the_pool_branch(n):
+    # Every n the straight-line pool draw covers, at n = 3 and 4 also with
+    # every distinct clause drawn.
+    limit = (math.comb(n, 3) << 3) / n
+    ratios = [r for r in (0.5, 2, 4.25) if r <= limit] + ([limit] if n <= 4 else [])
+    for r in ratios:
+        for seed in range(25):
+            assert random_formula(n, r, seed) == sample_formula(n, r, seed)
+
+
 @pytest.mark.parametrize("n, r, seed, k", [
     (500, 4.25, 1, 3), (500, 4.25, 2, 3), (500, 1.0, 3, 2), (500, 9.8, 4, 4),
     (500, 21.0, 5, 5), (500, 4.25, 6, 6), (2000, 4.25, 1, 3), (2000, 4.25, 7, 3),

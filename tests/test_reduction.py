@@ -9,7 +9,7 @@ from hypersat import (Formula, HypothesisError, assignment_satisfies_2sat, build
                       parse_literal, random_assignment, random_formula, reduce_to_2sat,
                       solve_2sat, solve_exhaustive, verify_corollary1, verify_theorem)
 from hypersat.formula import var_of
-from hypersat.reduction import provenance
+from hypersat.reduction import checked_events, provenance
 from hypersat.subclauses import SubClauseSpace
 
 from conftest import clause, formulas, lits
@@ -199,7 +199,8 @@ def test_assignment_satisfies_empty():
 
 
 def test_verify_theorem_f3(f3):
-    cert = verify_theorem(f3, lits("-x0", "-x1", "x2"), build_space(f3))
+    space = build_space(f3)
+    cert = verify_theorem(f3, lits("-x0", "-x1", "x2"), space, checked_events(space, f3))
     assert cert.holds
     assert cert.t_clause_count == 9
     assert cert.provenance_checked >= 9
@@ -208,7 +209,8 @@ def test_verify_theorem_f3(f3):
 
 def test_verify_theorem_hypothesis_gate(f3):
     with pytest.raises(HypothesisError):
-        verify_theorem(f3, lits("-x0", "x1", "x2"), build_space(f3))
+        space = build_space(f3)
+        verify_theorem(f3, lits("-x0", "x1", "x2"), space, checked_events(space, f3))
 
 
 def test_verify_theorem_over_oracle_assignments():
@@ -219,8 +221,9 @@ def test_verify_theorem_over_oracle_assignments():
         seed += 1
         f = random_formula(rng.randint(6, 10), 4.25, seed=seed)
         space = build_space(f)
+        events = checked_events(space, f)
         for a in solve_exhaustive(f, cap=5):
-            assert verify_theorem(f, a, space).holds
+            assert verify_theorem(f, a, space, events).holds
             checked += 1
 
 
@@ -228,8 +231,21 @@ def test_verify_theorem_over_oracle_assignments():
 @given(formulas(n_range=(3, 12), ratios=(2, 3, 4.25)))
 def test_theorem_holds_for_every_oracle_solution(f):
     space = build_space(f)
+    events = checked_events(space, f)
     for a in solve_exhaustive(f, cap=1 << f.n):
-        assert verify_theorem(f, a, space=space).holds
+        assert verify_theorem(f, a, space, events).holds
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 12), ratios=(1, 2, 4.25)))
+def test_provenance_checked_counts_the_events_provenance_keeps(f):
+    # provenance is the per-assignment derivation that verify_theorem's count
+    # replaced; repeated clauses repeat their events in both.
+    space = build_space(f)
+    events = checked_events(space, f)
+    for a in solve_exhaustive(f, cap=10):
+        expected = sum(map(len, provenance(space, f, a).values()))
+        assert verify_theorem(f, a, space, events).provenance_checked == expected
 
 
 def test_verify_corollary1_f3(f3, to_paper):

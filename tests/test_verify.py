@@ -9,6 +9,7 @@ from hypersat import build_space, random_formula, reduce_to_2sat, verify
 from hypersat.cli import EXIT_FALSIFIED, EXIT_OK, main
 from hypersat.formula import GuardrailError
 from hypersat.reduction import Corollary1Certificate
+from hypersat.subclauses import SubClauseSpace
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
@@ -91,3 +92,16 @@ def test_failures_are_bounded_and_left_out_when_empty(monkeypatch, capsys):
     assert main(["verify", "--suite", "corollary1", "--instances", "2"]) == EXIT_FALSIFIED
     [payload] = json.loads(capsys.readouterr().out)
     assert payload["falsifications"] == 20 and len(payload["failures"]) == 10
+
+
+def test_an_unsound_event_fails_theorem_and_reduce(monkeypatch, tmp_path):
+    # Credit each sub-clause to the literal its parent lost, not to that
+    # literal's negation: checked_events must assert, once per instance.
+    events = SubClauseSpace.events
+    monkeypatch.setattr(SubClauseSpace, "events", lambda space: [
+        [(creator ^ 1, parent) for creator, parent in sid_events]
+        for sid_events in events(space)])
+    with pytest.raises(AssertionError):
+        verify.theorem_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
+    with pytest.raises(AssertionError):
+        main(["reduce", "--gen", "30,4.25,2", "--out-base", str(tmp_path / "out")])
