@@ -208,8 +208,8 @@ def test_verify_theorem_f3(f3):
 
 
 def test_verify_theorem_hypothesis_gate(f3):
+    space = build_space(f3)
     with pytest.raises(HypothesisError):
-        space = build_space(f3)
         verify_theorem(f3, lits("-x0", "x1", "x2"), space, checked_events(space, f3))
 
 
