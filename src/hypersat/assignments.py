@@ -7,7 +7,7 @@ from __future__ import annotations
 import heapq
 import operator
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (Assignment, Formula, Literal, _csv_text, check_consistent,
                       literal_str)
@@ -29,8 +29,7 @@ TIE_BREAKS = ("true", "false")
 MIN_CREATE_MAX_SOLVE_READING = "argmax(|subsat| - |created|)"
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Per-variable sums of the smaller/larger created-sub-clause counts.
 
     minimum <= maximum always, and for any complete assignment the total
@@ -164,8 +163,7 @@ def random_assignment(n: int, seed: int) -> Assignment:
     return frozenset([2 * v + getrandbits(1) for v in range(n)])
 
 
-@dataclass(frozen=True)
-class CurveStep:
+class CurveStep(NamedTuple):
     step: int            # 1-based position in the assignment order
     literal: Literal
     activated: int       # distinct sub-clauses activated so far
@@ -173,8 +171,7 @@ class CurveStep:
     open: int            # activated - satisfied
 
 
-@dataclass(frozen=True)
-class CurveSeries:
+class CurveSeries(NamedTuple):
     steps: tuple[CurveStep, ...]
     inflection: int      # first step at which `open` attains its series maximum
 
@@ -221,8 +218,7 @@ def unsolved_curve(space: SubClauseSpace, a: Assignment, order) -> CurveSeries:
     return CurveSeries(steps=tuple(steps), inflection=inflection)
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     unsolved: frozenset[int]      # activated sub-clauses no assigned literal solves
     excluded: frozenset[Literal]  # assignment literals that created them
     allowed: frozenset[Literal]   # the rest of the assignment

@@ -5,6 +5,9 @@ graph and expansion-graph exports.
 Exit codes: 0 success, 2 bad usage or parameters (an empty or too small
 `verify --n-range` among them), 3 DIMACS parse error (a non-ASCII byte
 among them, with its line), 4 size guardrail, 6 claim falsified.
+A verify suite that made no check at all ends its stderr summary line in
+[vacuous] instead of [ok]; its JSON and its exit code are those of a passing
+suite, so such a run alone exits 0.
 
 Every command that reads or generates a formula refuses one over more than
 INPUT_MAX_VARS (100,000) variables with exit 4, before allocating anything

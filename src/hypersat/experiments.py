@@ -5,7 +5,7 @@ and the unsolved-sub-clause curve with its inflection step.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .assignments import (HEURISTICS, generate_greedy, generate_heuristic,
                           random_assignment, subclause_count, thresholds, unsolved_curve)
@@ -36,8 +36,7 @@ def generate_assignment(name: str, f: Formula, space: SubClauseSpace,
     raise ValueError(f"unknown generator {name!r}, expected one of {GENERATORS}")
 
 
-@dataclass
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     instance: int
     seed: int
     generator: str
@@ -48,11 +47,11 @@ class InstanceRecord:
     inflection: int
 
 
-@dataclass
 class ExperimentSummary:
-    n: int
-    r: float
-    records: list[InstanceRecord] = field(default_factory=list)
+    def __init__(self, n: int, r: float, records: list[InstanceRecord] | None = None):
+        self.n = n
+        self.r = r
+        self.records = [] if records is None else records
 
     def to_json_dict(self) -> dict:
         """The records with the mean and population standard deviation of the
@@ -66,7 +65,7 @@ class ExperimentSummary:
             "means": {g: statistics.fmean(v) for g, v in by_gen.items()},
             "stdevs": {g: (statistics.pstdev(v) if len(v) > 1 else 0.0)
                        for g, v in by_gen.items()},
-            "records": [vars(rec) for rec in self.records],
+            "records": [rec._asdict() for rec in self.records],
         }
 
     def to_csv(self) -> str:
@@ -107,15 +106,17 @@ def run_fraction_experiment(n: int = 500, r: float = 4.25, count: int = 100,
     return summary
 
 
-@dataclass
 class CurveExperiment:
-    n: int
-    r: float
-    method: str
-    accepted: list[dict] = field(default_factory=list)   # seed, generator, inflection
-    seeds_scanned: int = 0
-    mean_inflection: float = 0.0
-    mean_curve: list[float] = field(default_factory=list)
+    def __init__(self, n: int, r: float, method: str, accepted: list[dict] | None = None,
+                 seeds_scanned: int = 0, mean_inflection: float = 0.0,
+                 mean_curve: list[float] | None = None):
+        self.n = n
+        self.r = r
+        self.method = method
+        self.accepted = [] if accepted is None else accepted   # seed, generator, inflection
+        self.seeds_scanned = seeds_scanned
+        self.mean_inflection = mean_inflection
+        self.mean_curve = [] if mean_curve is None else mean_curve
 
     def to_json_dict(self) -> dict:
         return {

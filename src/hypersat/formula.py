@@ -12,8 +12,8 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 Literal = int
 Clause = tuple[int, ...]
@@ -75,29 +75,36 @@ def make_clause(literals) -> Clause:
     return lits
 
 
-@dataclass(frozen=True)
-class Formula:
-    """A width-k CNF formula over variables x0..x(n-1). Immutable."""
-
+class _FormulaFields(NamedTuple):
     n: int
     clauses: tuple[Clause, ...]
     width: int = 3
 
-    def __post_init__(self):
-        width, codes, clauses = self.width, 2 * self.n, self.clauses
+
+class Formula(_FormulaFields):
+    """A width-k CNF formula over variables x0..x(n-1): a validated tuple of
+    (n, clauses, width), so its fields are read-only and it compares and
+    hashes by value."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, clauses: tuple[Clause, ...], width: int = 3):
+        self = super().__new__(cls, n, clauses, width)
+        codes = 2 * n
         # Codes 0..2n-1 are the in-range literals; the walk only names a failure.
         if set(map(len, clauses)) <= {width} and (
                 min(chain.from_iterable(clauses), default=0) >= 0
                 and max(chain.from_iterable(clauses), default=-1) < codes):
-            return
+            return self
         for cid, clause in enumerate(clauses):
             if len(clause) != width:
                 raise ValueError(f"clause {cid} has width {len(clause)}, expected {width}")
             if clause and (min(clause) < 0 or max(clause) >= codes):
                 for lit in clause:
-                    if not 0 <= var_of(lit) < self.n:
+                    if not 0 <= var_of(lit) < n:
                         raise ValueError(f"clause {cid}: variable x{var_of(lit)} "
-                                         f"out of range [0,{self.n})")
+                                         f"out of range [0,{n})")
+        return self
 
     @property
     def m(self) -> int:
@@ -136,8 +143,7 @@ def assignment_json(literals) -> list[str]:
     return [literal_str(lit) for lit in sorted(literals, key=var_of)]
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     satisfied_count: int
     unsatisfied_ids: tuple[int, ...]
     fraction: float

@@ -23,7 +23,8 @@ at, in time linear in n + |S| at any depth bound.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .formula import (Assignment, Literal, check_consistent, literal_str, make_literal,
                       negate)
@@ -112,8 +113,7 @@ def component_ids(adjacency: list[list[int]]) -> list[int]:
     return comp
 
 
-@dataclass(frozen=True)
-class ImplicationGraph:
+class ImplicationGraph(NamedTuple):
     """Implication graph over the 2n literal codes, as the successor lists
     implication_adjacency builds."""
 
@@ -125,8 +125,7 @@ class ImplicationGraph:
                          for v in successors)
 
 
-@dataclass(frozen=True)
-class HypernodalGraph:
+class HypernodalGraph(NamedTuple):
     """The 2n-graph family, as a view of its sub-clause space: the graph of
     literal l holds the implications of the sub-clauses l creates."""
 
@@ -153,20 +152,32 @@ def merge_active(hg: HypernodalGraph, a: Assignment) -> ImplicationGraph:
         space.n, sorted(space.pairs[sid] for sid in space.activated(a))))
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
-    """What find_contradictions found in an assignment's merged graph.
+class ContradictionReport(SimpleNamespace):
+    """What find_contradictions found in an assignment's merged graph, as
+    three tuples, which vars() returns:
 
-    Each field is bounded by the graph: at most one witness path per literal
-    of the assignment, one conflict per variable, one entry per edge."""
+    - witness_paths: one shortest path per negation of an assigned literal
+      that the merged graph reaches from the assignment; it starts at an
+      assigned literal and ends at the negation, sorted by that end literal;
+    - scc_conflicts: the variables whose two literals share an SCC;
+    - escaped_implications: the edges u -> v with u assigned and v not.
 
-    consistent: bool
-    # one shortest path per negation of an assigned literal that the merged
-    # graph reaches from the assignment: it starts at an assigned literal and
-    # ends at the negation, sorted by that end literal
-    witness_paths: tuple[tuple[Literal, ...], ...]
-    scc_conflicts: tuple[int, ...]       # variables whose two literals share an SCC
-    escaped_implications: tuple[Edge, ...]  # edges u -> v with u assigned, v not
+    `consistent` says that all three are empty. Each field is bounded by the
+    graph: at most one witness path per literal of the assignment, one
+    conflict per variable, one entry per edge."""
+
+    def __init__(self, witness_paths: tuple[tuple[Literal, ...], ...],
+                 scc_conflicts: tuple[int, ...], escaped_implications: tuple[Edge, ...]):
+        super().__init__(witness_paths=witness_paths, scc_conflicts=scc_conflicts,
+                         escaped_implications=escaped_implications)
+
+    @property
+    def consistent(self) -> bool:
+        return not (self.witness_paths or self.scc_conflicts or self.escaped_implications)
+
+    def __repr__(self) -> str:
+        fields = {"consistent": self.consistent, **vars(self)}
+        return f"ContradictionReport({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
 
 
 def _witness_paths(adjacency: list[list[Literal]], a: Assignment) -> list[tuple[Literal, ...]]:
@@ -215,23 +226,17 @@ def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionRepo
     conflicts = tuple(v for v in range(hg.n)
                       if comp[make_literal(v)] == comp[make_literal(v, True)])
     witnesses = _witness_paths(adjacency, a)
-    return ContradictionReport(
-        consistent=not (escaped or witnesses or conflicts),
-        witness_paths=tuple(witnesses),
-        scc_conflicts=conflicts,
-        escaped_implications=escaped,
-    )
+    return ContradictionReport(witness_paths=tuple(witnesses), scc_conflicts=conflicts,
+                               escaped_implications=escaped)
 
 
-@dataclass(frozen=True)
-class ExpandedSubClause:
+class ExpandedSubClause(NamedTuple):
     sid: int
     literals: Pair
     creators: tuple[Literal, ...]   # the expanded literals that create it, in the order reached
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """The literal/sub-clause graph a literal reaches within a depth bound,
     each node recorded once. A sub-clause's level is that of creators[0].
     Unfolding the graph from `root` to `depth` gives the expansion tree: a

@@ -12,7 +12,7 @@ decision procedure, and machine checks of the reduction's guarantees:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (Assignment, Formula, Literal, check_consistent, evaluate,
                       make_literal, negate, var_of)
@@ -62,8 +62,7 @@ def _require_width_2(t: Formula) -> None:
         raise ValueError(f"expected a width-2 formula, got width {t.width}")
 
 
-@dataclass(frozen=True)
-class TwoSatResult:
+class TwoSatResult(NamedTuple):
     satisfiable: bool
     assignment: Assignment | None = None
     witness_variable: int | None = None   # variable whose two literals share an SCC
@@ -99,8 +98,7 @@ def assignment_satisfies_2sat(t: Formula, a: Assignment) -> list[Pair]:
     return [pair for pair in t.clauses if pair[0] not in a and pair[1] not in a]
 
 
-@dataclass(frozen=True)
-class TheoremCertificate:
+class TheoremCertificate(NamedTuple):
     holds: bool
     t_clause_count: int
     violated: tuple[Pair, ...]
@@ -125,8 +123,7 @@ def verify_theorem(f: Formula, a: Assignment, space: SubClauseSpace,
                               violated=violated, provenance_checked=checked)
 
 
-@dataclass(frozen=True)
-class Corollary1Certificate:
+class Corollary1Certificate(NamedTuple):
     holds: bool
     witnesses: tuple[int, ...]           # activated-but-unsolved sub-clause ids
     unsatisfied_clauses: tuple[int, ...]
@@ -145,8 +142,7 @@ def verify_corollary1(f: Formula, a: Assignment,
                                  unsatisfied_clauses=report.unsatisfied_ids)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     c1: tuple[int, ...]           # clause ids that mention an assigned variable
     c2: tuple[int, ...]           # the remaining clauses
     holds: bool                   # p satisfies every clause of c1: p is an autarky

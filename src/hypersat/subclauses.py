@@ -9,8 +9,8 @@ from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .formula import (Clause, Formula, GuardrailError, Literal, _csv_text, literal_str,
                       negate, var_of)
@@ -30,7 +30,6 @@ def literal_columns(n: int) -> list[Literal]:
     return cols
 
 
-@dataclass
 class SubClauseSpace:
     """Deduplicated sub-clause set, with what each literal creates and solves.
 
@@ -41,14 +40,17 @@ class SubClauseSpace:
     derives it.
     """
 
-    n: int
-    clauses: tuple[Clause, ...]
-    pairs: list[Pair]
-    index: dict[Pair, int]
-    # ids each literal creates, each id once, in first-creation order
-    created_by: list[list[int]]
-    # ids of the sub-clauses containing each literal, ascending
-    containing: list[list[int]]
+    def __init__(self, n: int, clauses: tuple[Clause, ...], pairs: list[Pair],
+                 index: dict[Pair, int], created_by: list[list[int]],
+                 containing: list[list[int]]):
+        self.n = n
+        self.clauses = clauses
+        self.pairs = pairs
+        self.index = index
+        # ids each literal creates, each id once, in first-creation order
+        self.created_by = created_by
+        # ids of the sub-clauses containing each literal, ascending
+        self.containing = containing
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -124,8 +126,7 @@ def build_space(f: Formula) -> SubClauseSpace:
                           created_by=created_by, containing=containing)
 
 
-@dataclass(frozen=True)
-class SpaceCensus:
+class SpaceCensus(NamedTuple):
     possible: int        # 2n(n-1) distinct-variable literal pairs
     actual: int          # |S| after deduplication
     per_clause_bound: int  # 3m
@@ -143,8 +144,7 @@ def space_census(space: SubClauseSpace, f: Formula) -> SpaceCensus:
     )
 
 
-@dataclass
-class InteractionMatrix:
+class InteractionMatrix(NamedTuple):
     """Row sid is sub-clause sid, columns the 2n literals; each cell says how
     the column literal relates to the row sub-clause: creates it ('c'),
     solves it ('s'), turns it into a unit clause (the remaining literal), or

@@ -18,7 +18,6 @@ there).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .assignments import random_assignment, subclause_count, subclause_total, thresholds
 from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, assignment_json,
@@ -37,15 +36,18 @@ SOLUTIONS_PER_INSTANCE = 10
 ASSIGNMENTS_PER_INSTANCE = 10
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    instances: int
-    checks: int = 0
-    falsifications: int = 0
-    skipped: int = 0          # instances where the hypothesis never applied
-    details: dict = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)  # reproducers of the first falsifications
+    def __init__(self, suite: str, instances: int, checks: int = 0, falsifications: int = 0,
+                 skipped: int = 0, details: dict | None = None,
+                 failures: list[dict] | None = None):
+        self.suite = suite
+        self.instances = instances
+        self.checks = checks
+        self.falsifications = falsifications
+        self.skipped = skipped  # instances where the hypothesis never applied
+        self.details = {} if details is None else details
+        # reproducers of the first falsifications
+        self.failures = [] if failures is None else failures
 
     def record(self, holds: bool, seed: int, instance: int, n: int, r: float,
                assignment: Assignment | None) -> None:
@@ -74,7 +76,8 @@ class SuiteReport:
         return out
 
     def summary_line(self) -> str:
-        status = "ok" if self.ok else "FALSIFIED"
+        """One line for stderr; a run without a single check is [vacuous]."""
+        status = "FALSIFIED" if not self.ok else "vacuous" if not self.checks else "ok"
         return (f"suite {self.suite}: {self.checks} checks over {self.instances} instances, "
                 f"{self.falsifications} falsifications, {self.skipped} skipped [{status}]")
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import hypersat
 
@@ -25,3 +29,13 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(hypersat).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Their decorators and import chain were a third of a command's start-up.
+    # -S keeps site hooks out of the import graph; PYTHONPATH names this copy.
+    env = dict(os.environ, PYTHONPATH=str(Path(hypersat.__file__).parents[1]))
+    code = "import sys, hypersat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"

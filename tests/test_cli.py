@@ -457,7 +457,8 @@ def test_large_expansion_exits_0_fast(capsys, monkeypatch, argv, fmt):
 
     def timed(function):
         def call(*args):
-            marks.append(time.perf_counter())
+            # CPU time of this process, which other processes cannot inflate.
+            marks.append(time.process_time())
             return function(*args)
         return call
 
@@ -477,6 +478,19 @@ def test_matrix_guardrail_leaves_no_file(capsys, tmp_path):
     assert code == EXIT_GUARDRAIL
     assert out == "" and "interaction matrix" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_suite_without_checks_is_vacuous_and_exits_0(capsys):
+    # n = 3 at r = 0.1 has no clause, so every assignment satisfies it and
+    # corollary1 resamples all 50 draws per wanted assignment.
+    code, out, err = run(capsys, "verify", "--suite", "corollary1", "--n-range", "3..3",
+                         "--r", "0.1", "--instances", "3")
+    assert code == EXIT_OK
+    assert err == ("suite corollary1: 0 checks over 3 instances, 0 falsifications, "
+                   "0 skipped [vacuous]\n")
+    assert json.loads(out) == [{"checks": 0, "details": {"satisfying_assignments_resampled": 1500},
+                                "falsifications": 0, "instances": 3, "skipped": 0,
+                                "suite": "corollary1"}]
 
 
 def test_falsified_suite_exits_6(capsys, monkeypatch):

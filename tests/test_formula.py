@@ -303,8 +303,22 @@ def test_formula_rejects_width_and_range(clauses, message):
     assert str(exc_info.value) == message
 
 
+def test_formula_is_a_read_only_value():
+    f = Formula(n=4, clauses=((0, 2, 4), (1, 3, 6)))
+    same = formula(4, [(4, 0, 2), (6, 1, 3)])
+    assert f == same and hash(f) == hash(same) and len({f, same}) == 1
+    assert (f.n, f.clauses, f.width) == (4, ((0, 2, 4), (1, 3, 6)), 3)
+    assert f != Formula(n=5, clauses=f.clauses)
+    assert f != Formula(n=4, clauses=f.clauses[:1])
+    assert Formula(n=4, clauses=(), width=2) != Formula(n=4, clauses=())
+    for name in ("n", "clauses", "width", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 0)
+    assert (f.n, f.clauses, f.width) == (4, ((0, 2, 4), (1, 3, 6)), 3)
+
+
 def formula_check_walk(n, clauses, width):
-    """The per-clause walk Formula.__post_init__ ran before its bulk checks,
+    """The per-clause walk Formula's constructor ran before its bulk checks,
     kept as their oracle: the message of the first failure, or None."""
     codes = 2 * n
     for cid, clause in enumerate(clauses):

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +206,16 @@ def test_find_contradictions_f3(f3_space, to_paper):
     for u, v in bad.escaped_implications:
         sid = f3_space.id_of((negate(u), v))
         assert to_paper({sid})[0] in unsolved
+
+
+def test_contradiction_report_namespace_holds_its_three_tuples(f3_space):
+    hg = build_hypernodal(f3_space)
+    for a in (lits("-x0", "-x1", "x2"), lits("-x0", "x1", "x2")):
+        report = find_contradictions(hg, a)
+        fields = vars(report)
+        assert list(fields) == ["witness_paths", "scc_conflicts", "escaped_implications"]
+        assert all(isinstance(value, tuple) for value in fields.values())
+        assert report.consistent == (not any(fields.values()))
 
 
 def test_find_contradictions_matches_reduction_verdict():
@@ -425,7 +434,7 @@ def test_expansion_prefix_property(f3_space):
             assert shallow.levels == {x: level for x, level in deep.levels.items()
                                       if level <= depth}
             assert shallow.subclauses == tuple(
-                replace(sc, creators=tuple(x for x in sc.creators if deep.levels[x] < depth))
+                sc._replace(creators=tuple(x for x in sc.creators if deep.levels[x] < depth))
                 for sc in deep.subclauses if deep.levels[sc.creators[0]] < depth)
 
 
@@ -479,7 +488,7 @@ def test_expansion_size_stops_once_the_tree_is_whole():
     whole = expand_literal(space, parse_literal("-x0"), 1)
     assert len(whole.levels) + len(whole.subclauses) == 4 and whole.truncated == frozenset()
     for depth in (2, 3, 50):
-        assert expand_literal(space, parse_literal("-x0"), depth) == replace(whole, depth=depth)
+        assert expand_literal(space, parse_literal("-x0"), depth) == whole._replace(depth=depth)
 
 
 def test_expansion_depth_past_the_cap_is_kept_when_the_tree_is_whole():
@@ -501,7 +510,7 @@ def test_expansion_is_linear_where_the_tree_was_exponential():
         expansion = expand_literal(space, lit, depth)
         assert len(expansion.levels) <= 2 * space.n
         assert len(expansion.subclauses) <= len(space)
-    assert expand_literal(space, lit, 7) == replace(whole, depth=7)
+    assert expand_literal(space, lit, 7) == whole._replace(depth=7)
 
 
 def test_expansion_of_an_endless_chain_is_a_cycle():
@@ -517,7 +526,7 @@ def test_expansion_of_an_endless_chain_is_a_cycle():
         (space.pairs[space.id_of(clause("x0 x3"))], (x1,))]
     for depth in (2000, 10**9):
         expansion = expand_literal(space, x0, depth)
-        assert expansion == replace(cycle, depth=depth)
+        assert expansion == cycle._replace(depth=depth)
         json.dumps(expansion_to_json(expansion), sort_keys=True, indent=2)
         check_dot(export_dot(expansion))
 
