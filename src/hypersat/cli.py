@@ -12,6 +12,8 @@ suite, so such a run alone exits 0.
 Every command that reads or generates a formula refuses one over more than
 INPUT_MAX_VARS (100,000) variables with exit 4, before allocating anything
 per variable: a DIMACS header or --gen can name any n in a few bytes.
+`verify` refuses an --n-range above EXPERIMENT_MAX_VARS (2000) with exit 4,
+before any suite runs.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def cmd_analyze(args) -> int:
         census = space_census(space, f)
         report["census"] = {"possible": census.possible, "actual": census.actual,
                             "per_clause_bound": census.per_clause_bound,
-                            "ratio": float(census.ratio)}
+                            "ratio": census.ratio}
     else:
         report["census"] = None
     if args.assignment:
@@ -269,6 +271,9 @@ def parse_range(text: str) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     n_range = parse_range(args.n_range)
+    if n_range[1] > experiments.EXPERIMENT_MAX_VARS:
+        raise GuardrailError(f"verify is capped at n <= {experiments.EXPERIMENT_MAX_VARS}, "
+                             f"got --n-range {args.n_range}")
     reports = []
     for name in names:
         report = verify.SUITES[name](instances=args.instances, n_range=n_range,

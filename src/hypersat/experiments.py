@@ -76,10 +76,8 @@ class ExperimentSummary:
                            rec.maximum_threshold, rec.inflection] for rec in self.records))
 
 
-def run_fraction_experiment(n: int = 500, r: float = 4.25, count: int = 100,
-                            generators=("minCreateMaxSolve", "greedy", "random"),
-                            seed: int = 1, tie_break: str = "true",
-                            with_curves: bool = False) -> ExperimentSummary:
+def run_fraction_experiment(n: int = 500, r: float = 4.25, *, count: int, generators,
+                            seed: int, tie_break: str, with_curves: bool) -> ExperimentSummary:
     """Mean satisfied fraction per generator over `count` fresh instances."""
     if n > EXPERIMENT_MAX_VARS:
         raise GuardrailError(f"experiments are capped at n <= {EXPERIMENT_MAX_VARS}")

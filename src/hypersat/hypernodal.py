@@ -50,28 +50,29 @@ def implication_adjacency(n: int, pairs) -> list[list[Literal]]:
     return adjacency
 
 
-def tarjan_scc(adjacency: list[list[int]]) -> list[tuple[int, ...]]:
-    """Strongly connected components of the graph on nodes 0..len-1 whose
-    successor lists are `adjacency`, via an explicit-stack Tarjan.
+def component_ids(adjacency: list[list[int]]) -> list[int]:
+    """Strongly connected component id per node of the graph on nodes
+    0..len-1 whose successor lists are `adjacency`, via an explicit-stack
+    Tarjan (1972).
 
-    Components are emitted in reverse topological order of the condensation.
-    Roots are tried in node order and successors in list order, so the output
-    is deterministic for a fixed adjacency.
+    Each node gets its component's id when the component completes, so ids
+    run in reverse topological order of the condensation: an edge between
+    two components leads to the smaller id. A visited node without an id is
+    still on Tarjan's stack. Roots are tried in node order and successors in
+    list order, so the ids are deterministic for a fixed adjacency.
     """
     size = len(adjacency)
     index = [-1] * size
     lowlink = [0] * size
-    on_stack = [False] * size
+    comp = [-1] * size
     stack: list[int] = []
-    components: list[tuple[int, ...]] = []
-    counter = 0
+    counter = comp_id = 0
     for root in range(size):
         if index[root] >= 0:
             continue
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(adjacency[root]))]
         while work:
             node, successors = work[-1]
@@ -80,37 +81,31 @@ def tarjan_scc(adjacency: list[list[int]]) -> list[tuple[int, ...]]:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack[succ] = True
                     work.append((succ, iter(adjacency[succ])))
                     break
-                if on_stack[succ] and index[succ] < lowlink[node]:
+                if comp[succ] < 0 and index[succ] < lowlink[node]:
                     lowlink[node] = index[succ]
             else:
                 work.pop()
                 if lowlink[node] == index[node]:
-                    comp = []
                     while True:
                         member = stack.pop()
-                        on_stack[member] = False
-                        comp.append(member)
+                        comp[member] = comp_id
                         if member == node:
                             break
-                    components.append(tuple(comp))
+                    comp_id += 1
                 if work:
                     parent = work[-1][0]
                     if lowlink[node] < lowlink[parent]:
                         lowlink[parent] = lowlink[node]
-    return components
-
-
-def component_ids(adjacency: list[list[int]]) -> list[int]:
-    """Component id per node, numbered in tarjan_scc's emission order
-    (reverse topological)."""
-    comp = [-1] * len(adjacency)
-    for comp_id, members in enumerate(tarjan_scc(adjacency)):
-        for node in members:
-            comp[node] = comp_id
     return comp
+
+
+def conflicting_variables(comp: list[int]) -> tuple[int, ...]:
+    """The variables, ascending, whose two literals share a component of
+    component_ids(...) over the 2n literal codes: the conflicts that make a
+    2-SAT formula unsatisfiable (Aspvall, Plass and Tarjan 1979)."""
+    return tuple(v for v, (pos, neg) in enumerate(zip(comp[0::2], comp[1::2])) if pos == neg)
 
 
 class ImplicationGraph(NamedTuple):
@@ -222,11 +217,9 @@ def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionRepo
     a = check_consistent(a)
     adjacency = merge_active(hg, a).adjacency
     escaped = tuple(sorted((u, v) for u in a for v in adjacency[u] if v not in a))
-    comp = component_ids(adjacency)
-    conflicts = tuple(v for v in range(hg.n)
-                      if comp[make_literal(v)] == comp[make_literal(v, True)])
     witnesses = _witness_paths(adjacency, a)
-    return ContradictionReport(witness_paths=tuple(witnesses), scc_conflicts=conflicts,
+    return ContradictionReport(witness_paths=tuple(witnesses),
+                               scc_conflicts=conflicting_variables(component_ids(adjacency)),
                                escaped_implications=escaped)
 
 

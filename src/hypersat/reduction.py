@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .formula import (Assignment, Formula, Literal, check_consistent, evaluate,
                       make_literal, negate, var_of)
-from .hypernodal import component_ids, implication_adjacency
+from .hypernodal import component_ids, conflicting_variables, implication_adjacency
 from .subclauses import Pair, SubClauseSpace
 
 
@@ -35,24 +35,27 @@ def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> Formula:
     return Formula(n=f.n, clauses=tuple(space.pairs[sid] for sid in ids), width=2)
 
 
-def checked_events(space: SubClauseSpace, f: Formula) -> list[list[tuple[Literal, int]]]:
-    """space.events(), each asserted sound: a sub-clause is its parent clause
-    minus the negation of its creator. No event depends on an assignment, so
-    one call covers every assignment over f."""
-    events = space.events()
-    for pair, sid_events in zip(space.pairs, events):
-        for creator, parent in sid_events:
-            assert set(pair) == set(f.clauses[parent]) - {negate(creator)}
-    return events
+def events_sound(space: SubClauseSpace, f: Formula,
+                 events: list[list[tuple[Literal, int]]]) -> bool:
+    """Whether every event of `events`, which is space.events(), is sound: a
+    sub-clause is its parent clause minus the negation of its creator. No
+    event depends on an assignment, so one call covers every assignment
+    over f."""
+    return all(set(pair) == set(f.clauses[parent]) - {negate(creator)}
+               for pair, sid_events in zip(space.pairs, events)
+               for creator, parent in sid_events)
 
 
 def provenance(space: SubClauseSpace, f: Formula,
                a: Assignment) -> dict[Pair, tuple[tuple[Literal, int], ...]]:
     """Each clause of reduce_to_2sat(space, f, a), in its order, mapped to the
-    (creator, parent clause) events that activate it under a. Every event
-    of f is asserted sound first (checked_events)."""
+    (creator, parent clause) events that activate it under a. Raises
+    AssertionError when some event of f is unsound (events_sound)."""
     a = check_consistent(a)
-    events = checked_events(space, f)
+    events = space.events()
+    if not events_sound(space, f, events):
+        raise AssertionError("a sub-clause event is not its parent clause minus "
+                             "the negation of its creator")
     return {space.pairs[sid]: tuple(event for event in events[sid] if event[0] in a)
             for sid in sorted(space.activated(a))}
 
@@ -75,9 +78,9 @@ def solve_2sat(t: Formula) -> TwoSatResult:
     against t."""
     _require_width_2(t)
     comp = component_ids(implication_adjacency(t.n, t.clauses))
-    for v in range(t.n):
-        if comp[make_literal(v)] == comp[make_literal(v, True)]:
-            return TwoSatResult(satisfiable=False, witness_variable=v)
+    conflicts = conflicting_variables(comp)
+    if conflicts:
+        return TwoSatResult(satisfiable=False, witness_variable=conflicts[0])
     # Components come out in reverse topological order, so the smaller comp id
     # is closer to a sink; taking that polarity keeps all implications inside.
     assignment = frozenset(
@@ -102,25 +105,18 @@ class TheoremCertificate(NamedTuple):
     holds: bool
     t_clause_count: int
     violated: tuple[Pair, ...]
-    provenance_checked: int
 
 
-def verify_theorem(f: Formula, a: Assignment, space: SubClauseSpace,
-                   events: list[list[tuple[Literal, int]]]) -> TheoremCertificate:
+def verify_theorem(f: Formula, a: Assignment, space: SubClauseSpace) -> TheoremCertificate:
     """Check that a satisfying assignment also satisfies its induced 2-SAT
-    formula; `space` is f's sub-clause space and `events` is
-    checked_events(space, f), derived once per formula. provenance_checked
-    counts the checked events whose creator is in `a`: those that activate
-    the 2-SAT clauses. Raises HypothesisError when `a` does not satisfy f at
-    all."""
+    formula; `space` is f's sub-clause space. Raises HypothesisError when `a`
+    does not satisfy f at all."""
     a = check_consistent(a)
     if evaluate(f, a).unsatisfied_ids:
         raise HypothesisError("assignment does not satisfy the formula")
     t = reduce_to_2sat(space, f, a)
     violated = tuple(assignment_satisfies_2sat(t, a))
-    checked = sum(creator in a for sid_events in events for creator, _ in sid_events)
-    return TheoremCertificate(holds=not violated, t_clause_count=t.m,
-                              violated=violated, provenance_checked=checked)
+    return TheoremCertificate(holds=not violated, t_clause_count=t.m, violated=violated)
 
 
 class Corollary1Certificate(NamedTuple):

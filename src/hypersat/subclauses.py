@@ -9,7 +9,6 @@ from.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .formula import (Clause, Formula, GuardrailError, Literal, _csv_text, literal_str,
@@ -130,7 +129,7 @@ class SpaceCensus(NamedTuple):
     possible: int        # 2n(n-1) distinct-variable literal pairs
     actual: int          # |S| after deduplication
     per_clause_bound: int  # 3m
-    ratio: Fraction      # 3r / (2(n-1))
+    ratio: float         # 3r / (2(n-1)), as 3m / (2n(n-1))
 
 
 def space_census(space: SubClauseSpace, f: Formula) -> SpaceCensus:
@@ -140,7 +139,7 @@ def space_census(space: SubClauseSpace, f: Formula) -> SpaceCensus:
         possible=2 * f.n * (f.n - 1),
         actual=len(space),
         per_clause_bound=3 * f.m,
-        ratio=Fraction(3 * f.m, f.n) / (2 * (f.n - 1)),
+        ratio=3 * f.m / (2 * f.n * (f.n - 1)),
     )
 
 

@@ -23,7 +23,7 @@ from .assignments import random_assignment, subclause_count, subclause_total, th
 from .formula import (ORACLE_MAX_VARS, Assignment, GuardrailError, assignment_json,
                       random_formula, solve_exhaustive)
 from .hypernodal import build_hypernodal, find_contradictions
-from .reduction import (HypothesisError, assignment_satisfies_2sat, checked_events,
+from .reduction import (HypothesisError, assignment_satisfies_2sat, events_sound,
                         reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)
 from .subclauses import build_space, space_census
 
@@ -101,14 +101,15 @@ def _instances(rng: random.Random, count: int, n_range: tuple[int, int],
         yield i, n, r, f_seed, random_formula(n, r, seed=f_seed, k=k)
 
 
-def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
-                  r: float = 4.25, seed: int = 1) -> SuiteReport:
+def theorem_suite(instances: int, n_range: tuple[int, int],
+                  r: float, seed: int) -> SuiteReport:
     """Every oracle-found satisfying assignment must satisfy the 2-SAT
-    formula it induces.
+    formula it induces, and every sub-clause event of its formula must be
+    sound (events_sound).
 
-    The soundness of every sub-clause event (checked_events) is asserted
-    once per satisfiable instance, before its solutions are checked; each
-    solution's provenance_checked counts the events it touches."""
+    The events are checked once per satisfiable instance, and each
+    solution's check holds only if they are sound, so an unsound event
+    falsifies every solution of its instance."""
     _check_n(n_range[1])
     report = SuiteReport("theorem", instances)
     for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
@@ -117,15 +118,15 @@ def theorem_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
             report.skipped += 1
             continue
         space = build_space(f)
-        events = checked_events(space, f)
+        sound = events_sound(space, f, space.events())
         for a in solutions:
-            report.record(verify_theorem(f, a, space, events).holds, f_seed, i, n, r, a)
+            report.record(sound and verify_theorem(f, a, space).holds, f_seed, i, n, r, a)
     report.details = {"satisfiable_instances": instances - report.skipped}
     return report
 
 
-def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
-                     r: float = 4.25, seed: int = 1) -> SuiteReport:
+def corollary1_suite(instances: int, n_range: tuple[int, int],
+                     r: float, seed: int) -> SuiteReport:
     """Every complete non-satisfying assignment must leave an activated
     sub-clause unsolved."""
     _check_n(n_range[1])
@@ -148,8 +149,8 @@ def corollary1_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
     return report
 
 
-def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12),
-                        r: float = 4.25, seed: int = 1) -> SuiteReport:
+def twosat_oracle_suite(instances: int, n_range: tuple[int, int],
+                        r: float, seed: int) -> SuiteReport:
     """solve_2sat must agree with exhaustive enumeration, and its returned
     assignments must satisfy the instance.
 
@@ -170,8 +171,8 @@ def twosat_oracle_suite(instances: int = 500, n_range: tuple[int, int] = (6, 12)
     return report
 
 
-def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6, 16),
-                            r: float = 4.25, seed: int = 1) -> SuiteReport:
+def merge_equivalence_suite(instances: int, n_range: tuple[int, int],
+                            r: float, seed: int) -> SuiteReport:
     """Three views of one fact must agree for every instance and its random
     assignment: the merged implication graph is contradiction-free, the
     assignment satisfies its induced 2-SAT formula, and no activated
@@ -191,8 +192,8 @@ def merge_equivalence_suite(instances: int = 500, n_range: tuple[int, int] = (6,
     return report
 
 
-def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
-                   r: float = 4.25, seed: int = 1) -> SuiteReport:
+def sandwich_suite(instances: int, n_range: tuple[int, int],
+                   r: float, seed: int) -> SuiteReport:
     """Per-literal activation totals must lie between the thresholds, and the
     distinct activated count can never exceed the maximum. The distinct count
     dropping below the minimum is possible (shared sub-clauses) and is
@@ -211,8 +212,8 @@ def sandwich_suite(instances: int = 1000, n_range: tuple[int, int] = (6, 24),
     return report
 
 
-def census_suite(instances: int = 200, n_range: tuple[int, int] = (4, 40),
-                 r: float = 4.25, seed: int = 1) -> SuiteReport:
+def census_suite(instances: int, n_range: tuple[int, int],
+                 r: float, seed: int) -> SuiteReport:
     """|S| never exceeds min(3m, 2n(n-1)) on generated instances."""
     report = SuiteReport("census", instances)
     for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
@@ -222,7 +223,8 @@ def census_suite(instances: int = 200, n_range: tuple[int, int] = (4, 40),
     return report
 
 
-# Every suite takes (instances, n_range, r, seed).
+# Every suite takes (instances, n_range, r, seed), with no defaults: the
+# `verify` command's options are the one source of them.
 SUITES = {
     "theorem": theorem_suite,
     "corollary1": corollary1_suite,

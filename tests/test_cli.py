@@ -401,6 +401,28 @@ def test_the_variable_cap_admits_its_own_size():
         cli.check_vars(cli.INPUT_MAX_VARS + 1)
 
 
+@pytest.mark.parametrize("suite", ["census", "merge", "sandwich", "all"])
+def test_verify_refuses_n_past_the_experiment_cap_before_any_suite(capsys, monkeypatch, suite):
+    # The non-oracle suites have no cap of their own: two census instances at
+    # n = 100,000 took seconds each.
+    ran = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda **kwargs: ran.append(kwargs))
+    code, out, err = run(capsys, "verify", "--suite", suite,
+                         "--n-range", f"6..{experiments.EXPERIMENT_MAX_VARS + 1}")
+    assert code == EXIT_GUARDRAIL and ran == []
+    assert out == "" and err == (f"error: verify is capped at n <= "
+                                 f"{experiments.EXPERIMENT_MAX_VARS}, got --n-range "
+                                 f"6..{experiments.EXPERIMENT_MAX_VARS + 1}\n")
+
+
+def test_verify_admits_the_experiment_cap(capsys):
+    cap = experiments.EXPERIMENT_MAX_VARS
+    code, _, err = run(capsys, "verify", "--suite", "census", "--instances", "1",
+                       "--n-range", f"{cap}..{cap}")
+    assert code == EXIT_OK and err.endswith("[ok]\n")
+
+
 # Inputs past a size guardrail: the oracle cap (n <= 26) and the experiment
 # cap (n <= 2000).
 GUARDED = [

@@ -12,7 +12,7 @@ from hypersat import (ImplicationGraph, build_hypernodal, build_space, evaluate,
                       formula, make_literal, merge_active, negate, parse_literal,
                       random_assignment, random_formula, reduce_to_2sat)
 from hypersat.formula import literal_str, var_of
-from hypersat.hypernodal import implication_adjacency, tarjan_scc
+from hypersat.hypernodal import component_ids, conflicting_variables, implication_adjacency
 
 from conftest import clause, formulas, lits
 
@@ -161,36 +161,61 @@ def scc_oracle(g):
     return set(components)
 
 
+def components(comp):
+    """The partition of the nodes that component ids `comp` describe."""
+    members = {}
+    for node, comp_id in enumerate(comp):
+        members.setdefault(comp_id, set()).add(node)
+    return {frozenset(nodes) for nodes in members.values()}
+
+
+def random_adjacency(rng, size):
+    possible = [(u, v) for u in range(size) for v in range(size) if u != v]
+    edges = rng.sample(possible, min(len(possible), rng.randint(0, 2 * size)))
+    adjacency = [[] for _ in range(size)]
+    for u, v in sorted(edges):
+        adjacency[u].append(v)
+    return adjacency
+
+
 def test_scc_two_node_cycle():
-    assert tarjan_scc([[1], [0]]) == [(1, 0)]
+    assert component_ids([[1], [0]]) == [0, 0]
 
 
 def test_scc_dag_singletons():
-    comps = tarjan_scc([[1, 2], [2], []])
-    assert sorted(len(c) for c in comps) == [1, 1, 1]
+    # Node 2 completes first and node 0 last.
+    assert component_ids([[1, 2], [2], []]) == [2, 1, 0]
 
 
 def test_scc_matches_oracle_on_random_graphs():
     rng = random.Random(61)
     for _ in range(60):
-        size = rng.randint(1, 12)
-        possible = [(u, v) for u in range(size) for v in range(size) if u != v]
-        edges = rng.sample(possible, min(len(possible), rng.randint(0, 2 * size)))
-        adjacency = [[] for _ in range(size)]
-        for u, v in sorted(edges):
-            adjacency[u].append(v)
-        ours = {frozenset(c) for c in tarjan_scc(adjacency)}
-        assert ours == scc_oracle(ImplicationGraph(adjacency))
+        adjacency = random_adjacency(rng, rng.randint(1, 12))
+        comp = component_ids(adjacency)
+        assert sorted(set(comp)) == list(range(len(set(comp))))
+        assert components(comp) == scc_oracle(ImplicationGraph(adjacency))
 
 
 def test_scc_emission_is_reverse_topological():
     adjacency = [[1], [2], [1, 3], []]
-    comps = tarjan_scc(adjacency)
-    position = {node: i for i, comp in enumerate(comps) for node in comp}
+    comp = component_ids(adjacency)
     for u, successors in enumerate(adjacency):
         for v in successors:
-            if position[u] != position[v]:
-                assert position[v] < position[u]
+            if comp[u] != comp[v]:
+                assert comp[v] < comp[u]
+
+
+def test_conflicting_variables_match_the_closure():
+    # A variable conflicts iff each of its literals reaches the other.
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        adjacency = random_adjacency(rng, 2 * n)
+        closure = transitive_closure(ImplicationGraph(adjacency))
+        expected = tuple(v for v in range(n)
+                         if make_literal(v, True) in closure[make_literal(v)]
+                         and make_literal(v) in closure[make_literal(v, True)])
+        assert conflicting_variables(component_ids(adjacency)) == expected
 
 
 def test_find_contradictions_f3(f3_space, to_paper):

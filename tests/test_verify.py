@@ -2,13 +2,18 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hypersat import build_space, random_formula, reduce_to_2sat, verify
-from hypersat.cli import EXIT_FALSIFIED, EXIT_OK, main
+from hypersat import (build_space, evaluate, random_formula, reduce_to_2sat, verify,
+                      verify_theorem)
+from hypersat.cli import EXIT_FALSIFIED, EXIT_OK, main, parse_assignment
 from hypersat.formula import GuardrailError
-from hypersat.reduction import Corollary1Certificate
+from hypersat.reduction import Corollary1Certificate, events_sound
 from hypersat.subclauses import SubClauseSpace
 
 
@@ -22,9 +27,11 @@ def test_suite_runs_clean_through_the_common_signature(name):
 
 
 def test_suites_share_one_signature():
+    # No defaults: the verify command's options are their one source.
     for suite in verify.SUITES.values():
-        params = list(inspect.signature(suite).parameters)
-        assert params == ["instances", "n_range", "r", "seed"]
+        params = inspect.signature(suite).parameters
+        assert list(params) == ["instances", "n_range", "r", "seed"]
+        assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def test_suites_are_deterministic_per_seed():
@@ -94,14 +101,44 @@ def test_failures_are_bounded_and_left_out_when_empty(monkeypatch, capsys):
     assert payload["falsifications"] == 20 and len(payload["failures"]) == 10
 
 
+# Credit each sub-clause to the literal its parent lost, not to that
+# literal's negation.
+UNSOUND_EVENTS = """
+from hypersat.subclauses import SubClauseSpace
+events = SubClauseSpace.events
+SubClauseSpace.events = lambda space: [[(creator ^ 1, parent) for creator, parent in sid_events]
+                                       for sid_events in events(space)]
+"""
+
+
 def test_an_unsound_event_fails_theorem_and_reduce(monkeypatch, tmp_path):
-    # Credit each sub-clause to the literal its parent lost, not to that
-    # literal's negation: checked_events must assert, once per instance.
-    events = SubClauseSpace.events
-    monkeypatch.setattr(SubClauseSpace, "events", lambda space: [
-        [(creator ^ 1, parent) for creator, parent in sid_events]
-        for sid_events in events(space)])
-    with pytest.raises(AssertionError):
-        verify.theorem_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
+    # Teardown restores the sound events that UNSOUND_EVENTS replaces.
+    monkeypatch.setattr(SubClauseSpace, "events", SubClauseSpace.events)
+    exec(UNSOUND_EVENTS, {})
+    report = verify.theorem_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
+    assert report.checks > 0 and report.falsifications == report.checks
+    first = report.failures[0]
+    assert (first["suite"], first["seed"]) == ("theorem", 5 + 7919 * (first["instance"] + 1))
+    f = random_formula(first["n"], first["r"], first["seed"])
+    a = parse_assignment(",".join(first["assignment"]), f.n)
+    assert not evaluate(f, a).unsatisfied_ids
+    space = build_space(f)
+    assert verify_theorem(f, a, space).holds
+    assert not events_sound(space, f, space.events())
     with pytest.raises(AssertionError):
         main(["reduce", "--gen", "30,4.25,2", "--out-base", str(tmp_path / "out")])
+
+
+def test_an_unsound_event_exits_6_under_python_O():
+    # The check is no assert statement, so -O does not strip it.
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    code = UNSOUND_EVENTS + """
+import sys
+from hypersat.cli import main
+sys.exit(main(["verify", "--suite", "theorem", "--instances", "3"]))
+"""
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == EXIT_FALSIFIED
+    assert "[FALSIFIED]" in result.stderr
+    assert json.loads(result.stdout)[0]["failures"]
