@@ -14,6 +14,11 @@ INPUT_MAX_VARS (100,000) variables with exit 4, before allocating anything
 per variable: a DIMACS header or --gen can name any n in a few bytes.
 `verify` refuses an --n-range above EXPERIMENT_MAX_VARS (2000) with exit 4,
 before any suite runs.
+
+`reduce --out-base` checks that every sub-clause event is sound (its
+sub-clause is its parent clause minus the negation of its creator) before it
+writes BASE.cnf or BASE.provenance.json; an unsound event is a falsified
+claim: an `error:` line on stderr, exit 6 and neither file written.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ from . import experiments, verify
 from .assignments import (MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS, consumption_rate,
                           excluded_literals, subclause_count, subclause_total, thresholds,
                           unsolved_curve)
-from .dimacs import DimacsError, emit_dimacs, literal_to_dimacs, parse_dimacs
+from .dimacs import DimacsError, clause_texts, emit_dimacs, parse_dimacs
 from .formula import (Assignment, Formula, GuardrailError, assignment_json, check_consistent,
                       evaluate, literal_str, make_literal, parse_literal, random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_json,
                          export_dot, find_contradictions, merge_active)
-from .reduction import assignment_satisfies_2sat, provenance, reduce_to_2sat, solve_2sat
+from .reduction import (assignment_satisfies_2sat, events_sound, provenance, reduce_to_2sat,
+                        solve_2sat)
 from .subclauses import build_space, interaction_matrix, literal_columns, space_census
 
 EXIT_OK = 0
@@ -241,14 +247,20 @@ def cmd_reduce(args) -> int:
         "violated": [[literal_str(x) for x in pair] for pair in violated],
     }
     if args.out_base:
+        # Checked before either file is written, so a falsified claim leaves none.
+        if not events_sound(space, f, space.events()):
+            sys.stderr.write("error: a sub-clause event is not its parent clause minus "
+                             "the negation of its creator\n")
+            return EXIT_FALSIFIED
         cnf_path = args.out_base + ".cnf"
         write_atomic(cnf_path, emit_dimacs(t, comment="2-sat reduction"))
-        # One entry per line of BASE.cnf, in its order.
+        # One entry per line of BASE.cnf, in its order and rendered as it is.
+        events = provenance(space, f, a)
         sidecar = [
-            {"clause": " ".join(str(literal_to_dimacs(x)) for x in pair),
+            {"clause": text,
              "events": [{"creator": literal_str(creator), "parent_clause": parent}
-                        for creator, parent in events]}
-            for pair, events in provenance(space, f, a).items()]
+                        for creator, parent in pair_events]}
+            for text, pair_events in zip(clause_texts(list(events)), events.values())]
         sidecar_path = args.out_base + ".provenance.json"
         write_atomic(sidecar_path, dump_json(sidecar))
         payload["files"] = [cnf_path, sidecar_path]

@@ -2,13 +2,24 @@
 
 Variable v in a DIMACS file maps to index v-1; negative numbers are negated
 literals. emit/parse round-trip exactly on canonical formulas.
+
+What parse_dimacs accepts: ASCII text (bytes are decoded as ASCII); blank
+lines and lines starting with "c" anywhere; one "p cnf <n> <m>" header before
+the first clause; then one clause per line, its tokens separated by any
+whitespace and ended by a 0 token. A token is any text that Python's int()
+reads, so "+3", "007" and "1_0" are variables 3, 7 and 10, and "-0" or "00"
+is a 0. Each clause must have exactly `width` literals over distinct
+variables in 1..n, and there must be exactly m clauses. A repeated clause is
+kept, with a warning naming its line.
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import chain, repeat
+from operator import rshift
 
-from .formula import Clause, Formula, make_clause, make_literal, var_of, is_negative
+from .formula import Clause, Formula, Literal, is_negative, make_clause, var_of
 
 
 class DimacsError(ValueError):
@@ -19,6 +30,18 @@ class DimacsError(ValueError):
         self.line = line
 
 
+class _LiteralCodes(dict):
+    """Token -> literal code, converted on a token's first sight; holds one
+    entry per distinct token read. A 0 token gets the code -2, the only
+    negative one, and a variable past n a code of at least 2n. Raises
+    ValueError for a token that int() does not read."""
+
+    def __missing__(self, token: str) -> Literal:
+        num = int(token)
+        code = self[token] = 2 * abs(num) - 2 + (num < 0)
+        return code
+
+
 def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
     """Parse DIMACS CNF text into a width-`width` Formula.
 
@@ -26,6 +49,9 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
     header, clauses of the wrong width, duplicate/contradictory literals
     inside a clause, and out-of-range variables. Duplicate clauses are kept
     but warned about.
+
+    Each clause line is split once and its tokens read through a memo, so
+    the time is linear in the text; nothing is sized by the header's n.
     """
     if isinstance(text, bytes):
         try:
@@ -36,49 +62,55 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
             raise DimacsError(line, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
     n = m = -1
     header_line = 0
+    limit = 0   # 2n: the in-range literal codes are 0..limit-1
+    codes_of = _LiteralCodes()
+    ones = (1,) * width   # shifts each code of a clause to its variable
     clauses: list[Clause] = []
     seen: set[Clause] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "c":
             continue
-        if line.startswith("p"):
+        if tokens[0][0] == "p":
+            line = raw.strip()
             if n >= 0:
                 raise DimacsError(lineno, "duplicate 'p cnf' header")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
                 raise DimacsError(lineno, f"malformed header {line!r}, expected 'p cnf <n> <m>'")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise DimacsError(lineno, f"non-integer counts in header {line!r}") from None
             if n < 0 or m < 0:
                 raise DimacsError(lineno, "negative counts in header")
             header_line = lineno
+            limit = 2 * n
             continue
         if n < 0:
             raise DimacsError(lineno, "clause before 'p cnf' header")
         try:
-            numbers = [int(tok) for tok in line.split()]
+            codes = list(map(codes_of.__getitem__, tokens))
         except ValueError:
-            raise DimacsError(lineno, f"non-integer token in clause {line!r}") from None
-        if not numbers or numbers[-1] != 0:
+            raise DimacsError(lineno, f"non-integer token in clause {raw.strip()!r}") from None
+        if codes.pop() != -2:   # the code of a 0 token
             raise DimacsError(lineno, "clause not terminated by 0")
-        numbers = numbers[:-1]
-        if len(numbers) != width:
-            raise DimacsError(lineno, f"clause width {len(numbers)}, expected {width}")
-        lits = []
-        for num in numbers:
-            if num == 0:
-                raise DimacsError(lineno, "embedded 0 inside clause")
-            v = abs(num) - 1
-            if v >= n:
-                raise DimacsError(lineno, f"variable {abs(num)} out of range 1..{n}")
-            lits.append(make_literal(v, negative=num < 0))
-        try:
-            clause = make_clause(lits)
-        except ValueError as exc:
-            raise DimacsError(lineno, str(exc)) from None
+        if len(codes) != width:
+            raise DimacsError(lineno, f"clause width {len(codes)}, expected {width}")
+        # Sorting the codes sorts by variable when the variables are distinct.
+        codes.sort()
+        if codes and (codes[0] < 0 or codes[-1] >= limit):
+            # The walk only names the failure: the first bad token in line order.
+            for code in map(codes_of.__getitem__, tokens[:-1]):
+                if code < 0:
+                    raise DimacsError(lineno, "embedded 0 inside clause")
+                if code >= limit:
+                    raise DimacsError(lineno, f"variable {code // 2 + 1} out of range 1..{n}")
+        if len(set(map(rshift, codes, ones))) != width:
+            try:
+                make_clause(codes)
+            except ValueError as exc:
+                raise DimacsError(lineno, str(exc)) from None
+        clause = tuple(codes)
         if clause in seen:
             warnings.warn(f"line {lineno}: duplicate clause", stacklevel=2)
         seen.add(clause)
@@ -95,11 +127,19 @@ def literal_to_dimacs(lit: int) -> int:
     return -v if is_negative(lit) else v
 
 
+def clause_texts(clauses) -> list[str]:
+    """Each clause as its DIMACS line without the closing " 0", rendered
+    through one table over the literal codes that occur."""
+    names = {lit: str(literal_to_dimacs(lit)) for lit in set(chain.from_iterable(clauses))}
+    return list(map(" ".join, map(map, repeat(names.__getitem__), clauses)))
+
+
 def emit_dimacs(f: Formula, comment: str | None = None) -> str:
     lines = []
     if comment:
         lines.extend(f"c {c}" for c in comment.splitlines())
     lines.append(f"p cnf {f.n} {f.m}")
-    for clause in f.clauses:
-        lines.append(" ".join(str(literal_to_dimacs(lit)) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if f.clauses:
+        text += " 0\n".join(clause_texts(f.clauses)) + " 0\n"
+    return text

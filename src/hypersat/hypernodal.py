@@ -23,6 +23,7 @@ at, in time linear in n + |S| at any depth bound.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -45,8 +46,9 @@ def implication_adjacency(n: int, pairs) -> list[list[Literal]]:
     """Successor lists of the implication graph over the 2n literal codes,
     with each clause's edges appended in the order the clauses are given."""
     adjacency: list[list[Literal]] = [[] for _ in range(2 * n)]
-    for u, v in implication_edges(pairs):
-        adjacency[u].append(v)
+    for l1, l2 in pairs:   # the edges of implication_edges, inlined
+        adjacency[l1 ^ 1].append(l2)
+        adjacency[l2 ^ 1].append(l1)
     return adjacency
 
 
@@ -144,7 +146,7 @@ def merge_active(hg: HypernodalGraph, a: Assignment) -> ImplicationGraph:
     a = check_consistent(a)
     space = hg.space
     return ImplicationGraph(implication_adjacency(
-        space.n, sorted(space.pairs[sid] for sid in space.activated(a))))
+        space.n, sorted(map(space.pairs.__getitem__, space.activated(a)))))
 
 
 class ContradictionReport(SimpleNamespace):
@@ -286,10 +288,6 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '\\"') + '"'
 
 
-def _endpoints(edges) -> set[Literal]:
-    return {lit for edge in edges for lit in edge}
-
-
 def _dot_hypernodal(hg: HypernodalGraph) -> str:
     lines = ["digraph hypernodal {", "  compound=true;"]
     stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(hg.n)]),
@@ -304,7 +302,7 @@ def _dot_hypernodal(hg: HypernodalGraph) -> str:
             # The edges of merge_active(hg, {owner}), without its 2n successor lists.
             edges = sorted(set(implication_edges(space.pairs[sid]
                                                  for sid in space.created_by[owner])))
-            leaves[owner] = _endpoints(edges) - {owner}
+            leaves[owner] = {lit for edge in edges for lit in edge} - {owner}
             lines.append(f"    subgraph {_quote('cluster_I_' + literal_str(owner))} {{")
             lines.append(f"      label={_quote('I(' + literal_str(owner) + ')')};")
             lines.append(f"      {_quote(node_name(owner, owner))} "
@@ -337,12 +335,21 @@ def _dot_hypernodal(hg: HypernodalGraph) -> str:
 
 
 def _dot_merged(g: ImplicationGraph) -> str:
+    """Nodes are the edges' endpoints, ascending, and edges are sorted by
+    (u, v) with repeats dropped: each node's successors are deduplicated and
+    sorted in node order, so the cost is O(V + E + sum of d log d) over the
+    out-degrees d, with no global sort of the edges."""
+    successors = [sorted(set(out)) for out in g.adjacency]
+    endpoint = [bool(out) for out in successors]
+    for v in chain.from_iterable(successors):
+        endpoint[v] = True
+    # Neither 'n<code>' nor a literal's name contains '"', so quoting either
+    # only adds the quotes; each node's name is built once.
+    names = [f'"n{node}"' if marked else "" for node, marked in enumerate(endpoint)]
     lines = ["digraph merged {"]
-    edges = sorted(g.edges)
-    for node in sorted(_endpoints(edges)):
-        lines.append(f"  {_quote('n' + str(node))} [label={_quote(literal_str(node))}];")
-    for u, v in edges:
-        lines.append(f"  {_quote('n' + str(u))} -> {_quote('n' + str(v))};")
+    lines.extend(f'  {names[node]} [label="{literal_str(node)}"];'
+                 for node, marked in enumerate(endpoint) if marked)
+    lines.extend(f"  {names[u]} -> {names[v]};" for u, out in enumerate(successors) for v in out)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

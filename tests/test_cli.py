@@ -222,6 +222,19 @@ def test_reduce_out_base_reads_back(capsys, tmp_path):
         for pair_events in provenance(space, f, a).values()]
 
 
+def test_reduce_sidecar_clauses_are_the_cnf_lines_of_a_large_instance(capsys, tmp_path):
+    # Both files render through one table; every literal sign and a
+    # four-digit variable occur at n = 2000.
+    base = tmp_path / "reduced"
+    code, _, _ = run(capsys, "reduce", "--gen", "2000,4.25,1", "--out-base", str(base))
+    assert code == EXIT_OK
+    lines = (tmp_path / "reduced.cnf").read_text().splitlines()
+    assert lines[:2] == ["c 2-sat reduction", f"p cnf 2000 {len(lines) - 2}"]
+    entries = json.loads((tmp_path / "reduced.provenance.json").read_text())
+    assert [entry["clause"] + " 0" for entry in entries] == lines[2:]
+    assert len(entries) > 1000
+
+
 # Commands whose --out takes the place of stdout.
 OUT_COMMANDS = [
     ("analyze", "--gen", "30,4.25,2"),

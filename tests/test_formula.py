@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypersat import (DimacsError, EvalReport, Formula, emit_dimacs, evaluate, formula,
                       literal_str, make_clause, make_literal, negate, parse_dimacs,
                       parse_literal, random_formula, solve_exhaustive)
+from hypersat.dimacs import literal_to_dimacs
 from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, SAMPLE_POOL_MAX,
                               GuardrailError, check_consistent, is_negative, var_of)
 
@@ -63,6 +64,8 @@ def test_parse_dimacs_f3(f3):
     ("p cnf 2 1\n1 2 -2", 2, "terminated"),
     ("1 2 3 0\np cnf 3 1", 1, "before"),
     ("p cnf 3 2\n1 2 3 0", 1, "promises"),
+    ("p cnf 3 1\n1 0004 2 0", 2, "variable 4 out of range 1..3"),
+    ("p cnf 3 1\n1 -0 2 0", 2, "embedded 0 inside clause"),
 ])
 def test_parse_dimacs_errors_name_lines(text, line, fragment):
     with pytest.raises(DimacsError) as exc_info:
@@ -102,6 +105,221 @@ def test_round_trip_generated_instances():
         text = emit_dimacs(f)
         assert parse_dimacs(text) == f
         assert emit_dimacs(parse_dimacs(text)) == text
+
+
+def reference_parse_dimacs(text, width=3):
+    """The per-number parser parse_dimacs replaced, kept as its oracle: one
+    int() per token, one range check per number, make_clause per clause."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            line = len((text[:exc.start] + b"x").decode("ascii").splitlines())
+            raise DimacsError(line, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
+    n = m = -1
+    header_line = 0
+    clauses = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if n >= 0:
+                raise DimacsError(lineno, "duplicate 'p cnf' header")
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise DimacsError(lineno, f"malformed header {line!r}, expected 'p cnf <n> <m>'")
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError(lineno, f"non-integer counts in header {line!r}") from None
+            if n < 0 or m < 0:
+                raise DimacsError(lineno, "negative counts in header")
+            header_line = lineno
+            continue
+        if n < 0:
+            raise DimacsError(lineno, "clause before 'p cnf' header")
+        try:
+            numbers = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise DimacsError(lineno, f"non-integer token in clause {line!r}") from None
+        if not numbers or numbers[-1] != 0:
+            raise DimacsError(lineno, "clause not terminated by 0")
+        numbers = numbers[:-1]
+        if len(numbers) != width:
+            raise DimacsError(lineno, f"clause width {len(numbers)}, expected {width}")
+        lits = []
+        for num in numbers:
+            if num == 0:
+                raise DimacsError(lineno, "embedded 0 inside clause")
+            v = abs(num) - 1
+            if v >= n:
+                raise DimacsError(lineno, f"variable {abs(num)} out of range 1..{n}")
+            lits.append(make_literal(v, negative=num < 0))
+        try:
+            clause = make_clause(lits)
+        except ValueError as exc:
+            raise DimacsError(lineno, str(exc)) from None
+        if clause in seen:
+            warnings.warn(f"line {lineno}: duplicate clause", stacklevel=2)
+        seen.add(clause)
+        clauses.append(clause)
+    if n < 0:
+        raise DimacsError(max(1, len(text.splitlines())), "missing 'p cnf' header")
+    if len(clauses) != m:
+        raise DimacsError(header_line, f"header promises {m} clauses, found {len(clauses)}")
+    return Formula(n=n, clauses=tuple(clauses), width=width)
+
+
+def dimacs_token(draw, num):
+    """A token that int() reads as num: canonical, or with a '+', leading
+    zeros or a signed zero."""
+    sign = "-" if num < 0 else draw(st.sampled_from(("", "+")))
+    return sign + "0" * draw(st.sampled_from((0, 0, 1, 2))) + str(abs(num))
+
+
+# Line faults, one per error class of parse_dimacs.
+CLAUSE_FAULTS = ("short", "long", "duplicate", "contradictory", "out of range",
+                 "unterminated", "embedded 0", "non-integer")
+HEADER_FAULTS = ("missing", "late", "twice", "dnf", "three fields", "non-integer",
+                 "negative", "miscount")
+
+
+@st.composite
+def dimacs_texts(draw):
+    """(DIMACS text or bytes, width): comments, blank lines, tabs,
+    non-canonical tokens and repeated clauses, with a fault of each error
+    class in some draws; about half the draws are valid."""
+    width = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(width, 7))
+    pool = [draw(st.lists(st.integers(1, n), min_size=width, max_size=width, unique=True))
+            for _ in range(draw(st.integers(1, 4)))]
+    clause_lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        nums = [v * draw(st.sampled_from((1, -1))) for v in draw(st.sampled_from(pool))]
+        nums.append(0)
+        fault = draw(st.sampled_from((None,) * 16 + CLAUSE_FAULTS))
+        if fault == "short":
+            del nums[0]
+        elif fault == "long":
+            nums.insert(0, n + 1 - abs(nums[0]) if abs(nums[0]) < n else 1)
+        elif fault in ("duplicate", "contradictory"):
+            nums[1] = nums[0] if fault == "duplicate" else -nums[0]
+        elif fault == "out of range":
+            nums[draw(st.integers(0, width - 1))] = draw(st.sampled_from((n + 1, -(n + 1), 99)))
+        elif fault == "unterminated":
+            nums.pop()
+        elif fault == "embedded 0":
+            nums[draw(st.integers(0, width - 1))] = 0
+        tokens = [dimacs_token(draw, num) for num in nums]
+        if fault == "non-integer":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(("x1", "1.5", "%"))))
+        seps = [draw(st.sampled_from((" ", "  ", "\t", " \t"))) for _ in tokens]
+        line = "".join(sep + tok for sep, tok in zip(seps, tokens))
+        clause_lines.append(line[draw(st.sampled_from((0, 1))):] + draw(st.sampled_from(("", " ", "\t"))))
+    m = len(clause_lines)
+    header = f"p cnf {n} {m}"
+    fault = draw(st.sampled_from((None,) * 8 + HEADER_FAULTS))
+    header = {"dnf": f"p dnf {n} {m}", "three fields": f"p cnf {n}",
+              "non-integer": f"p cnf {n} x", "negative": f"p cnf -{n} {m}",
+              "miscount": f"p cnf {n} {m + 1}"}.get(fault, header)
+    lines = list(clause_lines)
+    if fault != "missing":
+        lines.insert(min(1, len(lines)) if fault == "late" else 0, header)
+    if fault == "twice":
+        lines.append(header)
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(("", "  ", "\t", "c", "c comment 1 2 0", " c indented", "cnf")))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    text = "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n", "\r\n")))
+    kind = draw(st.sampled_from(("str",) * 6 + ("bytes",) * 6 + ("non-ASCII",)))
+    if kind == "str":
+        return text, width
+    data = text.encode("ascii")
+    if kind == "non-ASCII":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data, width
+
+
+def parse_outcome(parse, text, width):
+    """(Formula or (line, message) of the DimacsError, warning messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, width)
+        except DimacsError as exc:
+            result = (exc.line, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(dimacs_texts())
+def test_parse_dimacs_matches_the_per_number_parser(case):
+    text, width = case
+    assert parse_outcome(parse_dimacs, text, width) == \
+        parse_outcome(reference_parse_dimacs, text, width)
+
+
+@pytest.mark.parametrize("text", [
+    "", "c comments only\n\n", "p dnf 3 1\n1 2 3 0", "p cnf 3\n", "p cnf x 1\n",
+    "p cnf -3 1\n", "p cnf 3 1\np cnf 3 1\n1 2 3 0", "1 2 3 0\np cnf 3 1",
+    "p cnf 3 2\n1 2 3 0", "p cnf 3 1\n1 2 0", "p cnf 3 1\n1 2 3 -1 0", "p cnf 3 1\n1 +01 2 0",
+    "p cnf 3 1\n-2 1 2 0", "p cnf 3 1\n+1 2 0004 0", "p cnf 3 1\n1 2 3", "p cnf 3 1\n1 -0 3 0",
+    "p cnf 3 1\n1 x2 3 0", "p cnf 3 1\n\t+1\t-02 003\t-0\n", "p cnf 3 1\n1 2 3 0 0",
+    "p cnf 3 3\n1 2 3 0\nc\n+1 002 3 00\n\n3 2 1 0\n", b"p cnf 3 1\n1 2 \xe9 0",
+])
+def test_parse_dimacs_matches_the_per_number_parser_on_each_error_class(text):
+    assert parse_outcome(parse_dimacs, text, 3) == parse_outcome(reference_parse_dimacs, text, 3)
+
+
+def test_parse_dimacs_reads_non_canonical_tokens():
+    text = "c tabs, signs, zeros\np cnf 3 2\n\t+3 -01\t002 00\n\n-3 1 +2 -0\n"
+    assert parse_dimacs(text) == formula(3, [clause("-x0 x1 x2"), clause("x0 x1 -x2")])
+
+
+def test_parse_dimacs_memory_is_not_sized_by_the_header():
+    # A header can name 10^9 variables in a few bytes; the caller caps n
+    # after parsing, so the parse must not allocate per variable.
+    tracemalloc.start()
+    try:
+        f = parse_dimacs("p cnf 1000000000 1\n1 2 3 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.n == 10**9 and f.clauses == (clause("x0 x1 x2"),)
+    assert peak < 2**20
+
+
+def reference_emit_dimacs(f, comment=None):
+    """emit_dimacs before its rendering table: literal_to_dimacs per literal."""
+    lines = []
+    if comment:
+        lines.extend(f"c {c}" for c in comment.splitlines())
+    lines.append(f"p cnf {f.n} {f.m}")
+    for clause_ in f.clauses:
+        lines.append(" ".join(str(literal_to_dimacs(lit)) for lit in clause_) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda k: formulas(n_range=(k, 30), ratios=(1, 2.5, 4.25), k=k)),
+    st.sampled_from((None, "", "2-sat reduction", "n=8 r=4.25 seed=1\nsecond line")))
+def test_emit_dimacs_matches_the_per_literal_rendering(f, comment):
+    assert emit_dimacs(f, comment) == reference_emit_dimacs(f, comment)
+
+
+def test_emit_dimacs_of_a_large_n_with_three_clauses():
+    n = 100_000
+    f = formula(n, [(make_literal(n - 1, True), make_literal(0), make_literal(n // 2)),
+                    (make_literal(1), make_literal(2, True), make_literal(3)),
+                    (make_literal(n - 3), make_literal(n - 2), make_literal(n - 1, True))])
+    text = emit_dimacs(f, comment="large n")
+    assert text == reference_emit_dimacs(f, comment="large n")
+    assert text == ("c large n\np cnf 100000 3\n1 50001 -100000 0\n2 -3 4 0\n"
+                    "99998 99999 -100000 0\n")
 
 
 def test_generator_determinism():

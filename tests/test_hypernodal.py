@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersat import (ImplicationGraph, build_hypernodal, build_space, evaluate,
+from hypersat import (Formula, ImplicationGraph, build_hypernodal, build_space, evaluate,
                       expand_literal, expansion_to_json, export_dot, find_contradictions,
                       formula, make_literal, merge_active, negate, parse_literal,
                       random_assignment, random_formula, reduce_to_2sat)
 from hypersat.formula import literal_str, var_of
-from hypersat.hypernodal import component_ids, conflicting_variables, implication_adjacency
+from hypersat.hypernodal import (component_ids, conflicting_variables, implication_adjacency,
+                                 implication_edges)
 
 from conftest import clause, formulas, lits
 
@@ -591,6 +592,83 @@ def test_export_dot_merged(f3_space):
     text = export_dot(merged)
     check_dot(text)
     assert "->" in text
+
+
+def reference_implication_adjacency(n, pairs):
+    """The generator-driven build that implication_adjacency inlines, kept as
+    its oracle: the edges of implication_edges, appended in order."""
+    adjacency = [[] for _ in range(2 * n)]
+    for u, v in implication_edges(pairs):
+        adjacency[u].append(v)
+    return adjacency
+
+
+def reference_dot_merged(g):
+    """The renderer _dot_merged replaced, kept as its oracle: the edges as a
+    frozenset, one global sort, and every name through the general quoting."""
+    def quote(name):
+        return '"' + name.replace('"', '\\"') + '"'
+
+    lines = ["digraph merged {"]
+    edges = sorted(g.edges)
+    for node in sorted({lit for edge in edges for lit in edge}):
+        lines.append(f"  {quote('n' + str(node))} [label={quote(literal_str(node))}];")
+    for u, v in edges:
+        lines.append(f"  {quote('n' + str(u))} -> {quote('n' + str(v))};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(assignment_cases())
+def test_merged_graph_layers_match_their_references(case):
+    hg, a = case
+    space = hg.space
+    pairs = sorted(space.pairs[sid] for sid in space.activated(a))
+    merged = merge_active(hg, a)
+    assert merged.adjacency == reference_implication_adjacency(space.n, pairs)
+    text = export_dot(merged)
+    assert text == reference_dot_merged(merged)
+    check_dot(text)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(2, 12), ratios=(0.5, 1, 2.5, 4.25), k=2))
+def test_two_sat_graphs_with_repeated_clauses_match_their_references(t):
+    # formulas() inserts up to three repeated clauses, so successor lists
+    # repeat edges, which the DOT text lists once.
+    graph = ImplicationGraph(implication_adjacency(t.n, t.clauses))
+    assert graph.adjacency == reference_implication_adjacency(t.n, t.clauses)
+    assert export_dot(graph) == reference_dot_merged(graph)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, max(2 * n - 1, 0)), max_size=6 if n else 0),
+    min_size=2 * n, max_size=2 * n)))
+def test_dot_merged_matches_its_reference_on_any_successor_lists(adjacency):
+    # Repeats, self-loops, unsorted successors and isolated nodes.
+    graph = ImplicationGraph(adjacency)
+    assert export_dot(graph) == reference_dot_merged(graph)
+
+
+def test_dot_merged_lists_a_repeated_clause_once_and_skips_isolated_nodes():
+    t = Formula(n=3, clauses=(clause("x0 x1"), clause("x0 x1")), width=2)
+    graph = ImplicationGraph(implication_adjacency(t.n, t.clauses))
+    assert graph.adjacency == [[], [2, 2], [], [0, 0], [], []]
+    assert export_dot(graph) == ('digraph merged {\n'
+                                 '  "n0" [label="x0"];\n'
+                                 '  "n1" [label="-x0"];\n'
+                                 '  "n2" [label="x1"];\n'
+                                 '  "n3" [label="-x1"];\n'
+                                 '  "n1" -> "n2";\n'
+                                 '  "n3" -> "n0";\n'
+                                 '}\n')
+
+
+def test_dot_merged_of_an_empty_graph():
+    assert export_dot(ImplicationGraph([])) == "digraph merged {\n}\n"
+    assert export_dot(ImplicationGraph([[] for _ in range(6)])) == "digraph merged {\n}\n"
 
 
 def test_export_dot_expansion(f3_space):

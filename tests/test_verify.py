@@ -111,7 +111,7 @@ SubClauseSpace.events = lambda space: [[(creator ^ 1, parent) for creator, paren
 """
 
 
-def test_an_unsound_event_fails_theorem_and_reduce(monkeypatch, tmp_path):
+def test_an_unsound_event_fails_theorem_and_reduce(monkeypatch, tmp_path, capsys):
     # Teardown restores the sound events that UNSOUND_EVENTS replaces.
     monkeypatch.setattr(SubClauseSpace, "events", SubClauseSpace.events)
     exec(UNSOUND_EVENTS, {})
@@ -125,8 +125,15 @@ def test_an_unsound_event_fails_theorem_and_reduce(monkeypatch, tmp_path):
     space = build_space(f)
     assert verify_theorem(f, a, space).holds
     assert not events_sound(space, f, space.events())
-    with pytest.raises(AssertionError):
-        main(["reduce", "--gen", "30,4.25,2", "--out-base", str(tmp_path / "out")])
+    capsys.readouterr()
+    # A falsified claim: exit 6, an error line and neither file written.
+    assert main(["reduce", "--gen", "30,4.25,2", "--out-base", str(tmp_path / "out")]) \
+        == EXIT_FALSIFIED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a sub-clause event is not its parent clause minus the negation "
+                   "of its creator\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_unsound_event_exits_6_under_python_O():
