@@ -38,8 +38,8 @@ from .formula import (Assignment, Formula, GuardrailError, assignment_json, chec
                       evaluate, literal_str, make_literal, parse_literal, random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_json,
                          export_dot, find_contradictions, merge_active)
-from .reduction import (assignment_satisfies_2sat, events_sound, provenance, reduce_to_2sat,
-                        solve_2sat)
+from .reduction import (UnsoundEventError, assignment_satisfies_2sat, provenance,
+                        reduce_to_2sat, solve_2sat)
 from .subclauses import build_space, interaction_matrix, literal_columns, space_census
 
 EXIT_OK = 0
@@ -247,15 +247,15 @@ def cmd_reduce(args) -> int:
         "violated": [[literal_str(x) for x in pair] for pair in violated],
     }
     if args.out_base:
-        # Checked before either file is written, so a falsified claim leaves none.
-        if not events_sound(space, f, space.events()):
-            sys.stderr.write("error: a sub-clause event is not its parent clause minus "
-                             "the negation of its creator\n")
+        # Derived before either file is written, so a falsified claim leaves none.
+        try:
+            events = provenance(space, f, a)
+        except UnsoundEventError as exc:
+            sys.stderr.write(f"error: {exc}\n")
             return EXIT_FALSIFIED
         cnf_path = args.out_base + ".cnf"
         write_atomic(cnf_path, emit_dimacs(t, comment="2-sat reduction"))
         # One entry per line of BASE.cnf, in its order and rendered as it is.
-        events = provenance(space, f, a)
         sidecar = [
             {"clause": text,
              "events": [{"creator": literal_str(creator), "parent_clause": parent}

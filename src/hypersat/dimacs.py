@@ -16,8 +16,6 @@ kept, with a warning naming its line.
 from __future__ import annotations
 
 import warnings
-from itertools import chain, repeat
-from operator import rshift
 
 from .formula import Clause, Formula, Literal, is_negative, make_clause, var_of
 
@@ -64,7 +62,6 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
     header_line = 0
     limit = 0   # 2n: the in-range literal codes are 0..limit-1
     codes_of = _LiteralCodes()
-    ones = (1,) * width   # shifts each code of a clause to its variable
     clauses: list[Clause] = []
     seen: set[Clause] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -105,7 +102,7 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
                     raise DimacsError(lineno, "embedded 0 inside clause")
                 if code >= limit:
                     raise DimacsError(lineno, f"variable {code // 2 + 1} out of range 1..{n}")
-        if len(set(map(rshift, codes, ones))) != width:
+        if len({code >> 1 for code in codes}) != width:
             try:
                 make_clause(codes)
             except ValueError as exc:
@@ -130,8 +127,8 @@ def literal_to_dimacs(lit: int) -> int:
 def clause_texts(clauses) -> list[str]:
     """Each clause as its DIMACS line without the closing " 0", rendered
     through one table over the literal codes that occur."""
-    names = {lit: str(literal_to_dimacs(lit)) for lit in set(chain.from_iterable(clauses))}
-    return list(map(" ".join, map(map, repeat(names.__getitem__), clauses)))
+    names = {lit: str(literal_to_dimacs(lit)) for lit in {lit for c in clauses for lit in c}}
+    return [" ".join(map(names.__getitem__, c)) for c in clauses]
 
 
 def emit_dimacs(f: Formula, comment: str | None = None) -> str:

@@ -46,16 +46,21 @@ def events_sound(space: SubClauseSpace, f: Formula,
                for creator, parent in sid_events)
 
 
+class UnsoundEventError(AssertionError):
+    """Some sub-clause event is not its parent clause minus the negation of
+    its creator (events_sound)."""
+
+
 def provenance(space: SubClauseSpace, f: Formula,
                a: Assignment) -> dict[Pair, tuple[tuple[Literal, int], ...]]:
     """Each clause of reduce_to_2sat(space, f, a), in its order, mapped to the
     (creator, parent clause) events that activate it under a. Raises
-    AssertionError when some event of f is unsound (events_sound)."""
+    UnsoundEventError when some event of f is unsound."""
     a = check_consistent(a)
     events = space.events()
     if not events_sound(space, f, events):
-        raise AssertionError("a sub-clause event is not its parent clause minus "
-                             "the negation of its creator")
+        raise UnsoundEventError("a sub-clause event is not its parent clause minus "
+                                "the negation of its creator")
     return {space.pairs[sid]: tuple(event for event in events[sid] if event[0] in a)
             for sid in sorted(space.activated(a))}
 
