@@ -11,9 +11,9 @@ from .formula import (Assignment, Clause, EvalReport, Formula, GuardrailError, L
                       check_consistent, evaluate, formula, literal_str, make_clause,
                       make_literal, negate, parse_literal, random_formula, solve_exhaustive,
                       var_of)
-from .hypernodal import (Expansion, HypernodalGraph, ImplicationGraph, build_hypernodal,
-                         expand_literal, expansion_to_json, export_dot, find_contradictions,
-                         merge_active)
+from .hypernodal import (Expansion, HypernodalGraph, build_hypernodal, expand_literal,
+                         expansion_to_dot, expansion_to_json, export_dot, family_to_dot,
+                         find_contradictions, merge_active)
 from .reduction import (Decomposition, HypothesisError, TwoSatResult,
                         assignment_satisfies_2sat, decompose, reduce_to_2sat, solve_2sat,
                         verify_corollary1, verify_theorem)

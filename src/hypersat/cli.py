@@ -36,8 +36,8 @@ from .assignments import (MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS, consumption_
 from .dimacs import DimacsError, clause_texts, emit_dimacs, parse_dimacs
 from .formula import (Assignment, Formula, GuardrailError, assignment_json, check_consistent,
                       evaluate, literal_str, make_literal, parse_literal, random_formula, var_of)
-from .hypernodal import (build_hypernodal, expand_literal, expansion_to_json,
-                         export_dot, find_contradictions, merge_active)
+from .hypernodal import (build_hypernodal, expand_literal, expansion_to_dot, expansion_to_json,
+                         export_dot, family_to_dot, find_contradictions, merge_active)
 from .reduction import (UnsoundEventError, assignment_satisfies_2sat, provenance,
                         reduce_to_2sat, solve_2sat)
 from .subclauses import build_space, interaction_matrix, literal_columns, space_census
@@ -163,9 +163,9 @@ def cmd_analyze(args) -> int:
          "creators": sorted({literal_str(creator) for creator, _ in events}),
          "parents": sorted({parent for _, parent in events})}
         for sid, (pair, events) in enumerate(zip(space.pairs, space.events()))]
-    report["created"] = {literal_str(lit): sorted(space.subclauses_of(lit))
+    report["created"] = {literal_str(lit): sorted(space.created_by[lit])
                          for lit in all_literals}
-    report["subsat"] = {literal_str(lit): sorted(space.subsat(lit))
+    report["subsat"] = {literal_str(lit): space.containing[lit]   # ascending already
                         for lit in all_literals}
     th = thresholds(space)
     report["thresholds"] = {"minimum": th.minimum, "maximum": th.maximum}
@@ -329,7 +329,7 @@ def cmd_export(args) -> int:
         if args.assignment:
             raise UsageError("--expand and --assignment cannot be combined")
         expansion = expand_literal(space, lit, args.depth)
-        text = export_dot(expansion) if args.dot else dump_json(expansion_to_json(expansion))
+        text = expansion_to_dot(expansion) if args.dot else dump_json(expansion_to_json(expansion))
         emit(args, text)
         return EXIT_OK
     hg = build_hypernodal(space)
@@ -346,7 +346,7 @@ def cmd_export(args) -> int:
             path = " -> ".join(literal_str(lit) for lit in report.witness_paths[0])
             sys.stderr.write(f"first witness path: {path}\n")
     else:
-        text = export_dot(hg)
+        text = family_to_dot(hg)
     emit(args, text)
     return EXIT_OK
 

@@ -6,11 +6,12 @@ literals. emit/parse round-trip exactly on canonical formulas.
 What parse_dimacs accepts: ASCII text (bytes are decoded as ASCII); blank
 lines and lines starting with "c" anywhere; one "p cnf <n> <m>" header before
 the first clause; then one clause per line, its tokens separated by any
-whitespace and ended by a 0 token. A token is any text that Python's int()
-reads, so "+3", "007" and "1_0" are variables 3, 7 and 10, and "-0" or "00"
-is a 0. Each clause must have exactly `width` literals over distinct
-variables in 1..n, and there must be exactly m clauses. A repeated clause is
-kept, with a warning naming its line.
+whitespace and ended by a 0 token. A number, in a clause or in the header,
+is an optional sign and ASCII digits, so "+3" and "007" are variables 3 and 7
+and "-0" or "00" is a 0; "1_0" and non-ASCII digits are refused. Each clause
+must have exactly `width` literals over distinct variables in 1..n, and
+there must be exactly m clauses. A repeated clause is kept, with a warning
+naming its line.
 """
 
 from __future__ import annotations
@@ -28,14 +29,22 @@ class DimacsError(ValueError):
         self.line = line
 
 
+def _number(token: str) -> int:
+    """int(token), refusing what int() reads beyond an optional sign and ASCII
+    digits: a '_' between digits and non-ASCII digits raise ValueError too."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a DIMACS number: {token!r}")
+    return int(token)
+
+
 class _LiteralCodes(dict):
-    """Token -> literal code, converted on a token's first sight; holds one
-    entry per distinct token read. A 0 token gets the code -2, the only
-    negative one, and a variable past n a code of at least 2n. Raises
-    ValueError for a token that int() does not read."""
+    """Token -> literal code, checked and converted on a token's first sight;
+    holds one entry per distinct token read. A 0 token gets the code -2, the
+    only negative one, and a variable past n a code of at least 2n. Raises
+    ValueError for a token that is not a DIMACS number."""
 
     def __missing__(self, token: str) -> Literal:
-        num = int(token)
+        num = _number(token)
         code = self[token] = 2 * abs(num) - 2 + (num < 0)
         return code
 
@@ -75,7 +84,7 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
             if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
                 raise DimacsError(lineno, f"malformed header {line!r}, expected 'p cnf <n> <m>'")
             try:
-                n, m = int(tokens[2]), int(tokens[3])
+                n, m = _number(tokens[2]), _number(tokens[3])
             except ValueError:
                 raise DimacsError(lineno, f"non-integer counts in header {line!r}") from None
             if n < 0 or m < 0:

@@ -6,23 +6,24 @@ Every sub-clause (l1 v l2) contributes the implications -l1 -> l2 and
 -l2 -> l1 to its creator's graph. Node labels are literals, and each label's
 own graph exists in the family: nodes are themselves graphs.
 
-There is one graph representation, `ImplicationGraph`: 2n successor lists
-indexed by literal code, built by `implication_adjacency` from a list of
-sub-clauses. The family stores no graphs. `HypernodalGraph` is a view of the
-sub-clause space it came from, and a literal's graph, merge_active(hg, {lit}),
-like an assignment's merged graph, is built on request from the sub-clauses
-it activates.
+An implication graph is 2n successor lists indexed by literal code, as
+`implication_adjacency` builds them from a list of sub-clauses. The family
+stores no graphs. `HypernodalGraph` is a view of the sub-clause space it came
+from, and a literal's graph, merge_active(hg, {lit}), like an assignment's
+merged graph, is built on request from the sub-clauses it activates.
 
 A literal's expansion is the literal/sub-clause graph it reaches. A node
 contained in a graph that it contains is a cycle there, not an endless
 descent, so the graph has at most 2n literals and |S| sub-clauses; one
 breadth-first search records each once, with the first level it is reached
 at, in time linear in n + |S| at any depth bound.
+
+Three renderers write DOT text: `export_dot` a merged graph, `family_to_dot`
+the family and `expansion_to_dot` an expansion graph.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -34,19 +35,11 @@ from .subclauses import Pair, SubClauseSpace
 Edge = tuple[int, int]
 
 
-def implication_edges(pairs) -> Iterator[Edge]:
-    """The implications of the clauses in the order given: each clause
-    (l1 v l2) yields -l1 -> l2, then -l2 -> l1."""
-    for l1, l2 in pairs:
-        yield negate(l1), l2
-        yield negate(l2), l1
-
-
 def implication_adjacency(n: int, pairs) -> list[list[Literal]]:
     """Successor lists of the implication graph over the 2n literal codes,
     with each clause's edges appended in the order the clauses are given."""
     adjacency: list[list[Literal]] = [[] for _ in range(2 * n)]
-    for l1, l2 in pairs:   # the edges of implication_edges, inlined
+    for l1, l2 in pairs:   # -l1 -> l2, then -l2 -> l1
         adjacency[l1 ^ 1].append(l2)
         adjacency[l2 ^ 1].append(l1)
     return adjacency
@@ -110,43 +103,27 @@ def conflicting_variables(comp: list[int]) -> tuple[int, ...]:
     return tuple(v for v, (pos, neg) in enumerate(zip(comp[0::2], comp[1::2])) if pos == neg)
 
 
-class ImplicationGraph(NamedTuple):
-    """Implication graph over the 2n literal codes, as the successor lists
-    implication_adjacency builds."""
-
-    adjacency: list[list[Literal]]
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset((u, v) for u, successors in enumerate(self.adjacency)
-                         for v in successors)
-
-
 class HypernodalGraph(NamedTuple):
     """The 2n-graph family, as a view of its sub-clause space: the graph of
     literal l holds the implications of the sub-clauses l creates."""
 
     space: SubClauseSpace
 
-    @property
-    def n(self) -> int:
-        return self.space.n
-
 
 def build_hypernodal(space: SubClauseSpace) -> HypernodalGraph:
     return HypernodalGraph(space)
 
 
-def merge_active(hg: HypernodalGraph, a: Assignment) -> ImplicationGraph:
-    """Union of the assigned literals' graphs: the implication graph of the
-    2-SAT formula the assignment induces.
+def merge_active(hg: HypernodalGraph, a: Assignment) -> list[list[Literal]]:
+    """Union of the assigned literals' graphs: the successor lists of the
+    implication graph of the 2-SAT formula the assignment induces.
 
     Sub-clauses are added in sorted order, so successor lists, and with them
     SCC numbering and witness paths, do not depend on set iteration order."""
     a = check_consistent(a)
     space = hg.space
-    return ImplicationGraph(implication_adjacency(
-        space.n, sorted(map(space.pairs.__getitem__, space.activated(a)))))
+    return implication_adjacency(space.n,
+                                 sorted(map(space.pairs.__getitem__, space.activated(a))))
 
 
 class ContradictionReport(SimpleNamespace):
@@ -217,7 +194,7 @@ def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionRepo
     partial assignments, where an unassigned variable can be in conflict
     without any edge leaving the assignment."""
     a = check_consistent(a)
-    adjacency = merge_active(hg, a).adjacency
+    adjacency = merge_active(hg, a)
     escaped = tuple(sorted((u, v) for u in a for v in adjacency[u] if v not in a))
     witnesses = _witness_paths(adjacency, a)
     return ContradictionReport(witness_paths=tuple(witnesses),
@@ -288,20 +265,22 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '\\"') + '"'
 
 
-def _dot_hypernodal(hg: HypernodalGraph) -> str:
+def family_to_dot(hg: HypernodalGraph) -> str:
+    """The family as DOT: one cluster per literal's graph, in a true and a
+    false stack, with dashed containment and dotted cross-edges."""
     lines = ["digraph hypernodal {", "  compound=true;"]
-    stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(hg.n)]),
-              ("cluster_false", "false literals", [make_literal(v, True) for v in range(hg.n)]))
-    node_name = lambda owner, lit: f"g{owner}_n{lit}"
     space = hg.space
+    stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(space.n)]),
+              ("cluster_false", "false literals", [make_literal(v, True) for v in range(space.n)]))
+    node_name = lambda owner, lit: f"g{owner}_n{lit}"
     leaves: dict[Literal, set[Literal]] = {}   # owner -> labels of its other nodes
     for cluster, label, owners in stacks:
         lines.append(f"  subgraph {_quote(cluster)} {{")
         lines.append(f"    label={_quote(label)};")
         for owner in owners:
             # The edges of merge_active(hg, {owner}), without its 2n successor lists.
-            edges = sorted(set(implication_edges(space.pairs[sid]
-                                                 for sid in space.created_by[owner])))
+            edges = sorted({edge for l1, l2 in map(space.pairs.__getitem__, space.created_by[owner])
+                            for edge in ((negate(l1), l2), (negate(l2), l1))})
             leaves[owner] = {lit for edge in edges for lit in edge} - {owner}
             lines.append(f"    subgraph {_quote('cluster_I_' + literal_str(owner))} {{")
             lines.append(f"      label={_quote('I(' + literal_str(owner) + ')')};")
@@ -334,12 +313,13 @@ def _dot_hypernodal(hg: HypernodalGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_merged(g: ImplicationGraph) -> str:
-    """Nodes are the edges' endpoints, ascending, and edges are sorted by
-    (u, v) with repeats dropped: each node's successors are deduplicated and
-    sorted in node order, so the cost is O(V + E + sum of d log d) over the
-    out-degrees d, with no global sort of the edges."""
-    successors = [sorted(set(out)) for out in g.adjacency]
+def export_dot(adjacency: list[list[Literal]]) -> str:
+    """A merged graph, given as successor lists, as DOT. Nodes are the edges'
+    endpoints, ascending, and edges are sorted by (u, v) with repeats
+    dropped: each node's successors are deduplicated and sorted in node
+    order, so the cost is O(V + E + sum of d log d) over the out-degrees d,
+    with no global sort of the edges."""
+    successors = [sorted(set(out)) for out in adjacency]
     endpoint = [bool(out) for out in successors]
     for v in chain.from_iterable(successors):
         endpoint[v] = True
@@ -354,7 +334,8 @@ def _dot_merged(g: ImplicationGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_expansion(expansion: Expansion) -> str:
+def expansion_to_dot(expansion: Expansion) -> str:
+    """An expansion graph as DOT: creators -> boxed sub-clause -> its literals."""
     lines = ["digraph expansion {"]
     for lit in expansion.levels:
         label = literal_str(lit) + (" (truncated)" if lit in expansion.truncated else "")
@@ -368,15 +349,3 @@ def _dot_expansion(expansion: Expansion) -> str:
             lines.append(f"  {name} -> {_quote('l' + str(lit))};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_dot(obj) -> str:
-    """Render a hypernodal family (two cluster stacks), a merged graph, or an
-    expansion graph as DOT text."""
-    if isinstance(obj, HypernodalGraph):
-        return _dot_hypernodal(obj)
-    if isinstance(obj, ImplicationGraph):
-        return _dot_merged(obj)
-    if isinstance(obj, Expansion):
-        return _dot_expansion(obj)
-    raise TypeError(f"cannot export {type(obj).__name__} as DOT")

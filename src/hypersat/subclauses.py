@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .formula import (Clause, Formula, GuardrailError, Literal, _csv_text, literal_str,
-                      negate, var_of)
+from .formula import Clause, Formula, GuardrailError, Literal, _csv_text, literal_str, negate
 
 Pair = tuple[int, int]
 
@@ -33,7 +32,7 @@ class SubClauseSpace:
     """Deduplicated sub-clause set, with what each literal creates and solves.
 
     Ids follow first-encounter order in a clause-order scan of the formula;
-    use id_of() to locate a sub-clause by its literal pair. created_by and
+    index maps a (variable-ordered) literal pair to its id. created_by and
     containing hold one list per literal code. Which events created a
     sub-clause follows from the clauses, so it is not stored: events()
     derives it.
@@ -54,23 +53,9 @@ class SubClauseSpace:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def id_of(self, pair) -> int:
-        key = tuple(sorted(pair, key=var_of))
-        if key not in self.index:
-            raise KeyError(f"no sub-clause ({literal_str(key[0])} v {literal_str(key[1])})")
-        return self.index[key]
-
     def pair_str(self, sid: int) -> str:
         a, b = self.pairs[sid]
         return f"({literal_str(a)} v {literal_str(b)})"
-
-    def subclauses_of(self, a: Literal) -> set[int]:
-        """Ids activated by assigning a: reductions of the clauses containing -a."""
-        return set(self.created_by[a])
-
-    def subsat(self, a: Literal) -> set[int]:
-        """Ids of the sub-clauses solved by a: those containing it."""
-        return set(self.containing[a])
 
     def events(self) -> list[list[tuple[Literal, int]]]:
         """Per sub-clause id, its (creator, parent clause) events in scan
@@ -85,7 +70,8 @@ class SubClauseSpace:
         return out
 
     def activated(self, assignment) -> set[int]:
-        """Union of subclauses_of(a) over the assignment."""
+        """Ids the assignment activates: the union of created_by[a] over its
+        literals a, the reductions of the clauses that contain -a."""
         out: set[int] = set()
         for a in assignment:
             out.update(self.created_by[a])

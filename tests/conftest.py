@@ -5,6 +5,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hypersat import Formula, build_space, formula, parse_literal, random_formula
+from hypersat.formula import var_of
 
 
 def lits(*names):
@@ -13,6 +14,12 @@ def lits(*names):
 
 def clause(text):
     return tuple(parse_literal(tok) for tok in text.split())
+
+
+def subclause_id(space, pair):
+    """The id of the sub-clause with these two literals, in either order;
+    KeyError if the space has none."""
+    return space.index[tuple(sorted(pair, key=var_of))]
 
 
 # The worked 7-clause instance used throughout: three variables, every clause
@@ -48,7 +55,7 @@ def f3_space(f3):
 @pytest.fixture(scope="session")
 def to_paper(f3_space):
     """Map internal sub-clause ids to the published S0..S11 numbering."""
-    mapping = {f3_space.id_of(clause(pair)): sid
+    mapping = {subclause_id(f3_space, clause(pair)): sid
                for sid, pair in SUBCLAUSE_NUMBERING.items()}
 
     def convert(ids):
@@ -60,7 +67,7 @@ def to_paper(f3_space):
 @pytest.fixture(scope="session")
 def from_paper(f3_space):
     """Map published S0..S11 numbers to internal sub-clause ids."""
-    mapping = {sid: f3_space.id_of(clause(pair))
+    mapping = {sid: subclause_id(f3_space, clause(pair))
                for sid, pair in SUBCLAUSE_NUMBERING.items()}
 
     def convert(ids):

@@ -11,11 +11,12 @@ import hypersat
 PUBLIC_NAMES = [
     "Assignment", "Clause", "CurveSeries", "Decomposition", "DimacsError", "EvalReport",
     "ExclusionReport", "Expansion", "Formula", "GuardrailError", "HypernodalGraph",
-    "HypothesisError", "ImplicationGraph", "InteractionMatrix", "Literal", "SubClauseSpace",
+    "HypothesisError", "InteractionMatrix", "Literal", "SubClauseSpace",
     "Thresholds", "TwoSatResult", "assignment_satisfies_2sat",
     "build_hypernodal", "build_space", "check_consistent", "consumption_rate", "decompose",
-    "emit_dimacs", "evaluate", "excluded_literals", "expand_literal", "expansion_to_json",
-    "export_dot", "find_contradictions", "formula", "generate_greedy", "generate_heuristic",
+    "emit_dimacs", "evaluate", "excluded_literals", "expand_literal", "expansion_to_dot",
+    "expansion_to_json", "export_dot", "family_to_dot", "find_contradictions", "formula",
+    "generate_greedy", "generate_heuristic",
     "interaction_matrix", "literal_str", "make_clause", "make_literal", "merge_active",
     "negate", "parse_dimacs", "parse_literal", "random_assignment", "random_formula",
     "reduce_to_2sat", "solve_2sat", "solve_exhaustive", "space_census", "subclause_count",

@@ -68,7 +68,7 @@ def test_threshold_sandwich_on_random_pairs():
 def test_consumption_rate_f3(f3_space):
     assert consumption_rate(f3_space, lits("-x0", "-x1", "x2")) == pytest.approx(3.0)
     single = lits("-x0")
-    assert consumption_rate(f3_space, single) == len(f3_space.subclauses_of(parse_literal("-x0")))
+    assert consumption_rate(f3_space, single) == len(set(f3_space.created_by[parse_literal("-x0")]))
     with pytest.raises(ValueError):
         consumption_rate(f3_space, frozenset())
 
@@ -270,7 +270,7 @@ def curve_oracle(space, order):
         prefix = set(order[:t])
         activated = set()
         for lit in prefix:
-            activated |= space.subclauses_of(lit)
+            activated |= set(space.created_by[lit])
         satisfied = {sid for sid in activated
                      if set(space.pairs[sid]) & prefix}
         out.append((len(activated), len(satisfied)))
@@ -396,7 +396,7 @@ def test_excluded_literals_partition_property():
         assert report.excluded | report.allowed == a
         assert not (report.excluded & report.allowed)
         for lit in report.excluded:
-            assert space.subclauses_of(lit) & report.unsolved
+            assert set(space.created_by[lit]) & report.unsolved
 
 
 def test_activated_equals_satisfied_for_satisfying_assignments():
@@ -414,7 +414,7 @@ def test_activated_equals_satisfied_for_satisfying_assignments():
             activated = space.activated(a)
             solved_among_activated = set()
             for lit in a:
-                solved_among_activated |= space.subsat(lit) & activated
+                solved_among_activated |= set(space.containing[lit]) & activated
             assert solved_among_activated == activated
             checked += 1
 

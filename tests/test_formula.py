@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -66,6 +67,10 @@ def test_parse_dimacs_f3(f3):
     ("p cnf 3 2\n1 2 3 0", 1, "promises"),
     ("p cnf 3 1\n1 0004 2 0", 2, "variable 4 out of range 1..3"),
     ("p cnf 3 1\n1 -0 2 0", 2, "embedded 0 inside clause"),
+    ("p cnf 3 1\n1 1_0 2 0", 2, "non-integer token"),
+    ("p cnf 3 1\n1 \u0661 2 0", 2, "non-integer token"),
+    ("p cnf 1_0 1\n1 2 3 0", 1, "non-integer counts"),
+    ("p cnf 3 \u0661\n1 2 3 0", 1, "non-integer counts"),
 ])
 def test_parse_dimacs_errors_name_lines(text, line, fragment):
     with pytest.raises(DimacsError) as exc_info:
@@ -107,9 +112,16 @@ def test_round_trip_generated_instances():
         assert emit_dimacs(parse_dimacs(text)) == text
 
 
+def reference_number(token):
+    """A DIMACS number: an optional sign and ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def reference_parse_dimacs(text, width=3):
     """The per-number parser parse_dimacs replaced, kept as its oracle: one
-    int() per token, one range check per number, make_clause per clause."""
+    conversion per token, one range check per number, make_clause per clause."""
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -131,7 +143,7 @@ def reference_parse_dimacs(text, width=3):
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(lineno, f"malformed header {line!r}, expected 'p cnf <n> <m>'")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = reference_number(parts[2]), reference_number(parts[3])
             except ValueError:
                 raise DimacsError(lineno, f"non-integer counts in header {line!r}") from None
             if n < 0 or m < 0:
@@ -141,7 +153,7 @@ def reference_parse_dimacs(text, width=3):
         if n < 0:
             raise DimacsError(lineno, "clause before 'p cnf' header")
         try:
-            numbers = [int(tok) for tok in line.split()]
+            numbers = [reference_number(tok) for tok in line.split()]
         except ValueError:
             raise DimacsError(lineno, f"non-integer token in clause {line!r}") from None
         if not numbers or numbers[-1] != 0:
@@ -179,6 +191,10 @@ def dimacs_token(draw, num):
     return sign + "0" * draw(st.sampled_from((0, 0, 1, 2))) + str(abs(num))
 
 
+# Tokens that are not DIMACS numbers; int() reads "1_0" and "\u0661" (ARABIC-INDIC
+# DIGIT ONE) all the same.
+NON_INTEGERS = ("x1", "1.5", "%", "1_0", "\u0661")
+
 # Line faults, one per error class of parse_dimacs.
 CLAUSE_FAULTS = ("short", "long", "duplicate", "contradictory", "out of range",
                  "unterminated", "embedded 0", "non-integer")
@@ -214,15 +230,16 @@ def dimacs_texts(draw):
             nums[draw(st.integers(0, width - 1))] = 0
         tokens = [dimacs_token(draw, num) for num in nums]
         if fault == "non-integer":
-            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(("x1", "1.5", "%"))))
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(NON_INTEGERS)))
         seps = [draw(st.sampled_from((" ", "  ", "\t", " \t"))) for _ in tokens]
         line = "".join(sep + tok for sep, tok in zip(seps, tokens))
         clause_lines.append(line[draw(st.sampled_from((0, 1))):] + draw(st.sampled_from(("", " ", "\t"))))
     m = len(clause_lines)
     header = f"p cnf {n} {m}"
     fault = draw(st.sampled_from((None,) * 8 + HEADER_FAULTS))
+    bad_count = draw(st.sampled_from(NON_INTEGERS)) if fault == "non-integer" else None
     header = {"dnf": f"p dnf {n} {m}", "three fields": f"p cnf {n}",
-              "non-integer": f"p cnf {n} x", "negative": f"p cnf -{n} {m}",
+              "non-integer": f"p cnf {n} {bad_count}", "negative": f"p cnf -{n} {m}",
               "miscount": f"p cnf {n} {m + 1}"}.get(fault, header)
     lines = list(clause_lines)
     if fault != "missing":
@@ -236,7 +253,7 @@ def dimacs_texts(draw):
     kind = draw(st.sampled_from(("str",) * 6 + ("bytes",) * 6 + ("non-ASCII",)))
     if kind == "str":
         return text, width
-    data = text.encode("ascii")
+    data = text.encode()   # a non-ASCII token becomes non-ASCII bytes
     if kind == "non-ASCII":
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xe9" + data[at:]

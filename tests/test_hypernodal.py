@@ -3,19 +3,17 @@ import itertools
 import json
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersat import (Formula, ImplicationGraph, build_hypernodal, build_space, evaluate,
-                      expand_literal, expansion_to_json, export_dot, find_contradictions,
-                      formula, make_literal, merge_active, negate, parse_literal,
-                      random_assignment, random_formula, reduce_to_2sat)
+from hypersat import (Formula, build_hypernodal, build_space, evaluate, expand_literal,
+                      expansion_to_dot, expansion_to_json, export_dot, family_to_dot,
+                      find_contradictions, formula, make_literal, merge_active, negate,
+                      parse_literal, random_assignment, random_formula, reduce_to_2sat)
 from hypersat.formula import literal_str, var_of
-from hypersat.hypernodal import (component_ids, conflicting_variables, implication_adjacency,
-                                 implication_edges)
+from hypersat.hypernodal import component_ids, conflicting_variables, implication_adjacency
 
-from conftest import clause, formulas, lits
+from conftest import clause, formulas, lits, subclause_id
 
 from dotcheck import check_dot
 
@@ -24,8 +22,21 @@ def edge(a, b):
     return (parse_literal(a), parse_literal(b))
 
 
-def endpoints(graph):
-    return {lit for e in graph.edges for lit in e}
+def implication_edges(pairs):
+    """The implications of the clauses in the order given: each clause
+    (l1 v l2) yields -l1 -> l2, then -l2 -> l1."""
+    for l1, l2 in pairs:
+        yield negate(l1), l2
+        yield negate(l2), l1
+
+
+def edge_set(adjacency):
+    """The edges (u, v) of the graph whose successor lists are `adjacency`."""
+    return frozenset((u, v) for u, successors in enumerate(adjacency) for v in successors)
+
+
+def endpoints(adjacency):
+    return {lit for e in edge_set(adjacency) for lit in e}
 
 
 def test_literal_graph_f3_neg_x0(f3_space):
@@ -33,16 +44,16 @@ def test_literal_graph_f3_neg_x0(f3_space):
     expected = {edge("x1", "-x2"), edge("x2", "-x1"),   # from (-x1 v -x2)
                 edge("x1", "x2"), edge("-x2", "-x1"),   # from (-x1 v x2)
                 edge("-x1", "x2"), edge("-x2", "x1")}   # from (x1 v x2)
-    assert graph.edges == expected
-    assert len(graph.adjacency) == 6
+    assert edge_set(graph) == expected
+    assert len(graph) == 6
     assert endpoints(graph) == lits("x1", "-x1", "x2", "-x2")
 
 
 def test_literal_graph_no_creations():
     f = formula(4, [clause("x0 x1 x2")])
     graph = merge_active(build_hypernodal(build_space(f)), {parse_literal("x3")})
-    assert graph.adjacency == [[] for _ in range(8)]
-    assert graph.edges == frozenset()
+    assert graph == [[] for _ in range(8)]
+    assert edge_set(graph) == frozenset()
 
 
 def test_literal_graph_edge_count():
@@ -53,7 +64,7 @@ def test_literal_graph_edge_count():
         for v in range(f.n):
             for lit in (make_literal(v), make_literal(v, True)):
                 graph = merge_active(hg, {lit})
-                assert len(graph.edges) == 2 * len(space.subclauses_of(lit))
+                assert len(edge_set(graph)) == 2 * len(set(space.created_by[lit]))
 
 
 def test_implication_soundness():
@@ -63,24 +74,24 @@ def test_implication_soundness():
         hg = build_hypernodal(space)
         for owner in range(2 * f.n):
             created_pairs = {frozenset(space.pairs[sid])
-                             for sid in space.subclauses_of(owner)}
-            for u, v in merge_active(hg, {owner}).edges:
+                             for sid in set(space.created_by[owner])}
+            for u, v in edge_set(merge_active(hg, {owner})):
                 assert frozenset((negate(u), v)) in created_pairs
 
 
 def test_hypernodal_family(f3_space):
     hg = build_hypernodal(f3_space)
-    assert hg.space is f3_space and hg.n == 3
-    for owner in range(2 * hg.n):
+    assert hg.space is f3_space and hg.space.n == 3
+    for owner in range(2 * hg.space.n):
         graph = merge_active(hg, {owner})
-        assert len(graph.adjacency) == 6
+        assert len(graph) == 6
         assert endpoints(graph) <= set(range(6))  # nesting closure
 
 
 def test_hypernodal_empty():
     hg = build_hypernodal(build_space(formula(0, [])))
-    assert hg.n == 0
-    assert merge_active(hg, frozenset()).adjacency == []
+    assert hg.space.n == 0
+    assert merge_active(hg, frozenset()) == []
 
 
 def test_merge_singleton(f3_space):
@@ -88,14 +99,14 @@ def test_merge_singleton(f3_space):
     lit = parse_literal("-x0")
     merged = merge_active(hg, lits("-x0"))
     own = sorted(f3_space.pairs[sid] for sid in f3_space.created_by[lit])
-    assert merged == ImplicationGraph(implication_adjacency(3, own))
+    assert merged == implication_adjacency(3, own)
 
 
 def test_merge_monotonicity(f3_space):
     hg = build_hypernodal(f3_space)
     small = merge_active(hg, lits("-x0"))
     big = merge_active(hg, lits("-x0", "-x1", "x2"))
-    assert small.edges <= big.edges
+    assert edge_set(small) <= edge_set(big)
 
 
 def test_merge_equals_reduction_implication_graph(f3, f3_space):
@@ -107,14 +118,14 @@ def test_merge_equals_reduction_implication_graph(f3, f3_space):
     for l1, l2 in t.clauses:
         expected.add((negate(l1), l2))
         expected.add((negate(l2), l1))
-    assert merged.edges == expected
+    assert edge_set(merged) == expected
 
 
-def transitive_closure(g):
+def transitive_closure(adjacency):
     """Map node -> nodes reachable along a path of one or more edges: the
     quadratic reachability that scc_oracle builds on."""
     closure = {}
-    for start, successors in enumerate(g.adjacency):
+    for start, successors in enumerate(adjacency):
         seen = set()
         frontier = list(successors)
         while frontier:
@@ -122,20 +133,19 @@ def transitive_closure(g):
             if node in seen:
                 continue
             seen.add(node)
-            frontier.extend(g.adjacency[node])
+            frontier.extend(adjacency[node])
         closure[start] = frozenset(seen)
     return closure
 
 
 def test_transitive_closure_chain():
-    g = ImplicationGraph([[1], [2], []])
-    closure = transitive_closure(g)
+    closure = transitive_closure([[1], [2], []])
     assert 2 in closure[0]
     assert closure[2] == frozenset()
 
 
 def test_transitive_closure_empty():
-    assert transitive_closure(ImplicationGraph([])) == {}
+    assert transitive_closure([]) == {}
 
 
 def test_satisfying_merge_reaches_no_negation(f3, f3_space):
@@ -147,10 +157,10 @@ def test_satisfying_merge_reaches_no_negation(f3, f3_space):
             assert negate(target) not in closure[source]
 
 
-def scc_oracle(g):
+def scc_oracle(adjacency):
     """Mutual-reachability components via pairwise closure."""
-    closure = transitive_closure(g)
-    nodes = range(len(g.adjacency))
+    closure = transitive_closure(adjacency)
+    nodes = range(len(adjacency))
     components = []
     seen = set()
     for u in nodes:
@@ -194,7 +204,7 @@ def test_scc_matches_oracle_on_random_graphs():
         adjacency = random_adjacency(rng, rng.randint(1, 12))
         comp = component_ids(adjacency)
         assert sorted(set(comp)) == list(range(len(set(comp))))
-        assert components(comp) == scc_oracle(ImplicationGraph(adjacency))
+        assert components(comp) == scc_oracle(adjacency)
 
 
 def test_scc_emission_is_reverse_topological():
@@ -212,7 +222,7 @@ def test_conflicting_variables_match_the_closure():
     for _ in range(60):
         n = rng.randint(1, 6)
         adjacency = random_adjacency(rng, 2 * n)
-        closure = transitive_closure(ImplicationGraph(adjacency))
+        closure = transitive_closure(adjacency)
         expected = tuple(v for v in range(n)
                          if make_literal(v, True) in closure[make_literal(v)]
                          and make_literal(v) in closure[make_literal(v, True)])
@@ -230,7 +240,7 @@ def test_find_contradictions_f3(f3_space, to_paper):
     # Each escaped implication corresponds to an unsolved activated sub-clause.
     unsolved = {4, 6, 8}
     for u, v in bad.escaped_implications:
-        sid = f3_space.id_of((negate(u), v))
+        sid = subclause_id(f3_space, (negate(u), v))
         assert to_paper({sid})[0] in unsolved
 
 
@@ -266,9 +276,8 @@ def per_source_contradictions(hg, a):
     a DFS from every assigned literal over the merged graph, and SCCs from
     pairwise closure. Returns (consistent, escaped, conflicts, negations
     reached)."""
-    merged = merge_active(hg, a)
-    adjacency = merged.adjacency
-    escaped = tuple(sorted((u, v) for (u, v) in merged.edges if u in a and v not in a))
+    adjacency = merge_active(hg, a)
+    escaped = tuple(sorted((u, v) for (u, v) in edge_set(adjacency) if u in a and v not in a))
     negations = {negate(lit) for lit in a}
     reached = set()
     for source in sorted(a):
@@ -281,7 +290,7 @@ def per_source_contradictions(hg, a):
             seen.add(node)
             frontier.extend(adjacency[node])
         reached |= seen & negations
-    conflicts = tuple(sorted({var_of(lit) for comp in scc_oracle(merged) for lit in comp
+    conflicts = tuple(sorted({var_of(lit) for comp in scc_oracle(adjacency) for lit in comp
                               if negate(lit) in comp}))
     return not (escaped or reached or conflicts), escaped, conflicts, reached
 
@@ -314,7 +323,7 @@ def test_find_contradictions_matches_per_source_search(case):
 @given(assignment_cases())
 def test_witness_paths_follow_merged_edges(case):
     hg, a = case
-    edges = merge_active(hg, a).edges
+    edges = edge_set(merge_active(hg, a))
     report = find_contradictions(hg, a)
     ends = [path[-1] for path in report.witness_paths]
     assert ends == sorted(set(ends))
@@ -351,7 +360,7 @@ def test_implication_adjacency_equals_merged_edges():
         adjacency = implication_adjacency(n, reduce_to_2sat(space, f, a).clauses)
         assert len(adjacency) == 2 * n
         assert {(u, v) for u, succ in enumerate(adjacency) for v in succ} == \
-            merge_active(hg, a).edges
+            edge_set(merge_active(hg, a))
 
 
 def test_find_contradictions_reports_are_pinned():
@@ -448,7 +457,7 @@ def test_expand_f3_depth_one(f3_space, to_paper):
         assert sc.literals == f3_space.pairs[sc.sid]
     assert expansion.levels == {x0: 0, **{lit: 1 for lit in lits("x1", "-x1", "x2", "-x2")}}
     assert expansion.truncated == {lit for lit in lits("x1", "-x1", "x2", "-x2")
-                                   if f3_space.subclauses_of(lit)}
+                                   if f3_space.created_by[lit]}
 
 
 def test_expansion_prefix_property(f3_space):
@@ -474,7 +483,7 @@ def test_expansion_truncation_accounting(f3_space):
     for depth in range(4):
         expansion = expand_literal(f3_space, parse_literal("x0"), depth)
         assert expansion.truncated == {lit for lit, level in expansion.levels.items()
-                                       if level == depth and f3_space.subclauses_of(lit)}
+                                       if level == depth and f3_space.created_by[lit]}
         assert expansion.truncated <= truncated_leaves(
             expand_tree(f3_space, parse_literal("x0"), depth))
 
@@ -548,13 +557,13 @@ def test_expansion_of_an_endless_chain_is_a_cycle():
     cycle = expand_literal(space, x0, 2)
     assert cycle.levels == {x0: 0, x1: 1, parse_literal("x2"): 1, parse_literal("x3"): 2}
     assert [(sc.literals, sc.creators) for sc in cycle.subclauses] == [
-        (space.pairs[space.id_of(clause("x1 x2"))], (x0,)),
-        (space.pairs[space.id_of(clause("x0 x3"))], (x1,))]
+        (space.pairs[subclause_id(space, clause("x1 x2"))], (x0,)),
+        (space.pairs[subclause_id(space, clause("x0 x3"))], (x1,))]
     for depth in (2000, 10**9):
         expansion = expand_literal(space, x0, depth)
         assert expansion == cycle._replace(depth=depth)
         json.dumps(expansion_to_json(expansion), sort_keys=True, indent=2)
-        check_dot(export_dot(expansion))
+        check_dot(expansion_to_dot(expansion))
 
 
 def test_expansion_json_schema(f3_space):
@@ -571,18 +580,24 @@ def test_expansion_json_schema(f3_space):
 
 def test_export_dot_hypernodal(f3_space):
     hg = build_hypernodal(f3_space)
-    text = export_dot(hg)
+    text = family_to_dot(hg)
     check_dot(text)
     assert text.count('subgraph "cluster_I_') == 6
     assert 'subgraph "cluster_true"' in text
     assert 'subgraph "cluster_false"' in text
     assert "style=dotted" in text    # cross-edges
     assert "style=dashed" in text    # containment
+    # Each literal's cluster holds the edges of its own graph, sorted.
+    for owner in range(6):
+        assert [line for line in text.splitlines()
+                if line.startswith(f'      "g{owner}_n') and " -> " in line] == \
+            [f'      "g{owner}_n{u}" -> "g{owner}_n{v}";'
+             for u, v in sorted(edge_set(merge_active(hg, {owner})))]
 
 
 def test_export_dot_empty_family():
     hg = build_hypernodal(build_space(formula(0, [])))
-    text = export_dot(hg)
+    text = family_to_dot(hg)
     check_dot(text)
 
 
@@ -603,14 +618,15 @@ def reference_implication_adjacency(n, pairs):
     return adjacency
 
 
-def reference_dot_merged(g):
-    """The renderer _dot_merged replaced, kept as its oracle: the edges as a
-    frozenset, one global sort, and every name through the general quoting."""
+def reference_dot_merged(adjacency):
+    """The merged-graph renderer export_dot replaced, kept as its oracle: the
+    edges as a frozenset, one global sort, and every name through the general
+    quoting."""
     def quote(name):
         return '"' + name.replace('"', '\\"') + '"'
 
     lines = ["digraph merged {"]
-    edges = sorted(g.edges)
+    edges = sorted(edge_set(adjacency))
     for node in sorted({lit for edge in edges for lit in edge}):
         lines.append(f"  {quote('n' + str(node))} [label={quote(literal_str(node))}];")
     for u, v in edges:
@@ -626,7 +642,7 @@ def test_merged_graph_layers_match_their_references(case):
     space = hg.space
     pairs = sorted(space.pairs[sid] for sid in space.activated(a))
     merged = merge_active(hg, a)
-    assert merged.adjacency == reference_implication_adjacency(space.n, pairs)
+    assert merged == reference_implication_adjacency(space.n, pairs)
     text = export_dot(merged)
     assert text == reference_dot_merged(merged)
     check_dot(text)
@@ -637,8 +653,8 @@ def test_merged_graph_layers_match_their_references(case):
 def test_two_sat_graphs_with_repeated_clauses_match_their_references(t):
     # formulas() inserts up to three repeated clauses, so successor lists
     # repeat edges, which the DOT text lists once.
-    graph = ImplicationGraph(implication_adjacency(t.n, t.clauses))
-    assert graph.adjacency == reference_implication_adjacency(t.n, t.clauses)
+    graph = implication_adjacency(t.n, t.clauses)
+    assert graph == reference_implication_adjacency(t.n, t.clauses)
     assert export_dot(graph) == reference_dot_merged(graph)
 
 
@@ -648,14 +664,13 @@ def test_two_sat_graphs_with_repeated_clauses_match_their_references(t):
     min_size=2 * n, max_size=2 * n)))
 def test_dot_merged_matches_its_reference_on_any_successor_lists(adjacency):
     # Repeats, self-loops, unsorted successors and isolated nodes.
-    graph = ImplicationGraph(adjacency)
-    assert export_dot(graph) == reference_dot_merged(graph)
+    assert export_dot(adjacency) == reference_dot_merged(adjacency)
 
 
 def test_dot_merged_lists_a_repeated_clause_once_and_skips_isolated_nodes():
     t = Formula(n=3, clauses=(clause("x0 x1"), clause("x0 x1")), width=2)
-    graph = ImplicationGraph(implication_adjacency(t.n, t.clauses))
-    assert graph.adjacency == [[], [2, 2], [], [0, 0], [], []]
+    graph = implication_adjacency(t.n, t.clauses)
+    assert graph == [[], [2, 2], [], [0, 0], [], []]
     assert export_dot(graph) == ('digraph merged {\n'
                                  '  "n0" [label="x0"];\n'
                                  '  "n1" [label="-x0"];\n'
@@ -667,20 +682,15 @@ def test_dot_merged_lists_a_repeated_clause_once_and_skips_isolated_nodes():
 
 
 def test_dot_merged_of_an_empty_graph():
-    assert export_dot(ImplicationGraph([])) == "digraph merged {\n}\n"
-    assert export_dot(ImplicationGraph([[] for _ in range(6)])) == "digraph merged {\n}\n"
+    assert export_dot([]) == "digraph merged {\n}\n"
+    assert export_dot([[] for _ in range(6)]) == "digraph merged {\n}\n"
 
 
 def test_export_dot_expansion(f3_space):
     expansion = expand_literal(f3_space, parse_literal("x0"), 2)
-    text = export_dot(expansion)
+    text = expansion_to_dot(expansion)
     check_dot(text)
     assert "(truncated)" in text
     # One DOT node per literal and sub-clause, each declared once.
     declared = [line for line in text.splitlines() if "[label=" in line]
     assert len(declared) == len(set(declared)) == len(expansion.levels) + len(expansion.subclauses)
-
-
-def test_export_dot_rejects_other_types():
-    with pytest.raises(TypeError):
-        export_dot(42)

@@ -12,7 +12,7 @@ from hypersat.formula import var_of
 from hypersat.reduction import provenance
 from hypersat.subclauses import SubClauseSpace
 
-from conftest import clause, formulas, lits
+from conftest import clause, formulas, lits, subclause_id
 
 
 def reduce_ksat(f, a):
@@ -275,7 +275,7 @@ def test_verify_corollary1_property(f, seed):
         violated_clause = f.clauses[cid]
         for removed in violated_clause:
             assert negate(removed) in a
-            sid = space.id_of(tuple(x for x in violated_clause if x != removed))
+            sid = subclause_id(space, tuple(x for x in violated_clause if x != removed))
             assert sid in cert.witnesses
 
 
@@ -290,7 +290,7 @@ def test_corollary1_single_violated_clause_witnesses():
     cert = verify_corollary1(f, a, space=space)
     violated_clause = f.clauses[0]
     for removed in violated_clause:
-        sid = space.id_of(tuple(x for x in violated_clause if x != removed))
+        sid = subclause_id(space, tuple(x for x in violated_clause if x != removed))
         assert sid in cert.witnesses
     assert cert.holds
 

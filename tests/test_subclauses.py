@@ -8,7 +8,7 @@ from hypersat import (Formula, build_space, formula, interaction_matrix,
                       space_census, thresholds)
 from hypersat.formula import var_of
 
-from conftest import SUBCLAUSE_NUMBERING, clause, formulas, lits
+from conftest import SUBCLAUSE_NUMBERING, clause, formulas, lits, subclause_id
 
 
 def cell_of(matrix, sid, name):
@@ -27,7 +27,7 @@ def unit_literals(space, lit):
 def test_f3_space_enumerates_all_twelve(f3_space):
     assert len(f3_space) == 12
     for pair in SUBCLAUSE_NUMBERING.values():
-        f3_space.id_of(clause(pair))  # raises KeyError if missing
+        subclause_id(f3_space, clause(pair))  # raises KeyError if missing
 
 
 def test_space_requires_width_3():
@@ -39,9 +39,9 @@ def test_space_requires_width_3():
 def test_single_clause_created_sets():
     f = formula(6, [clause("-x1 -x4 x5")])
     space = build_space(f)
-    assert space.subclauses_of(parse_literal("x1")) == {space.id_of(clause("-x4 x5"))}
-    assert space.subclauses_of(parse_literal("x4")) == {space.id_of(clause("-x1 x5"))}
-    assert space.subclauses_of(parse_literal("-x5")) == {space.id_of(clause("-x1 -x4"))}
+    assert set(space.created_by[parse_literal("x1")]) == {subclause_id(space, clause("-x4 x5"))}
+    assert set(space.created_by[parse_literal("x4")]) == {subclause_id(space, clause("-x1 x5"))}
+    assert set(space.created_by[parse_literal("-x5")]) == {subclause_id(space, clause("-x1 -x4"))}
     assert len(space) == 3
 
 
@@ -56,12 +56,12 @@ def test_f3_subclauses_of(f3_space, to_paper):
         "x0": [8, 9, 10, 11], "x1": [2, 3, 6, 7], "x2": [0, 1, 4],
     }
     for name, ids in expected.items():
-        assert to_paper(f3_space.subclauses_of(parse_literal(name))) == ids
+        assert to_paper(set(f3_space.created_by[parse_literal(name)])) == ids
 
 
 def test_f3_subsat(f3_space, to_paper):
-    assert to_paper(f3_space.subsat(parse_literal("-x0"))) == [0, 1, 2, 3]
-    assert to_paper(f3_space.subsat(parse_literal("x2"))) == [3, 7, 9, 11]
+    assert to_paper(set(f3_space.containing[parse_literal("-x0")])) == [0, 1, 2, 3]
+    assert to_paper(set(f3_space.containing[parse_literal("x2")])) == [3, 7, 9, 11]
 
 
 def test_unitclauses_worked_example():
@@ -128,7 +128,7 @@ def test_duality_invariant():
         events = space.events()
         for v in range(f.n):
             for lit in (make_literal(v), make_literal(v, True)):
-                for sid in space.subclauses_of(lit):
+                for sid in set(space.created_by[lit]):
                     assert any(negate(lit) in f.clauses[cid] for cid in parents(events[sid]))
 
 
@@ -170,7 +170,7 @@ def test_interaction_matrix_spec_example():
     f = formula(4, [clause("x0 x2 -x3"), clause("x1 x2 -x3")])
     space = build_space(f)
     matrix = interaction_matrix(space)
-    s0 = space.id_of(clause("x2 -x3"))
+    s0 = subclause_id(space, clause("x2 -x3"))
     cell = lambda name: cell_of(matrix, s0, name)
     assert cell("-x0") == "c" and cell("-x1") == "c"
     assert cell("-x2") == "-x3"
@@ -255,7 +255,7 @@ def assert_matches_reference(f):
     pairs, index, creators, parents, records, created_by, containing = reference_space(f)
     assert space.pairs == pairs
     assert space.index == index
-    assert all(space.id_of(pair) == sid for pair, sid in index.items())
+    assert all(subclause_id(space, pair) == sid for pair, sid in index.items())
     events = space.events()
     assert events == records
     for lit in range(2 * f.n):
@@ -276,7 +276,7 @@ def test_space_matches_reference_with_repeated_clauses(f3):
     f = Formula(n=3, clauses=(f3.clauses[0],) + f3.clauses + (f3.clauses[4], f3.clauses[0]))
     assert_matches_reference(f)
     space = build_space(f)
-    sid = space.id_of(clause("-x1 -x2"))
+    sid = subclause_id(space, clause("-x1 -x2"))
     assert space.events()[sid] == [(parse_literal("x0"), 0), (parse_literal("x0"), 1),
                                    (parse_literal("-x0"), 6), (parse_literal("x0"), 9)]
     assert space.created_by[parse_literal("x0")].count(sid) == 1

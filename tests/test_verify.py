@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from hypersat import (build_space, evaluate, random_formula, reduce_to_2sat, verify,
-                      verify_theorem)
+from hypersat import (assignment_satisfies_2sat, build_hypernodal, build_space, evaluate,
+                      find_contradictions, hypernodal, negate, random_formula, reduce_to_2sat,
+                      solve_2sat, verify, verify_theorem)
 from hypersat.cli import EXIT_FALSIFIED, EXIT_OK, main, parse_assignment
 from hypersat.formula import GuardrailError
 from hypersat.reduction import Corollary1Certificate, events_sound
@@ -149,3 +150,46 @@ sys.exit(main(["verify", "--suite", "theorem", "--instances", "3"]))
     assert result.returncode == EXIT_FALSIFIED
     assert "[FALSIFIED]" in result.stderr
     assert json.loads(result.stdout)[0]["failures"]
+
+
+def test_a_merged_graph_without_edges_fails_merge(monkeypatch):
+    # Every assignment looks consistent to an empty merged graph, while its
+    # 2-SAT formula and its unsolved sub-clauses say otherwise.
+    seen = []
+
+    def no_edges(hg, a):
+        seen.append((hg.space, a))
+        return [[] for _ in range(2 * hg.space.n)]
+
+    monkeypatch.setattr(hypernodal, "merge_active", no_edges)
+    report = verify.merge_equivalence_suite(instances=40, n_range=(6, 12), r=4.25, seed=1)
+    assert report.checks == 40 and report.falsifications == 40
+    first = report.failures[0]
+    space, a = seen[first["instance"]]
+    f = random_formula(first["n"], first["r"], first["seed"])
+    assert f.clauses == space.clauses
+    assert parse_assignment(",".join(first["assignment"]), f.n) == a
+    monkeypatch.undo()
+    assert not find_contradictions(build_hypernodal(build_space(f)), a).consistent
+
+
+def test_a_flipped_2sat_assignment_fails_2sat_oracle(monkeypatch):
+    # The other polarity of every variable keeps the verdict but, on most
+    # satisfiable instances, violates a clause.
+    seen = []
+
+    def flipped(t):
+        verdict = solve_2sat(t)
+        if verdict.satisfiable:
+            verdict = verdict._replace(assignment=frozenset(map(negate, verdict.assignment)))
+        seen.append((t, verdict))
+        return verdict
+
+    monkeypatch.setattr(verify, "solve_2sat", flipped)
+    report = verify.twosat_oracle_suite(instances=40, n_range=(6, 12), r=4.25, seed=1)
+    assert report.checks == 40 and report.falsifications == 32
+    first = report.failures[0]
+    t, verdict = seen[first["instance"]]
+    assert random_formula(first["n"], first["r"], first["seed"], k=2) == t
+    assert parse_assignment(",".join(first["assignment"]), t.n) == verdict.assignment
+    assert assignment_satisfies_2sat(t, verdict.assignment)
