@@ -3,7 +3,8 @@ generation, 2-SAT reduction, verification suites, batch experiments and
 graph and expansion-graph exports.
 
 Exit codes: 0 success, 2 bad usage or parameters (an empty or too small
-`verify --n-range` among them), 3 DIMACS parse error (a non-ASCII byte
+`verify --n-range`, or a non-DIMACS number such as "1_0" in an --assignment
+or --expand literal, among them), 3 DIMACS parse error (a non-ASCII byte
 among them, with its line), 4 size guardrail, 6 claim falsified.
 A verify suite that made no check at all ends its stderr summary line in
 [vacuous] instead of [ok]; its JSON and its exit code are those of a passing
@@ -34,8 +35,9 @@ from .assignments import (MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS, consumption_
                           excluded_literals, subclause_count, subclause_total, thresholds,
                           unsolved_curve)
 from .dimacs import DimacsError, clause_texts, emit_dimacs, parse_dimacs
-from .formula import (Assignment, Formula, GuardrailError, assignment_json, check_consistent,
-                      evaluate, literal_str, make_literal, parse_literal, random_formula, var_of)
+from .formula import (Assignment, Formula, GuardrailError, _number, assignment_json,
+                      check_consistent, evaluate, literal_str, make_literal, parse_literal,
+                      random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_dot, expansion_to_json,
                          export_dot, family_to_dot, find_contradictions, merge_active)
 from .reduction import (UnsoundEventError, assignment_satisfies_2sat, provenance,
@@ -119,7 +121,7 @@ def parse_assignment(text: str, n: int) -> Assignment:
             literals.append(parse_literal(token))
         else:
             try:
-                value = int(token)
+                value = _number(token)
             except ValueError:
                 raise UsageError(f"cannot read literal {token!r}") from None
             if value == 0:
@@ -170,7 +172,7 @@ def cmd_analyze(args) -> int:
     th = thresholds(space)
     report["thresholds"] = {"minimum": th.minimum, "maximum": th.maximum}
     if f.n >= 2:
-        census = space_census(space, f)
+        census = space_census(space)
         report["census"] = {"possible": census.possible, "actual": census.actual,
                             "per_clause_bound": census.per_clause_bound,
                             "ratio": census.ratio}
@@ -249,7 +251,7 @@ def cmd_reduce(args) -> int:
     if args.out_base:
         # Derived before either file is written, so a falsified claim leaves none.
         try:
-            events = provenance(space, f, a)
+            events = provenance(space, a)
         except UnsoundEventError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_FALSIFIED

@@ -1,24 +1,29 @@
-"""DIMACS CNF reading and writing.
+r"""DIMACS CNF reading and writing.
 
 Variable v in a DIMACS file maps to index v-1; negative numbers are negated
 literals. emit/parse round-trip exactly on canonical formulas.
 
-What parse_dimacs accepts: ASCII text (bytes are decoded as ASCII); blank
-lines and lines starting with "c" anywhere; one "p cnf <n> <m>" header before
-the first clause; then one clause per line, its tokens separated by any
-whitespace and ended by a 0 token. A number, in a clause or in the header,
-is an optional sign and ASCII digits, so "+3" and "007" are variables 3 and 7
-and "-0" or "00" is a 0; "1_0" and non-ASCII digits are refused. Each clause
-must have exactly `width` literals over distinct variables in 1..n, and
-there must be exactly m clauses. A repeated clause is kept, with a warning
-naming its line.
+What parse_dimacs accepts: ASCII bytes, a `str` being read as its UTF-8
+bytes, so any non-ASCII character is a non-ASCII byte. A line ends at
+"\n", "\r\n" or "\r", and tokens are separated by runs of space, "\t",
+"\n", "\r", "\v" and "\f" (C's isspace); no other byte ends a line or
+separates tokens. It takes blank lines and lines starting with "c"
+anywhere; one "p cnf <n> <m>" header before the first clause; then one
+clause per line, ended by a 0 token. A number, in a clause or in the
+header, is an optional sign and ASCII digits (formula._number), so "+3" and
+"007" are variables 3 and 7 and "-0" or "00" is a 0; "1_0" is refused. Each
+clause must have exactly `width` literals over distinct variables in 1..n,
+and there must be exactly m clauses. A repeated clause is kept, with a
+warning naming its line.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from .formula import Clause, Formula, Literal, is_negative, make_clause, var_of
+from .formula import Clause, Formula, Literal, _number, is_negative, make_clause, var_of
+
+_COMMENT, _HEADER = b"cp"   # the first byte of a comment line and of the header line
 
 
 class DimacsError(ValueError):
@@ -29,22 +34,14 @@ class DimacsError(ValueError):
         self.line = line
 
 
-def _number(token: str) -> int:
-    """int(token), refusing what int() reads beyond an optional sign and ASCII
-    digits: a '_' between digits and non-ASCII digits raise ValueError too."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"not a DIMACS number: {token!r}")
-    return int(token)
-
-
 class _LiteralCodes(dict):
     """Token -> literal code, checked and converted on a token's first sight;
     holds one entry per distinct token read. A 0 token gets the code -2, the
     only negative one, and a variable past n a code of at least 2n. Raises
     ValueError for a token that is not a DIMACS number."""
 
-    def __missing__(self, token: str) -> Literal:
-        num = _number(token)
+    def __missing__(self, token: bytes) -> Literal:
+        num = _number(token.decode())
         code = self[token] = 2 * abs(num) - 2 + (num < 0)
         return code
 
@@ -60,31 +57,31 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
     Each clause line is split once and its tokens read through a memo, so
     the time is linear in the text; nothing is sized by the header's n.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            # The byte's line, numbered as the splitlines loop below numbers it.
-            line = len((text[:exc.start] + b"x").decode("ascii").splitlines())
-            raise DimacsError(line, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if not data.isascii():
+        at = len(data) - len(data.lstrip(bytes(range(128))))   # the first non-ASCII byte
+        # The byte's line, numbered as the splitlines loop below numbers it.
+        line = len((data[:at] + b"x").splitlines())
+        raise DimacsError(line, f"non-ASCII byte 0x{data[at]:02x}")
+    lines = data.splitlines()
     n = m = -1
     header_line = 0
     limit = 0   # 2n: the in-range literal codes are 0..limit-1
     codes_of = _LiteralCodes()
     clauses: list[Clause] = []
     seen: set[Clause] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if not tokens or tokens[0][0] == "c":
+        if not tokens or tokens[0][0] == _COMMENT:
             continue
-        if tokens[0][0] == "p":
-            line = raw.strip()
+        if tokens[0][0] == _HEADER:
+            line = raw.strip().decode()
             if n >= 0:
                 raise DimacsError(lineno, "duplicate 'p cnf' header")
-            if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
+            if len(tokens) != 4 or tokens[0] != b"p" or tokens[1] != b"cnf":
                 raise DimacsError(lineno, f"malformed header {line!r}, expected 'p cnf <n> <m>'")
             try:
-                n, m = _number(tokens[2]), _number(tokens[3])
+                n, m = _number(tokens[2].decode()), _number(tokens[3].decode())
             except ValueError:
                 raise DimacsError(lineno, f"non-integer counts in header {line!r}") from None
             if n < 0 or m < 0:
@@ -97,7 +94,7 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
         try:
             codes = list(map(codes_of.__getitem__, tokens))
         except ValueError:
-            raise DimacsError(lineno, f"non-integer token in clause {raw.strip()!r}") from None
+            raise DimacsError(lineno, f"non-integer token in clause {raw.strip().decode()!r}") from None
         if codes.pop() != -2:   # the code of a 0 token
             raise DimacsError(lineno, "clause not terminated by 0")
         if len(codes) != width:
@@ -122,7 +119,7 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
         seen.add(clause)
         clauses.append(clause)
     if n < 0:
-        raise DimacsError(max(1, len(text.splitlines())), "missing 'p cnf' header")
+        raise DimacsError(max(1, len(lines)), "missing 'p cnf' header")
     if len(clauses) != m:
         raise DimacsError(header_line, f"header promises {m} clauses, found {len(clauses)}")
     return Formula(n=n, clauses=tuple(clauses), width=width)

@@ -48,10 +48,10 @@ class InstanceRecord(NamedTuple):
 
 
 class ExperimentSummary:
-    def __init__(self, n: int, r: float, records: list[InstanceRecord] | None = None):
+    def __init__(self, n: int, r: float):
         self.n = n
         self.r = r
-        self.records = [] if records is None else records
+        self.records: list[InstanceRecord] = []
 
     def to_json_dict(self) -> dict:
         """The records with the mean and population standard deviation of the
@@ -105,16 +105,14 @@ def run_fraction_experiment(n: int = 500, r: float = 4.25, *, count: int, genera
 
 
 class CurveExperiment:
-    def __init__(self, n: int, r: float, method: str, accepted: list[dict] | None = None,
-                 seeds_scanned: int = 0, mean_inflection: float = 0.0,
-                 mean_curve: list[float] | None = None):
+    def __init__(self, n: int, r: float, method: str):
         self.n = n
         self.r = r
         self.method = method
-        self.accepted = [] if accepted is None else accepted   # seed, generator, inflection
-        self.seeds_scanned = seeds_scanned
-        self.mean_inflection = mean_inflection
-        self.mean_curve = [] if mean_curve is None else mean_curve
+        self.accepted: list[dict] = []   # seed, generator, inflection
+        self.seeds_scanned = 0
+        self.mean_inflection = 0.0
+        self.mean_curve: list[float] = []
 
     def to_json_dict(self) -> dict:
         return {

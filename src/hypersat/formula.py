@@ -52,15 +52,28 @@ def literal_str(lit: Literal) -> str:
     return f"-x{lit >> 1}" if lit & 1 else f"x{lit >> 1}"
 
 
+def _number(text: str, signed: bool = True) -> int:
+    """The one rule for a number read from outside, in DIMACS text or a literal:
+    ASCII digits after one optional '+' or '-' (when `signed`), so "+3" and
+    "007" are 3 and 7; all else, "1_0" and non-ASCII digits too, is a ValueError."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number: {text!r}")
+    return int(text)
+
+
 def parse_literal(text: str) -> Literal:
-    """Inverse of literal_str; accepts 'x3' and '-x3'."""
+    """Inverse of literal_str: 'x3' or '-x3', its digits read by _number."""
     s = text.strip()
     neg = s.startswith("-")
     if neg:
         s = s[1:]
-    if not s.startswith("x") or not s[1:].isdigit():
-        raise ValueError(f"not a literal: {text!r}")
-    return make_literal(int(s[1:]), neg)
+    if s[:1] == "x":
+        try:
+            return make_literal(_number(s[1:], signed=False), neg)
+        except ValueError:
+            pass
+    raise ValueError(f"not a literal: {text!r}")
 
 
 def make_clause(literals) -> Clause:

@@ -35,13 +35,12 @@ def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> Formula:
     return Formula(n=f.n, clauses=tuple(space.pairs[sid] for sid in ids), width=2)
 
 
-def events_sound(space: SubClauseSpace, f: Formula,
-                 events: list[list[tuple[Literal, int]]]) -> bool:
+def events_sound(space: SubClauseSpace, events: list[list[tuple[Literal, int]]]) -> bool:
     """Whether every event of `events`, which is space.events(), is sound: a
     sub-clause is its parent clause minus the negation of its creator. No
     event depends on an assignment, so one call covers every assignment
-    over f."""
-    return all(set(pair) == set(f.clauses[parent]) - {negate(creator)}
+    over the space's formula."""
+    return all(set(pair) == set(space.clauses[parent]) - {negate(creator)}
                for pair, sid_events in zip(space.pairs, events)
                for creator, parent in sid_events)
 
@@ -51,14 +50,14 @@ class UnsoundEventError(AssertionError):
     its creator (events_sound)."""
 
 
-def provenance(space: SubClauseSpace, f: Formula,
+def provenance(space: SubClauseSpace,
                a: Assignment) -> dict[Pair, tuple[tuple[Literal, int], ...]]:
     """Each clause of reduce_to_2sat(space, f, a), in its order, mapped to the
     (creator, parent clause) events that activate it under a. Raises
-    UnsoundEventError when some event of f is unsound."""
+    UnsoundEventError when some event of the space is unsound."""
     a = check_consistent(a)
     events = space.events()
-    if not events_sound(space, f, events):
+    if not events_sound(space, events):
         raise UnsoundEventError("a sub-clause event is not its parent clause minus "
                                 "the negation of its creator")
     return {space.pairs[sid]: tuple(event for event in events[sid] if event[0] in a)

@@ -118,15 +118,12 @@ class SpaceCensus(NamedTuple):
     ratio: float         # 3r / (2(n-1)), as 3m / (2n(n-1))
 
 
-def space_census(space: SubClauseSpace, f: Formula) -> SpaceCensus:
-    if f.n < 2:
+def space_census(space: SubClauseSpace) -> SpaceCensus:
+    n, m = space.n, len(space.clauses)
+    if n < 2:
         raise ValueError("census needs n >= 2")
-    return SpaceCensus(
-        possible=2 * f.n * (f.n - 1),
-        actual=len(space),
-        per_clause_bound=3 * f.m,
-        ratio=3 * f.m / (2 * f.n * (f.n - 1)),
-    )
+    return SpaceCensus(possible=2 * n * (n - 1), actual=len(space), per_clause_bound=3 * m,
+                       ratio=3 * m / (2 * n * (n - 1)))
 
 
 class InteractionMatrix(NamedTuple):

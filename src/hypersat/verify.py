@@ -37,17 +37,14 @@ ASSIGNMENTS_PER_INSTANCE = 10
 
 
 class SuiteReport:
-    def __init__(self, suite: str, instances: int, checks: int = 0, falsifications: int = 0,
-                 skipped: int = 0, details: dict | None = None,
-                 failures: list[dict] | None = None):
+    def __init__(self, suite: str, instances: int, details: dict | None = None):
         self.suite = suite
         self.instances = instances
-        self.checks = checks
-        self.falsifications = falsifications
-        self.skipped = skipped  # instances where the hypothesis never applied
+        self.checks = 0
+        self.falsifications = 0
+        self.skipped = 0  # instances where the hypothesis never applied
         self.details = {} if details is None else details
-        # reproducers of the first falsifications
-        self.failures = [] if failures is None else failures
+        self.failures: list[dict] = []   # reproducers of the first falsifications
 
     def record(self, holds: bool, seed: int, instance: int, n: int, r: float,
                assignment: Assignment | None) -> None:
@@ -82,11 +79,6 @@ class SuiteReport:
                 f"{self.falsifications} falsifications, {self.skipped} skipped [{status}]")
 
 
-def _check_n(n: int) -> None:
-    if n > ORACLE_MAX_VARS:
-        raise GuardrailError(f"oracle-backed suites are capped at n <= {ORACLE_MAX_VARS}")
-
-
 def _instances(rng: random.Random, count: int, n_range: tuple[int, int],
                ratios: tuple[float, ...], seed: int, k: int = 3, sizes_first: bool = False):
     """Yield (i, n, r, instance seed, formula) for instances 0..count-1.
@@ -110,7 +102,8 @@ def theorem_suite(instances: int, n_range: tuple[int, int],
     The events are checked once per satisfiable instance, and each
     solution's check holds only if they are sound, so an unsound event
     falsifies every solution of its instance."""
-    _check_n(n_range[1])
+    if n_range[1] > ORACLE_MAX_VARS:
+        raise GuardrailError(f"theorem's oracle is capped at n <= {ORACLE_MAX_VARS}")
     report = SuiteReport("theorem", instances)
     for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
         solutions = solve_exhaustive(f, cap=SOLUTIONS_PER_INSTANCE)
@@ -118,7 +111,7 @@ def theorem_suite(instances: int, n_range: tuple[int, int],
             report.skipped += 1
             continue
         space = build_space(f)
-        sound = events_sound(space, f, space.events())
+        sound = events_sound(space, space.events())
         for a in solutions:
             report.record(sound and verify_theorem(f, a, space).holds, f_seed, i, n, r, a)
     report.details = {"satisfiable_instances": instances - report.skipped}
@@ -128,8 +121,8 @@ def theorem_suite(instances: int, n_range: tuple[int, int],
 def corollary1_suite(instances: int, n_range: tuple[int, int],
                      r: float, seed: int) -> SuiteReport:
     """Every complete non-satisfying assignment must leave an activated
-    sub-clause unsolved."""
-    _check_n(n_range[1])
+    sub-clause unsolved. It calls no oracle (a check is an evaluation), so
+    it runs at every n `verify` accepts."""
     rng = random.Random(seed)
     report = SuiteReport("corollary1", instances,
                          details={"satisfying_assignments_resampled": 0})
@@ -217,7 +210,7 @@ def census_suite(instances: int, n_range: tuple[int, int],
     """|S| never exceeds min(3m, 2n(n-1)) on generated instances."""
     report = SuiteReport("census", instances)
     for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
-        census = space_census(build_space(f), f)
+        census = space_census(build_space(f))
         report.record(census.actual <= min(census.per_clause_bound, census.possible),
                       f_seed, i, n, r, None)
     return report

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersat import (build_space, cli, emit_dimacs, experiments, literal_str, negate,
                       parse_dimacs, parse_literal, random_formula, reduce_to_2sat, verify)
@@ -13,6 +17,7 @@ from hypersat.reduction import provenance
 from hypersat.cli import (EXIT_FALSIFIED, EXIT_GUARDRAIL, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                           main)
 
+from conftest import dimacs_texts
 from dotcheck import check_dot
 
 
@@ -219,7 +224,7 @@ def test_reduce_out_base_reads_back(capsys, tmp_path):
     assert [entry["events"] for entry in entries] == [
         [{"creator": literal_str(creator), "parent_clause": parent}
          for creator, parent in pair_events]
-        for pair_events in provenance(space, f, a).values()]
+        for pair_events in provenance(space, a).values()]
 
 
 def test_reduce_sidecar_clauses_are_the_cnf_lines_of_a_large_instance(capsys, tmp_path):
@@ -357,7 +362,7 @@ def test_malformed_dimacs_exits_3(capsys, tmp_path):
 
 def test_non_ascii_dimacs_exits_3_with_its_line(capsys, tmp_path):
     path = tmp_path / "bad.cnf"
-    # Lines are numbered as str.splitlines splits them, at "\r" too.
+    # Lines are numbered as bytes.splitlines splits them, at "\r" too.
     path.write_bytes(b"c a comment\rp cnf 3 1\n\xff1 2 3 0\n")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == EXIT_PARSE
@@ -530,11 +535,74 @@ def test_a_suite_without_checks_is_vacuous_and_exits_0(capsys):
 
 def test_falsified_suite_exits_6(capsys, monkeypatch):
     def falsified(instances, n_range, r, seed):
-        return verify.SuiteReport(suite="census", instances=instances, checks=1,
-                                  falsifications=1)
+        report = verify.SuiteReport(suite="census", instances=instances)
+        report.checks = report.falsifications = 1
+        return report
 
     monkeypatch.setitem(verify.SUITES, "census", falsified)
     code, out, err = run(capsys, "verify", "--suite", "census", "--instances", "3")
     assert code == EXIT_FALSIFIED
     [report] = json.loads(out)
     assert report["falsifications"] == 1 and "[FALSIFIED]" in err
+
+
+@pytest.mark.parametrize("option,value", [("--assignment", "1_0"), ("--assignment", "\u0661"),
+                                          ("--expand", "x\u0661")])
+def test_a_literal_whose_number_is_not_dimacs_exits_2(capsys, option, value):
+    # int() reads "1_0" as 10 and ARABIC-INDIC DIGIT ONE as 1; DIMACS does not.
+    command = "export" if option == "--expand" else "analyze"
+    code, out, err = run(capsys, command, "--gen", "8,4.25,1", option, value)
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value,literals", [("x3", ["x3"]), ("-x3", ["-x3"]), ("+3", ["x2"]),
+                                            ("007", ["x6"]), ("-4", ["-x3"]),
+                                            ("+1,007", ["x0", "x6"])])
+def test_assignment_reads_literals_and_dimacs_numbers(capsys, value, literals):
+    code, out, _ = run(capsys, "analyze", "--gen", "8,4.25,1", "--assignment", value)
+    assert code == EXIT_OK
+    assert json.loads(out)["assignment"]["literals"] == literals
+
+
+# --assignment and --expand values: literals, DIMACS numbers, numbers int()
+# reads but DIMACS does not, 0, an inconsistent pair and a variable past every
+# drawn n (at most 7).
+LITERAL_POOL = ("x0", "-x1", "x0,-x1", "1,-2", "+1,007", "1_0", "\u0661", "x\u0661", "0",
+                "x0,-x0", "x99")
+# The lines export --assignment prints on stderr besides errors and warnings.
+EXPORT_SUMMARY = ("merged graph consistent: ", "escaped implications: ", "first witness path: ")
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its options, to follow with a DIMACS input path."""
+    value = draw(st.sampled_from(LITERAL_POOL))
+    return draw(st.sampled_from([
+        ["analyze"], ["assign", "--heuristic", "minCreate"], ["reduce"], ["export"],
+        ["export", "--assignment", value], ["export", "--expand", value],
+        ["export", "--expand", value, "--dot"]]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=dimacs_texts().filter(lambda case: case[1] == 3), argv=command_lines())
+def test_cli_contract_on_generated_input(tmp_path_factory, case, argv):
+    # The exit code is one the cli docstring names; stdout is empty unless the
+    # command succeeds, and then it is JSON or DOT; stderr has only error and
+    # warning lines and export's summary. The commands read width-3 clauses.
+    text, _ = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.cnf"
+    path.write_bytes(text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_GUARDRAIL, EXIT_FALSIFIED)
+    if code != EXIT_OK:
+        assert out == ""
+    elif argv[0] == "export" and ("--expand" not in argv or "--dot" in argv):
+        check_dot(out)
+    else:
+        json.loads(out)
+    for line in err.splitlines():
+        assert line.startswith(("error: ", "warning: ") + EXPORT_SUMMARY)

@@ -14,10 +14,10 @@ from hypersat import (DimacsError, EvalReport, Formula, emit_dimacs, evaluate, f
                       literal_str, make_clause, make_literal, negate, parse_dimacs,
                       parse_literal, random_formula, solve_exhaustive)
 from hypersat.dimacs import literal_to_dimacs
-from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, SAMPLE_POOL_MAX,
+from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, SAMPLE_POOL_MAX, _number,
                               GuardrailError, check_consistent, is_negative, var_of)
 
-from conftest import clause, formulas, lits
+from conftest import clause, dimacs_texts, formulas, lits
 
 
 def test_negate_flips_polarity():
@@ -68,9 +68,16 @@ def test_parse_dimacs_f3(f3):
     ("p cnf 3 1\n1 0004 2 0", 2, "variable 4 out of range 1..3"),
     ("p cnf 3 1\n1 -0 2 0", 2, "embedded 0 inside clause"),
     ("p cnf 3 1\n1 1_0 2 0", 2, "non-integer token"),
-    ("p cnf 3 1\n1 \u0661 2 0", 2, "non-integer token"),
+    ("p cnf 3 1\n1 \u0661 2 0", 2, "non-ASCII byte 0xd9"),
     ("p cnf 1_0 1\n1 2 3 0", 1, "non-integer counts"),
-    ("p cnf 3 \u0661\n1 2 3 0", 1, "non-integer counts"),
+    ("p cnf 3 \u0661\n1 2 3 0", 1, "non-ASCII byte 0xd9"),
+    # A str is read as its UTF-8 bytes, so Unicode separators are non-ASCII
+    # bytes, and only C's isspace bytes separate tokens.
+    ("p cnf 3 1\n1\xa02 3 0\n", 2, "non-ASCII byte 0xc2"),
+    ("c h\xe9llo\np cnf 3 1\n1 2 3 0\n", 1, "non-ASCII byte 0xc3"),
+    ("p cnf 3 1\n1 2 3 0\ud800\n", 2, "non-ASCII byte 0xed"),
+    (b"p cnf 3 1\n1\x1f2 3 0\n", 2, "non-integer token"),
+    ("p cnf 3 1\n1 2 3 0\x1c1 2 3 0\n", 2, "non-integer token"),
 ])
 def test_parse_dimacs_errors_name_lines(text, line, fragment):
     with pytest.raises(DimacsError) as exc_info:
@@ -114,38 +121,41 @@ def test_round_trip_generated_instances():
 
 def reference_number(token):
     """A DIMACS number: an optional sign and ASCII digits."""
-    if not re.fullmatch(r"[+-]?[0-9]+", token):
+    if not re.fullmatch(rb"[+-]?[0-9]+", token):
         raise ValueError(token)
     return int(token)
 
 
 def reference_parse_dimacs(text, width=3):
-    """The per-number parser parse_dimacs replaced, kept as its oracle: one
-    conversion per token, one range check per number, make_clause per clause."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            line = len((text[:exc.start] + b"x").decode("ascii").splitlines())
-            raise DimacsError(line, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
+    r"""The per-number parser parse_dimacs replaced, kept as its oracle: one
+    conversion per token, one range check per number, make_clause per clause.
+    It reads bytes, a str as its UTF-8 bytes: lines end at "\n", "\r\n" or
+    "\r", and tokens are separated by ASCII whitespace."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    lines = data.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        for byte in raw:
+            if byte > 0x7f:
+                raise DimacsError(lineno, f"non-ASCII byte 0x{byte:02x}")
     n = m = -1
     header_line = 0
     clauses = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        shown = line.decode()
+        if not line or line.startswith(b"c"):
             continue
-        if line.startswith("p"):
+        if line.startswith(b"p"):
             if n >= 0:
                 raise DimacsError(lineno, "duplicate 'p cnf' header")
             parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(lineno, f"malformed header {line!r}, expected 'p cnf <n> <m>'")
+            if len(parts) != 4 or parts[0] != b"p" or parts[1] != b"cnf":
+                raise DimacsError(lineno, f"malformed header {shown!r}, expected 'p cnf <n> <m>'")
             try:
                 n, m = reference_number(parts[2]), reference_number(parts[3])
             except ValueError:
-                raise DimacsError(lineno, f"non-integer counts in header {line!r}") from None
+                raise DimacsError(lineno, f"non-integer counts in header {shown!r}") from None
             if n < 0 or m < 0:
                 raise DimacsError(lineno, "negative counts in header")
             header_line = lineno
@@ -155,7 +165,7 @@ def reference_parse_dimacs(text, width=3):
         try:
             numbers = [reference_number(tok) for tok in line.split()]
         except ValueError:
-            raise DimacsError(lineno, f"non-integer token in clause {line!r}") from None
+            raise DimacsError(lineno, f"non-integer token in clause {shown!r}") from None
         if not numbers or numbers[-1] != 0:
             raise DimacsError(lineno, "clause not terminated by 0")
         numbers = numbers[:-1]
@@ -178,86 +188,10 @@ def reference_parse_dimacs(text, width=3):
         seen.add(clause)
         clauses.append(clause)
     if n < 0:
-        raise DimacsError(max(1, len(text.splitlines())), "missing 'p cnf' header")
+        raise DimacsError(max(1, len(lines)), "missing 'p cnf' header")
     if len(clauses) != m:
         raise DimacsError(header_line, f"header promises {m} clauses, found {len(clauses)}")
     return Formula(n=n, clauses=tuple(clauses), width=width)
-
-
-def dimacs_token(draw, num):
-    """A token that int() reads as num: canonical, or with a '+', leading
-    zeros or a signed zero."""
-    sign = "-" if num < 0 else draw(st.sampled_from(("", "+")))
-    return sign + "0" * draw(st.sampled_from((0, 0, 1, 2))) + str(abs(num))
-
-
-# Tokens that are not DIMACS numbers; int() reads "1_0" and "\u0661" (ARABIC-INDIC
-# DIGIT ONE) all the same.
-NON_INTEGERS = ("x1", "1.5", "%", "1_0", "\u0661")
-
-# Line faults, one per error class of parse_dimacs.
-CLAUSE_FAULTS = ("short", "long", "duplicate", "contradictory", "out of range",
-                 "unterminated", "embedded 0", "non-integer")
-HEADER_FAULTS = ("missing", "late", "twice", "dnf", "three fields", "non-integer",
-                 "negative", "miscount")
-
-
-@st.composite
-def dimacs_texts(draw):
-    """(DIMACS text or bytes, width): comments, blank lines, tabs,
-    non-canonical tokens and repeated clauses, with a fault of each error
-    class in some draws; about half the draws are valid."""
-    width = draw(st.sampled_from((2, 3)))
-    n = draw(st.integers(width, 7))
-    pool = [draw(st.lists(st.integers(1, n), min_size=width, max_size=width, unique=True))
-            for _ in range(draw(st.integers(1, 4)))]
-    clause_lines = []
-    for _ in range(draw(st.integers(0, 6))):
-        nums = [v * draw(st.sampled_from((1, -1))) for v in draw(st.sampled_from(pool))]
-        nums.append(0)
-        fault = draw(st.sampled_from((None,) * 16 + CLAUSE_FAULTS))
-        if fault == "short":
-            del nums[0]
-        elif fault == "long":
-            nums.insert(0, n + 1 - abs(nums[0]) if abs(nums[0]) < n else 1)
-        elif fault in ("duplicate", "contradictory"):
-            nums[1] = nums[0] if fault == "duplicate" else -nums[0]
-        elif fault == "out of range":
-            nums[draw(st.integers(0, width - 1))] = draw(st.sampled_from((n + 1, -(n + 1), 99)))
-        elif fault == "unterminated":
-            nums.pop()
-        elif fault == "embedded 0":
-            nums[draw(st.integers(0, width - 1))] = 0
-        tokens = [dimacs_token(draw, num) for num in nums]
-        if fault == "non-integer":
-            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(NON_INTEGERS)))
-        seps = [draw(st.sampled_from((" ", "  ", "\t", " \t"))) for _ in tokens]
-        line = "".join(sep + tok for sep, tok in zip(seps, tokens))
-        clause_lines.append(line[draw(st.sampled_from((0, 1))):] + draw(st.sampled_from(("", " ", "\t"))))
-    m = len(clause_lines)
-    header = f"p cnf {n} {m}"
-    fault = draw(st.sampled_from((None,) * 8 + HEADER_FAULTS))
-    bad_count = draw(st.sampled_from(NON_INTEGERS)) if fault == "non-integer" else None
-    header = {"dnf": f"p dnf {n} {m}", "three fields": f"p cnf {n}",
-              "non-integer": f"p cnf {n} {bad_count}", "negative": f"p cnf -{n} {m}",
-              "miscount": f"p cnf {n} {m + 1}"}.get(fault, header)
-    lines = list(clause_lines)
-    if fault != "missing":
-        lines.insert(min(1, len(lines)) if fault == "late" else 0, header)
-    if fault == "twice":
-        lines.append(header)
-    for _ in range(draw(st.integers(0, 3))):
-        extra = draw(st.sampled_from(("", "  ", "\t", "c", "c comment 1 2 0", " c indented", "cnf")))
-        lines.insert(draw(st.integers(0, len(lines))), extra)
-    text = "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n", "\r\n")))
-    kind = draw(st.sampled_from(("str",) * 6 + ("bytes",) * 6 + ("non-ASCII",)))
-    if kind == "str":
-        return text, width
-    data = text.encode()   # a non-ASCII token becomes non-ASCII bytes
-    if kind == "non-ASCII":
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xe9" + data[at:]
-    return data, width
 
 
 def parse_outcome(parse, text, width):
@@ -279,10 +213,18 @@ def parse_outcome(parse, text, width):
 @example(("p cnf 3 1\n1 x2 3 0", 3))
 @example(("p cnf 3 3\n1 2 3 0\nc\n+1 002 3 00\n\n3 2 1 0\n", 3))
 @example((b"p cnf 3 1\n1 2 \xe9 0", 3))
+@example(("p cnf 3 1\n1\xa02 3 0\n", 3))
+@example((b"p cnf 3 1\n1\x1f2 3 0\n", 3))
+@example(("p cnf 3 1\n1\x0b2\x0c3 0\n", 3))
+@example(("p cnf 3 2\n1 2 3 0\x1c-1 2 3 0\x85 \n", 3))
+@example(("c \ud800\np cnf 3 1\n1 2 3 0\n", 3))
 def test_parse_dimacs_matches_the_per_number_parser(case):
+    # A str reads as its UTF-8 bytes, by the same rules as the reference.
     text, width = case
-    assert parse_outcome(parse_dimacs, text, width) == \
-        parse_outcome(reference_parse_dimacs, text, width)
+    outcome = parse_outcome(parse_dimacs, text, width)
+    assert outcome == parse_outcome(reference_parse_dimacs, text, width)
+    if isinstance(text, str):
+        assert outcome == parse_outcome(parse_dimacs, text.encode("utf-8", "surrogatepass"), width)
 
 
 def test_parse_dimacs_reads_non_canonical_tokens():
@@ -756,3 +698,21 @@ def test_assignment_helpers():
     assert check_consistent([parse_literal("x0"), parse_literal("-x1")]) == lits("x0", "-x1")
     with pytest.raises(ValueError):
         check_consistent([parse_literal("x0"), parse_literal("-x0")])
+
+
+@pytest.mark.parametrize("text,value", [("0", 0), ("-0", 0), ("007", 7), ("+3", 3), ("-4", -4)])
+def test_number_reads_a_sign_and_ascii_digits(text, value):
+    assert _number(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "+", "-", "+-1", " 1", "1.0", "1_0", "\u0661", "x1"])
+def test_number_refuses_what_is_not_a_dimacs_number(text):
+    with pytest.raises(ValueError, match="not a number"):
+        _number(text)
+
+
+def test_parse_literal_reads_unsigned_ascii_digits():
+    assert parse_literal("x007") == parse_literal("x7") == make_literal(7)
+    for text in ("x", "-x", "x+1", "x-1", "x1_0", "x\u0661", "1", "y1"):
+        with pytest.raises(ValueError, match="not a literal"):
+            parse_literal(text)

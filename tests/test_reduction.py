@@ -55,7 +55,7 @@ def test_reduce_and_provenance_match_eager_loop(complete, f, data):
     expected, expected_events = reduce_with_provenance(space, f, a)
     t = reduce_to_2sat(space, f, a)
     assert t == expected    # same clauses in the same order, width 2
-    events = provenance(space, f, a)
+    events = provenance(space, a)
     assert list(events.items()) == list(expected_events.items())
     assert list(events) == list(t.clauses)
 
@@ -63,7 +63,7 @@ def test_reduce_and_provenance_match_eager_loop(complete, f, data):
 def test_provenance_lists_every_copy_of_a_repeated_clause(f3):
     f = Formula(n=3, clauses=f3.clauses + (f3.clauses[0],))
     a = lits("x0", "x1", "x2")
-    events = provenance(build_space(f), f, a)
+    events = provenance(build_space(f), a)
     assert events[clause("-x1 -x2")] == ((parse_literal("x0"), 0), (parse_literal("x0"), 7))
 
 
@@ -99,7 +99,7 @@ def test_reduce_empty_assignment(f3, f3_space):
 
 def test_reduce_provenance(f3, f3_space):
     a = lits("-x0", "-x1", "x2")
-    for pair, events in provenance(f3_space, f3, a).items():
+    for pair, events in provenance(f3_space, a).items():
         assert events
         for creator, parent in events:
             assert creator in a

@@ -132,8 +132,8 @@ def test_duality_invariant():
                     assert any(negate(lit) in f.clauses[cid] for cid in parents(events[sid]))
 
 
-def test_census_f3(f3, f3_space):
-    census = space_census(f3_space, f3)
+def test_census_f3(f3_space):
+    census = space_census(f3_space)
     assert census.possible == 12
     assert census.actual == 12
     assert census.per_clause_bound == 21
@@ -142,7 +142,7 @@ def test_census_f3(f3, f3_space):
 def test_census_formulas():
     f = random_formula(100, 4.25, seed=5)
     space = build_space(f)
-    census = space_census(space, f)
+    census = space_census(space)
     assert census.possible == 19800
     assert census.per_clause_bound == 1275
     assert float(census.ratio) == pytest.approx(12.75 / 198)
@@ -150,17 +150,17 @@ def test_census_formulas():
 
 def test_census_minimum_n():
     f2 = formula(2, [], width=3)
-    assert space_census(build_space(f2), f2).possible == 4
+    assert space_census(build_space(f2)).possible == 4
     f1 = formula(1, [], width=3)
     with pytest.raises(ValueError):
-        space_census(build_space(f1), f1)
+        space_census(build_space(f1))
 
 
 def test_census_bounds_property():
     for seed in range(50):
         f = random_formula(random.Random(seed).randint(4, 30), 4.25, seed=seed)
         space = build_space(f)
-        census = space_census(space, f)
+        census = space_census(space)
         assert census.actual <= min(census.per_clause_bound, census.possible)
 
 

@@ -48,9 +48,15 @@ def test_twosat_oracle_caps_n_and_ignores_r():
 
 
 def test_oracle_suites_refuse_large_n():
-    for name in ("theorem", "corollary1"):
-        with pytest.raises(GuardrailError):
-            verify.SUITES[name](instances=1, n_range=(6, 40), r=4.25, seed=1)
+    with pytest.raises(GuardrailError):
+        verify.SUITES["theorem"](instances=1, n_range=(6, 40), r=4.25, seed=1)
+
+
+def test_corollary1_runs_past_the_oracle_cap():
+    # Its checks are evaluations, so no oracle caps its n.
+    report = verify.corollary1_suite(instances=3, n_range=(30, 30), r=4.25, seed=1)
+    assert report.checks == 3 * verify.ASSIGNMENTS_PER_INSTANCE
+    assert report.falsifications == 0
 
 
 def falsify_corollary1(monkeypatch, calls):
@@ -125,7 +131,7 @@ def test_an_unsound_event_fails_theorem_and_reduce(monkeypatch, tmp_path, capsys
     assert not evaluate(f, a).unsatisfied_ids
     space = build_space(f)
     assert verify_theorem(f, a, space).holds
-    assert not events_sound(space, f, space.events())
+    assert not events_sound(space, space.events())
     capsys.readouterr()
     # A falsified claim: exit 6, an error line and neither file written.
     assert main(["reduce", "--gen", "30,4.25,2", "--out-base", str(tmp_path / "out")]) \
