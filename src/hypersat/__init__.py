@@ -14,9 +14,8 @@ from .formula import (Assignment, Clause, EvalReport, Formula, GuardrailError, L
 from .hypernodal import (Expansion, HypernodalGraph, build_hypernodal, expand_literal,
                          expansion_to_dot, expansion_to_json, export_dot, family_to_dot,
                          find_contradictions, merge_active)
-from .reduction import (Decomposition, HypothesisError, TwoSatResult,
-                        assignment_satisfies_2sat, decompose, reduce_to_2sat, solve_2sat,
-                        verify_corollary1, verify_theorem)
+from .reduction import (HypothesisError, TwoSatResult, assignment_satisfies_2sat,
+                        reduce_to_2sat, solve_2sat, verify_corollary1, verify_theorem)
 from .subclauses import (InteractionMatrix, SubClauseSpace, build_space,
                          interaction_matrix, space_census)
 

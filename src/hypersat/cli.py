@@ -1,11 +1,15 @@
-"""Command-line surface: instance generation, sub-clause analysis, assignment
+r"""Command-line surface: instance generation, sub-clause analysis, assignment
 generation, 2-SAT reduction, verification suites, batch experiments and
 graph and expansion-graph exports.
 
-Exit codes: 0 success, 2 bad usage or parameters (an empty or too small
-`verify --n-range`, or a non-DIMACS number such as "1_0" in an --assignment
-or --expand literal, among them), 3 DIMACS parse error (a non-ASCII byte
-among them, with its line), 4 size guardrail, 6 claim falsified.
+Exit codes: 0 success, 2 bad usage or parameters, 3 DIMACS parse error (a
+non-ASCII byte among them, with its line), 4 size guardrail, 6 claim
+falsified. Every exit-2 refusal, argparse's own included, is one `error:`
+line. Every integer the CLI reads, a literal's number included, follows
+formula._number (an optional sign, then ASCII digits), and every clause
+ratio formula._ratio (the same with at most one '.'): "1_0", "nan", "1e308"
+and non-ASCII digits exit 2. --assignment splits on commas and on DIMACS's
+separator bytes (space, \t, \n, \r, \v, \f) alone.
 A verify suite that made no check at all ends its stderr summary line in
 [vacuous] instead of [ok]; its JSON and its exit code are those of a passing
 suite, so such a run alone exits 0.
@@ -35,7 +39,7 @@ from .assignments import (MIN_CREATE_MAX_SOLVE_READING, TIE_BREAKS, consumption_
                           excluded_literals, subclause_count, subclause_total, thresholds,
                           unsolved_curve)
 from .dimacs import DimacsError, clause_texts, emit_dimacs, parse_dimacs
-from .formula import (Assignment, Formula, GuardrailError, _number, assignment_json,
+from .formula import (Assignment, Formula, GuardrailError, _number, _ratio, assignment_json,
                       check_consistent, evaluate, literal_str, make_literal, parse_literal,
                       random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_dot, expansion_to_json,
@@ -102,7 +106,7 @@ def resolve_formula(args) -> tuple[Formula, str]:
         return f, args.input
     try:
         n_text, r_text, seed_text = args.gen.split(",")
-        n, r, seed = int(n_text), float(r_text), int(seed_text)
+        n, r, seed = _number(n_text), _ratio(r_text), _number(seed_text)
     except ValueError:
         raise UsageError(f"--gen expects 'n,r,seed', got {args.gen!r}") from None
     check_vars(n)   # before the draw, which is linear in n
@@ -114,9 +118,11 @@ class UsageError(ValueError):
 
 
 def parse_assignment(text: str, n: int) -> Assignment:
-    """Accepts 'x0,-x1' style literals or DIMACS-signed integers."""
+    """Accepts 'x0,-x1' style literals or DIMACS-signed integers, separated
+    by commas and the bytes that separate DIMACS tokens (bytes.split)."""
     literals = []
-    for token in text.replace(",", " ").split():
+    for token in text.replace(",", " ").encode("utf-8", "surrogatepass").split():
+        token = token.decode("utf-8", "surrogatepass")
         if token.lstrip("-").startswith("x"):
             literals.append(parse_literal(token))
         else:
@@ -274,7 +280,7 @@ def parse_range(text: str) -> tuple[int, int]:
     """--n-range's 'lo..hi', with 3 <= lo <= hi: every width-3 suite draws n
     from lo..hi, and 2sat-oracle from 2..min(hi, 12)."""
     try:
-        lo, hi = map(int, text.split(".."))
+        lo, hi = map(_number, text.split(".."))
     except ValueError:
         raise UsageError(f"--n-range expects 'lo..hi', got {text!r}") from None
     if not 3 <= lo <= hi:
@@ -353,23 +359,43 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+# argparse names a value its type= reader refuses by the reader's __name__:
+# "argument --n: invalid integer value: 'abc'".
+def integer(text: str) -> int:
+    return _number(text)
+
+
+def ratio(text: str) -> float:
+    return _ratio(text)
+
+
+def count(text: str) -> int:
+    """A number of files, instances or levels: _number's rule, and >= 0."""
+    value = _number(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a refusal raises UsageError, for main to print
+    as one `error:` line; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypersat",
         description="3-SAT sub-clause decomposition, thresholds, 2-SAT reductions "
                     "and hypernodal implication graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def count(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-        return value
-
     p = sub.add_parser("gen", help="generate random DIMACS instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, default=4.25)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--r", type=ratio, default=4.25)
+    p.add_argument("--seed", type=integer, default=1)
     p.add_argument("--count", type=count, default=1, help="files for seeds seed..seed+count-1")
     p.add_argument("--out-dir", default=None, help=f"default: ${OUT_DIR_ENV} or .")
     p.set_defaults(func=cmd_gen)
@@ -391,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", required=True,
                    choices=experiments.GENERATORS)
     p.add_argument("--tie-break", choices=list(TIE_BREAKS), default="true")
-    p.add_argument("--seed", type=int, default=1, help="seed for --heuristic random")
+    p.add_argument("--seed", type=integer, default=1, help="seed for --heuristic random")
     p.add_argument("--curve-csv", default=None, help="write the unsolved-sub-clause curve")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_assign)
@@ -401,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", default=None)
     p.add_argument("--heuristic", default="minCreate",
                    choices=experiments.GENERATORS)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=integer, default=1)
     p.add_argument("--out-base", default=None,
                    help="write BASE.cnf and BASE.provenance.json")
     p.set_defaults(func=cmd_reduce)
@@ -411,17 +437,17 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(verify.SUITES) + ["all"])
     p.add_argument("--instances", type=count, default=500)
     p.add_argument("--n-range", default="6..12")
-    p.add_argument("--r", type=float, default=4.25)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--r", type=ratio, default=4.25)
+    p.add_argument("--seed", type=integer, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="batch experiments (fractions or curves)")
-    p.add_argument("--n", type=int, default=None, help="default: the chosen experiment's own")
-    p.add_argument("--r", type=float, default=None, help="default: the chosen experiment's own")
+    p.add_argument("--n", type=integer, default=None, help="default: the chosen experiment's own")
+    p.add_argument("--r", type=ratio, default=None, help="default: the chosen experiment's own")
     p.add_argument("--count", type=count, default=100)
     p.add_argument("--generators", default="minCreateMaxSolve,greedy,random")
     p.add_argument("--tie-break", choices=list(TIE_BREAKS), default="true")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=integer, default=1)
     p.add_argument("--with-curves", action="store_true",
                    help="record the inflection step per record")
     p.add_argument("--curve", action="store_true",
@@ -463,9 +489,9 @@ def join_literal_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(join_literal_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = build_parser().parse_args(
+            join_literal_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except DimacsError as exc:
         print(f"error: {exc}", file=sys.stderr)

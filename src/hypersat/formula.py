@@ -53,18 +53,31 @@ def literal_str(lit: Literal) -> str:
 
 
 def _number(text: str, signed: bool = True) -> int:
-    """The one rule for a number read from outside, in DIMACS text or a literal:
-    ASCII digits after one optional '+' or '-' (when `signed`), so "+3" and
-    "007" are 3 and 7; all else, "1_0" and non-ASCII digits too, is a ValueError."""
+    """The one rule for a number read from outside: ASCII digits after one
+    optional '+' or '-' (when `signed`), so "+3" and "007" are 3 and 7; all
+    else, "1_0" and non-ASCII digits too, is a ValueError. It reads DIMACS
+    tokens and literals, and every integer the CLI reads: its integer
+    options, --gen's n and seed, and --n-range's bounds."""
     digits = text[1:] if signed and text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a number: {text!r}")
     return int(text)
 
 
+def _ratio(text: str) -> float:
+    """The one rule for a clause ratio read from outside (--r, --gen's r):
+    _number's rule with at most one '.' among the digits, so "4.25", ".5" and
+    "0" read; "nan", "inf", "1e308", "1_0.5" and non-ASCII digits are a
+    ValueError."""
+    _number(text.replace(".", "", 1))
+    return float(text)
+
+
 def parse_literal(text: str) -> Literal:
-    """Inverse of literal_str: 'x3' or '-x3', its digits read by _number."""
-    s = text.strip()
+    r"""Inverse of literal_str: 'x3' or '-x3', its digits read by _number.
+    Only DIMACS's separator bytes around it are stripped: space, \t, \n,
+    \r, \v and \f."""
+    s = text.strip(" \t\n\r\v\f")
     neg = s.startswith("-")
     if neg:
         s = s[1:]

@@ -3,11 +3,7 @@ decision procedure, and machine checks of the reduction's guarantees:
 
 * a satisfying assignment always satisfies the 2-SAT formula it induces;
 * a non-satisfying complete assignment always leaves at least one activated
-  sub-clause unsolved;
-* a partial assignment that solves all of its activated sub-clauses
-  satisfies every clause that mentions one of its variables (it is an
-  autarky), so the formula splits into those clauses and a variable-disjoint
-  rest that is satisfiable iff the formula is.
+  sub-clause unsolved.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .formula import (Assignment, Formula, Literal, check_consistent, evaluate,
-                      make_literal, negate, var_of)
+                      make_literal, negate)
 from .hypernodal import component_ids, conflicting_variables, implication_adjacency
 from .subclauses import Pair, SubClauseSpace
 
@@ -141,36 +137,3 @@ def verify_corollary1(f: Formula, a: Assignment,
     return Corollary1Certificate(holds=bool(witnesses), witnesses=witnesses,
                                  unsatisfied_clauses=report.unsatisfied_ids)
 
-
-class Decomposition(NamedTuple):
-    c1: tuple[int, ...]           # clause ids that mention an assigned variable
-    c2: tuple[int, ...]           # the remaining clauses
-    holds: bool                   # p satisfies every clause of c1: p is an autarky
-
-
-def decompose(f: Formula, p: Assignment, space: SubClauseSpace) -> Decomposition:
-    """Split a formula around a partial assignment that solves all of its
-    activated sub-clauses but leaves some clause unsatisfied; `space` is f's
-    sub-clause space. c1 is the clauses that mention an assigned variable,
-    and `holds` says that p satisfies each of them.
-
-    Raises HypothesisError when p is complete, satisfies the whole formula,
-    or leaves one of its own activated sub-clauses unsolved.
-    """
-    p = check_consistent(p)
-    if len(p) >= f.n:
-        raise HypothesisError("assignment is not partial")
-    unsolved = space.unsolved(p)
-    if unsolved:
-        raise HypothesisError(
-            "partial assignment leaves activated sub-clauses unsolved: "
-            + ", ".join(space.pair_str(sid) for sid in unsolved))
-    if all(any(lit in p for lit in clause) for clause in f.clauses):
-        raise HypothesisError("partial assignment satisfies every clause")
-    assigned_vars = {var_of(lit) for lit in p}
-    c1: list[int] = []
-    c2: list[int] = []
-    for cid, clause in enumerate(f.clauses):
-        (c1 if any(var_of(lit) in assigned_vars for lit in clause) else c2).append(cid)
-    holds = all(any(lit in p for lit in f.clauses[cid]) for cid in c1)
-    return Decomposition(c1=tuple(c1), c2=tuple(c2), holds=holds)

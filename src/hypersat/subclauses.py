@@ -53,10 +53,6 @@ class SubClauseSpace:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def pair_str(self, sid: int) -> str:
-        a, b = self.pairs[sid]
-        return f"({literal_str(a)} v {literal_str(b)})"
-
     def events(self) -> list[list[tuple[Literal, int]]]:
         """Per sub-clause id, its (creator, parent clause) events in scan
         order: removing literal l from clause cid is an event of the rest of

@@ -9,11 +9,11 @@ import hypersat
 # Every public name of the package, so that adding or removing an export
 # shows up in the diff of this list.
 PUBLIC_NAMES = [
-    "Assignment", "Clause", "CurveSeries", "Decomposition", "DimacsError", "EvalReport",
+    "Assignment", "Clause", "CurveSeries", "DimacsError", "EvalReport",
     "ExclusionReport", "Expansion", "Formula", "GuardrailError", "HypernodalGraph",
     "HypothesisError", "InteractionMatrix", "Literal", "SubClauseSpace",
     "Thresholds", "TwoSatResult", "assignment_satisfies_2sat",
-    "build_hypernodal", "build_space", "check_consistent", "consumption_rate", "decompose",
+    "build_hypernodal", "build_space", "check_consistent", "consumption_rate",
     "emit_dimacs", "evaluate", "excluded_literals", "expand_literal", "expansion_to_dot",
     "expansion_to_json", "export_dot", "family_to_dot", "find_contradictions", "formula",
     "generate_greedy", "generate_heuristic",

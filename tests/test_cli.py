@@ -22,12 +22,8 @@ from dotcheck import check_dot
 
 
 def run(capsys, *argv):
-    """Exit code, stdout and stderr of one command; argparse's usage errors
-    raise SystemExit, whose code is the exit code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """Exit code, stdout and stderr of one command."""
+    code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -43,12 +39,14 @@ def test_verify_stdout_is_json_only(capsys):
 def test_gen_refuses_other_widths(capsys, tmp_path):
     code, out, err = run(capsys, "gen", "--n", "6", "--k", "4", "--out-dir", str(tmp_path))
     assert code == EXIT_USAGE
-    assert out == "" and "--k 4" in err
+    assert out == "" and err == "error: unrecognized arguments: --k 4\n"
     assert list(tmp_path.iterdir()) == []
 
 
-# A ratio that is negative or not finite, and a negative count of files or
-# instances; none of them may write a file or print to stdout.
+# A ratio that is negative or not finite, a negative count of files or
+# instances, and numbers that int() or float() reads but the CLI does not
+# ("1_0", ARABIC-INDIC DIGIT SIX and "nan") in every kind of number an option
+# holds; none of them may write a file or print more than one error line.
 OUT_OF_RANGE = [
     ("gen", "--n", "5", "--r", "-1"),
     ("gen", "--n", "5", "--r", "inf"),
@@ -63,7 +61,19 @@ OUT_OF_RANGE = [
     ("experiment", "--curve", "--instances", "-2"),
     ("export", "--gen", "5,4.25,1", "--expand", "x0", "--depth", "-1"),
     ("gen", "--n", "5", "--r", "-1", "--out-dir", "new"),
-]
+] + [argv for value in ("1_0", "\u0666", "nan") for argv in [
+    ("gen", "--n", value),
+    ("gen", "--n", "5", "--r", value),
+    ("gen", "--n", "5", "--count", value),
+    ("verify", "--seed", value),
+    ("experiment", "--count", value),
+    ("export", "--gen", "5,4.25,1", "--expand", "x0", "--depth", value),
+    ("analyze", "--gen", f"{value},4.25,1"),
+    ("analyze", "--gen", f"8,{value},1"),
+    ("analyze", "--gen", f"8,4.25,{value}"),
+    ("verify", "--n-range", f"{value}..8"),
+    ("verify", "--n-range", f"6..{value}"),
+]]
 
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=[" ".join(argv) for argv in OUT_OF_RANGE])
@@ -72,7 +82,7 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.delenv("HYPERSAT_OUT", raising=False)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
-    assert out == "" and err
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -547,9 +557,12 @@ def test_falsified_suite_exits_6(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("option,value", [("--assignment", "1_0"), ("--assignment", "\u0661"),
-                                          ("--expand", "x\u0661")])
+                                          ("--expand", "x\u0661"), ("--assignment", "1\u00a02"),
+                                          ("--expand", "x0\u2028")])
 def test_a_literal_whose_number_is_not_dimacs_exits_2(capsys, option, value):
-    # int() reads "1_0" as 10 and ARABIC-INDIC DIGIT ONE as 1; DIMACS does not.
+    # int() reads "1_0" as 10 and ARABIC-INDIC DIGIT ONE as 1, and str.split
+    # and str.strip take a no-break space and LINE SEPARATOR for separators;
+    # DIMACS does none of these.
     command = "export" if option == "--expand" else "analyze"
     code, out, err = run(capsys, command, "--gen", "8,4.25,1", option, value)
     assert code == EXIT_USAGE
@@ -606,3 +619,103 @@ def test_cli_contract_on_generated_input(tmp_path_factory, case, argv):
         json.loads(out)
     for line in err.splitlines():
         assert line.startswith(("error: ", "warning: ") + EXPORT_SUMMARY)
+
+
+# Each pool is (usual values, edge values drawn one time in eight). The edge
+# values are mostly refusals: negative, zero, "1_0", ARABIC-INDIC DIGIT SIX,
+# NaN, a float past every count, empty and malformed. Sizes add HUGE_N, a
+# variable count over INPUT_MAX_VARS; counts never do.
+NOT_INTEGERS = ("1_0", "\u0666", "nan", "1e308", "", "abc")
+HUGE_N = "30000000"
+SIZES = (("3", "8"), ("-1", "0", HUGE_N) + NOT_INTEGERS)
+DEPTHS = (("0", "2", HUGE_N), ("-1",) + NOT_INTEGERS)
+# At most 30, and no 3: at r = 2.5 no draw over three variables is
+# satisfiable, so --curve would scan all of its 20,000 seeds.
+EXPERIMENT_SIZES = (("8", "30"), ("-1", "0") + NOT_INTEGERS)
+SEEDS = (("1", "0", "-3", "007"), NOT_INTEGERS)
+COUNTS = (("0", "1", "2"), ("-1",) + NOT_INTEGERS)
+RATIOS = (("4.25", ".5", "2", "0"),
+          ("-1", "inf", "1_0.5", "\u0664.\u0662\u0665") + NOT_INTEGERS)
+N_RANGES = (("6..8", "3..3", "3..6"),
+            ("12..6", "6", "-1..8", "\u0666..\u0668", "6..1_0", f"6..{HUGE_N}", "6..nan", ""))
+LITERALS = (("x0", "-x1", "x0,-x1", "1,-2", "+1,007", "1\t2", "x0, -x1"),
+            ("1_0", "\u0661", "x\u0661", "0", "x0,-x0", "x99", "1\u00a02", "x0\u2028", ""))
+HEURISTICS = (experiments.GENERATORS, ("nope",))
+TIE_BREAKS = (("true", "false"), ("maybe",))
+
+
+@st.composite
+def argv_lines(draw, directory):
+    """A command line for any command, with any of its options; paths name
+    files in `directory`, which holds a valid input.cnf."""
+    def pick(pool):
+        valid, bad = pool
+        return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 0 else valid))
+
+    def maybe(option, pool=None):
+        if not draw(st.booleans()):
+            return []
+        return [option] if pool is None else [option, pick(pool)]
+
+    n, r, seed = pick(SIZES), pick(RATIOS), pick(SEEDS)
+    inputs = pick(([[str(directory / "input.cnf")], ["--gen", f"{n},{r},{seed}"]],
+                   [[str(directory / "missing.cnf")], [], ["--gen", "8,4.25"], ["--gen", ""],
+                    [str(directory / "input.cnf"), "--gen", f"{n},{r},{seed}"]]))
+    outputs = ([str(directory / name) for name in ("out.txt", "out")], [str(directory)])
+    command = draw(st.sampled_from(("gen", "analyze", "assign", "reduce", "verify",
+                                    "experiment", "export", "nope", None)))
+    if command == "gen":
+        return ["gen", "--n", pick(SIZES), *maybe("--r", RATIOS), *maybe("--seed", SEEDS),
+                *maybe("--count", COUNTS), "--out-dir", str(directory / "gen")]
+    if command == "analyze":
+        return ["analyze", *inputs, *maybe("--matrix", outputs),
+                *maybe("--assignment", LITERALS), *maybe("--out", outputs)]
+    if command == "assign":
+        return ["assign", *inputs, "--heuristic", pick(HEURISTICS),
+                *maybe("--tie-break", TIE_BREAKS), *maybe("--seed", SEEDS),
+                *maybe("--curve-csv", outputs), *maybe("--out", outputs)]
+    if command == "reduce":
+        return ["reduce", *inputs, *maybe("--assignment", LITERALS),
+                *maybe("--heuristic", HEURISTICS), *maybe("--seed", SEEDS),
+                *maybe("--out-base", outputs)]
+    if command == "verify":
+        return ["verify", *maybe("--suite", (tuple(verify.SUITES) + ("all",), ("nope",))),
+                *maybe("--instances", (("0", "1", "3"), COUNTS[1])),
+                *maybe("--n-range", N_RANGES), *maybe("--r", RATIOS), *maybe("--seed", SEEDS)]
+    if command == "experiment":
+        return ["experiment", "--n", pick(EXPERIMENT_SIZES), *maybe("--r", RATIOS),
+                *maybe("--count", COUNTS),
+                *maybe("--generators", (("minCreateMaxSolve,greedy,random", "greedy"),
+                                        ("nope", ""))),
+                *maybe("--tie-break", TIE_BREAKS), *maybe("--seed", SEEDS),
+                *maybe("--with-curves"), *maybe("--curve"), *maybe("--instances", COUNTS),
+                *maybe("--out-base", outputs)]
+    if command == "export":
+        return ["export", *inputs, *maybe("--dot"), *maybe("--assignment", LITERALS),
+                *maybe("--expand", LITERALS), *maybe("--depth", DEPTHS),
+                *maybe("--out", outputs)]
+    return [] if command is None else [command]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_contract_on_every_command_and_option(tmp_path_factory, f3, data):
+    # The contract of test_cli_contract_on_generated_input, over argv: every
+    # command, every option and values no option accepts. A verify suite's
+    # summary line is the one more stderr line allowed.
+    directory = tmp_path_factory.mktemp("argv")
+    (directory / "input.cnf").write_text(emit_dimacs(f3))
+    argv = data.draw(argv_lines(directory))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_GUARDRAIL, EXIT_FALSIFIED)
+    if code != EXIT_OK or "--out" in argv:
+        assert out == ""
+    elif argv[0] == "export" and ("--expand" not in argv or "--dot" in argv):
+        check_dot(out)
+    else:
+        json.loads(out)
+    for line in err.splitlines():
+        assert line.startswith(("error: ", "warning: ", "suite ") + EXPORT_SUMMARY)

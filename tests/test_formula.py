@@ -15,7 +15,7 @@ from hypersat import (DimacsError, EvalReport, Formula, emit_dimacs, evaluate, f
                       parse_literal, random_formula, solve_exhaustive)
 from hypersat.dimacs import literal_to_dimacs
 from hypersat.formula import (ORACLE_BLOCK_BITS, ORACLE_MAX_VARS, SAMPLE_POOL_MAX, _number,
-                              GuardrailError, check_consistent, is_negative, var_of)
+                              _ratio, GuardrailError, check_consistent, is_negative, var_of)
 
 from conftest import clause, dimacs_texts, formulas, lits
 
@@ -702,10 +702,12 @@ def test_assignment_helpers():
 
 @pytest.mark.parametrize("text,value", [("0", 0), ("-0", 0), ("007", 7), ("+3", 3), ("-4", -4)])
 def test_number_reads_a_sign_and_ascii_digits(text, value):
-    assert _number(text) == value
+    assert _number(text) == value == _ratio(text)
 
 
-@pytest.mark.parametrize("text", ["", "+", "-", "+-1", " 1", "1.0", "1_0", "\u0661", "x1"])
+# "4.25" is a clause ratio, which _ratio reads and _number does not.
+@pytest.mark.parametrize("text", ["", "+", "-", "+-1", " 1", "1.0", "1_0", "\u0661", "x1",
+                                  "4.25"])
 def test_number_refuses_what_is_not_a_dimacs_number(text):
     with pytest.raises(ValueError, match="not a number"):
         _number(text)

@@ -5,12 +5,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hypersat import (Formula, HypothesisError, assignment_satisfies_2sat, build_space,
-                      check_consistent, decompose, evaluate, formula, make_literal, negate,
-                      parse_literal, random_assignment, random_formula, reduce_to_2sat,
-                      solve_2sat, solve_exhaustive, verify_corollary1, verify_theorem)
-from hypersat.formula import var_of
+                      check_consistent, evaluate, formula, negate, parse_literal,
+                      random_assignment, random_formula, reduce_to_2sat, solve_2sat,
+                      solve_exhaustive, verify_corollary1, verify_theorem)
 from hypersat.reduction import provenance
-from hypersat.subclauses import SubClauseSpace
 
 from conftest import clause, formulas, lits, subclause_id
 
@@ -294,65 +292,3 @@ def test_corollary1_single_violated_clause_witnesses():
         assert sid in cert.witnesses
     assert cert.holds
 
-
-def double_f3(f3):
-    """Two variable-disjoint copies of the worked instance (x0..x2, x3..x5)."""
-    shifted = [tuple(make_literal(var_of(lit) + 3, negative=bool(lit & 1)) for lit in c)
-               for c in f3.clauses]
-    return formula(6, list(f3.clauses) + shifted)
-
-
-def test_decompose_disjoint_copies(f3):
-    f = double_f3(f3)
-    p = lits("-x0", "-x1", "x2")
-    result = decompose(f, p, build_space(f))
-    assert result.holds
-    assert result.c1 == tuple(range(7))
-    assert result.c2 == tuple(range(7, 14))
-
-
-def test_decompose_holds_only_for_an_autarky(f3, monkeypatch):
-    # Without the gate's unsolved check, p = {-x0} reaches the split, yet it
-    # leaves the clauses with x0 unsatisfied: p is not an autarky.
-    f = double_f3(f3)
-    monkeypatch.setattr(SubClauseSpace, "unsolved", lambda self, a: [])
-    result = decompose(f, lits("-x0"), build_space(f))
-    assert result.c1 == tuple(range(7))
-    assert result.c2 == tuple(range(7, 14))
-    assert not result.holds
-
-
-def test_decompose_recovers_planted_blocks():
-    rng = random.Random(53)
-    built = 0
-    seed = 0
-    while built < 10:
-        seed += 1
-        left = random_formula(6, 3.0, seed=seed)
-        right = random_formula(5, 3.0, seed=seed + 100)
-        solutions = solve_exhaustive(left, cap=1)
-        if not solutions:
-            continue
-        shifted = [tuple(make_literal(var_of(lit) + 6, negative=bool(lit & 1))
-                         for lit in c) for c in right.clauses]
-        f = formula(11, list(left.clauses) + shifted)
-        p = solutions[0]
-        result = decompose(f, p, build_space(f))
-        assert result.holds
-        assert set(result.c1) == set(range(left.m))
-        assert set(result.c2) == set(range(left.m, left.m + right.m))
-        built += 1
-
-
-def test_decompose_hypothesis_failures(f3):
-    f = double_f3(f3)
-    # Leaves activated sub-clauses unsolved:
-    with pytest.raises(HypothesisError, match="unsolved"):
-        decompose(f, lits("-x0"), build_space(f))
-    # Not partial:
-    with pytest.raises(HypothesisError, match="partial"):
-        decompose(f3, lits("-x0", "-x1", "x2"), build_space(f3))
-    # Satisfies every clause (extra idle variable keeps it partial):
-    wide = formula(4, list(f3.clauses))
-    with pytest.raises(HypothesisError, match="satisfies"):
-        decompose(wide, lits("-x0", "-x1", "x2"), build_space(wide))
