@@ -7,6 +7,7 @@ from __future__ import annotations
 import heapq
 import operator
 import random
+from itertools import chain
 from typing import NamedTuple
 
 from .formula import (Assignment, Formula, Literal, _csv_text, check_consistent,
@@ -96,8 +97,12 @@ def generate_heuristic(space: SubClauseSpace, kind: str, tie_break: str = "true"
         raise ValueError(f"unknown heuristic {kind!r}, expected one of {HEURISTICS}")
     prefer_true = _prefer(tie_break)
     created_weight, solved_weight = _WEIGHTS[kind]
-    score = [created_weight * len(created) + solved_weight * len(solved)
-             for created, solved in zip(space.created_by, space.containing)]
+    score = [created_weight * len(created) for created in space.created_by]
+    if solved_weight:
+        # Each sub-clause counts for both its literals: len(space.containing[lit])
+        # per literal, without deriving containing.
+        for lit in chain.from_iterable(space.pairs):
+            score[lit] += solved_weight
     return _by_polarity(space.n, score, prefer_true)
 
 

@@ -9,7 +9,8 @@ line. Every integer the CLI reads, a literal's number included, follows
 formula._number (an optional sign, then ASCII digits), and every clause
 ratio formula._ratio (the same with at most one '.'): "1_0", "nan", "1e308"
 and non-ASCII digits exit 2. --assignment splits on commas and on DIMACS's
-separator bytes (space, \t, \n, \r, \v, \f) alone.
+separator bytes (space, \t, \n, \r, \v, \f) alone; an empty one, like
+one of separators only, is the empty assignment.
 A verify suite that made no check at all ends its stderr summary line in
 [vacuous] instead of [ok]; its JSON and its exit code are those of a passing
 suite, so such a run alone exits 0.
@@ -184,7 +185,7 @@ def cmd_analyze(args) -> int:
                             "ratio": census.ratio}
     else:
         report["census"] = None
-    if args.assignment:
+    if args.assignment is not None:
         a = parse_assignment(args.assignment, f.n)
         activated = sorted(space.activated(a))
         report["assignment"] = {
@@ -238,7 +239,7 @@ def cmd_assign(args) -> int:
 def cmd_reduce(args) -> int:
     f, label = resolve_formula(args)
     space = build_space(f)
-    if args.assignment:
+    if args.assignment is not None:
         a = parse_assignment(args.assignment, f.n)
     else:
         a = experiments.generate_assignment(args.heuristic, f, space, seed=args.seed)
@@ -334,14 +335,14 @@ def cmd_export(args) -> int:
         lit = parse_literal(args.expand)
         if var_of(lit) >= f.n:
             raise UsageError(f"--expand {literal_str(lit)} out of range for n={f.n}")
-        if args.assignment:
+        if args.assignment is not None:
             raise UsageError("--expand and --assignment cannot be combined")
         expansion = expand_literal(space, lit, args.depth)
         text = expansion_to_dot(expansion) if args.dot else dump_json(expansion_to_json(expansion))
         emit(args, text)
         return EXIT_OK
     hg = build_hypernodal(space)
-    if args.assignment:
+    if args.assignment is not None:
         a = parse_assignment(args.assignment, f.n)
         merged = merge_active(hg, a)
         text = export_dot(merged)

@@ -4,6 +4,7 @@ and the unsolved-sub-clause curve with its inflection step.
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import NamedTuple
 
@@ -142,10 +143,14 @@ def run_curve_experiment(n: int = 100, r: float = 2.5, instances: int = 120,
     a ratio where the bundled assignment generators find satisfying
     assignments, and only instances they satisfy are kept. The curve walks
     the satisfying assignment in variable-index order; its inflection is the
-    first step at which the open count peaks.
+    first step at which the open count peaks. A ratio that asks for every
+    width-3 clause, an unsatisfiable formula, is refused before any draw.
     """
     if n > EXPERIMENT_MAX_VARS:
         raise GuardrailError(f"experiments are capped at n <= {EXPERIMENT_MAX_VARS}")
+    if instances > 0 and math.isfinite(r * n) and round(r * n) == 8 * math.comb(n, 3):
+        raise ValueError(f"r = {r} at n = {n} asks for all {round(r * n)} width-3 clauses, "
+                         "an unsatisfiable formula, so no instance can be accepted")
     method = (f"accepted instances are those satisfied by one of {SATISFYING_POOL}; "
               f"curve order: ascending variable index")
     result = CurveExperiment(n=n, r=r, method=method)

@@ -318,20 +318,22 @@ def export_dot(adjacency: list[list[Literal]]) -> str:
     endpoints, ascending, and edges are sorted by (u, v) with repeats
     dropped: each node's successors are deduplicated and sorted in node
     order, so the cost is O(V + E + sum of d log d) over the out-degrees d,
-    with no global sort of the edges."""
-    successors = [sorted(set(out)) for out in adjacency]
-    endpoint = [bool(out) for out in successors]
-    for v in chain.from_iterable(successors):
+    with no global sort of the edges. Besides the output it holds two texts
+    per node, its label line and its edges rendered as one chunk, not one
+    string per edge."""
+    endpoint = [bool(out) for out in adjacency]
+    for v in chain.from_iterable(adjacency):
         endpoint[v] = True
     # Neither 'n<code>' nor a literal's name contains '"', so quoting either
     # only adds the quotes; each node's name is built once.
     names = [f'"n{node}"' if marked else "" for node, marked in enumerate(endpoint)]
-    lines = ["digraph merged {"]
-    lines.extend(f'  {names[node]} [label="{literal_str(node)}"];'
-                 for node, marked in enumerate(endpoint) if marked)
-    lines.extend(f"  {names[u]} -> {names[v]};" for u, out in enumerate(successors) for v in out)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    chunks = ["digraph merged {\n"]
+    chunks.extend(f'  {names[node]} [label="{literal_str(node)}"];\n'
+                  for node, marked in enumerate(endpoint) if marked)
+    chunks.extend("".join(f"  {names[u]} -> {names[v]};\n" for v in sorted(set(out)))
+                  for u, out in enumerate(adjacency) if out)
+    chunks.append("}\n")
+    return "".join(chunks)
 
 
 def expansion_to_dot(expansion: Expansion) -> str:

@@ -1,14 +1,16 @@
 """The 2-literal sub-clause space of a width-3 formula.
 
 Assigning a literal `a` reduces every clause that contains -a to the
-2-literal sub-clause left after removing -a. The space collects all such
-pairs (deduplicated), with the sub-clauses each literal creates and those
-that contain it; SubClauseSpace.events() derives the clauses each one comes
-from.
+2-literal sub-clause left after removing -a. The space stores all such pairs
+(deduplicated) and the sub-clauses each literal creates. The id of each pair
+and the sub-clauses that contain each literal are derived from the pairs on
+first read; SubClauseSpace.events() derives the clauses each sub-clause
+comes from.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .formula import Clause, Formula, GuardrailError, Literal, _csv_text, literal_str, negate
@@ -31,24 +33,34 @@ def literal_columns(n: int) -> list[Literal]:
 class SubClauseSpace:
     """Deduplicated sub-clause set, with what each literal creates and solves.
 
-    Ids follow first-encounter order in a clause-order scan of the formula;
-    index maps a (variable-ordered) literal pair to its id. created_by and
-    containing hold one list per literal code. Which events created a
-    sub-clause follows from the clauses, so it is not stored: events()
-    derives it.
+    Ids follow first-encounter order in a clause-order scan of the formula.
+    Stored: n, clauses, pairs (variable-ordered literal pairs, by id) and
+    created_by (one list per literal code). Derived from pairs on first read
+    and then kept: index, which maps a pair to its id, and containing. Which
+    events created a sub-clause follows from the clauses, so it is not
+    stored: events() derives it.
     """
 
     def __init__(self, n: int, clauses: tuple[Clause, ...], pairs: list[Pair],
-                 index: dict[Pair, int], created_by: list[list[int]],
-                 containing: list[list[int]]):
+                 created_by: list[list[int]]):
         self.n = n
         self.clauses = clauses
         self.pairs = pairs
-        self.index = index
         # ids each literal creates, each id once, in first-creation order
         self.created_by = created_by
-        # ids of the sub-clauses containing each literal, ascending
-        self.containing = containing
+
+    @cached_property
+    def index(self) -> dict[Pair, int]:
+        return dict(zip(self.pairs, range(len(self.pairs))))
+
+    @cached_property
+    def containing(self) -> list[list[int]]:
+        """Per literal code, the ids of the sub-clauses containing it, ascending."""
+        containing: list[list[int]] = [[] for _ in range(2 * self.n)]
+        for sid, (p, q) in enumerate(self.pairs):
+            containing[p].append(sid)
+            containing[q].append(sid)
+        return containing
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -95,16 +107,11 @@ def build_space(f: Formula) -> SubClauseSpace:
         created_by[b ^ 1].append(setdefault((a, c), len(index)))
         created_by[c ^ 1].append(setdefault((a, b), len(index)))
     pairs = list(index)
-    # Ids ascend in insertion order; the stored id objects are reused.
-    containing: list[list[int]] = [[] for _ in range(2 * f.n)]
-    for (p, q), sid in index.items():
-        containing[p].append(sid)
-        containing[q].append(sid)
+    del index, setdefault   # the space derives index on first read
     if len(set(f.clauses)) < f.m:
         # A repeated clause repeats its events but creates nothing new.
         created_by = [list(dict.fromkeys(ids)) for ids in created_by]
-    return SubClauseSpace(n=f.n, clauses=f.clauses, pairs=pairs, index=index,
-                          created_by=created_by, containing=containing)
+    return SubClauseSpace(n=f.n, clauses=f.clauses, pairs=pairs, created_by=created_by)
 
 
 class SpaceCensus(NamedTuple):

@@ -322,10 +322,11 @@ def test_analyze_lists_every_copy_of_a_repeated_clause(capsys, tmp_path):
 
 
 def test_expand_refuses_an_assignment(capsys):
-    code, out, err = run(capsys, "export", "--gen", "8,4.25,1", "--expand", "x0",
-                         "--assignment", "x1")
-    assert code == EXIT_USAGE
-    assert out == "" and "--expand" in err and "--assignment" in err
+    for value in ("x1", ""):   # an empty --assignment is the empty assignment
+        code, out, err = run(capsys, "export", "--gen", "8,4.25,1", "--expand", "x0",
+                             "--assignment", value)
+        assert code == EXIT_USAGE
+        assert out == "" and "--expand" in err and "--assignment" in err
 
 
 @pytest.mark.parametrize("option,value", [("--assign", "-x0,x1"), ("--expand", "-x0"),
@@ -569,6 +570,25 @@ def test_a_literal_whose_number_is_not_dimacs_exits_2(capsys, option, value):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_an_empty_assignment_is_the_empty_assignment(capsys):
+    base = ("reduce", "--gen", "8,4.25,1")
+    code, empty, _ = run(capsys, *base, "--assignment", "")
+    assert code == EXIT_OK
+    assert json.loads(empty)["assignment"] == []
+    assert run(capsys, *base, "--assignment", " , ") == (EXIT_OK, empty, "")
+
+
+def test_curve_refuses_a_ratio_that_draws_every_clause(capsys, monkeypatch):
+    # At n = 3 the default r = 2.5 asks for m = 8 clauses, every width-3
+    # clause over three variables: an unsatisfiable formula at every seed.
+    draws = []
+    monkeypatch.setattr(experiments, "random_formula", lambda *args, **kwargs: draws.append(args))
+    code, out, err = run(capsys, "experiment", "--curve", "--n", "3")
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert draws == []
+
+
 @pytest.mark.parametrize("value,literals", [("x3", ["x3"]), ("-x3", ["-x3"]), ("+3", ["x2"]),
                                             ("007", ["x6"]), ("-4", ["-x3"]),
                                             ("+1,007", ["x0", "x6"])])
@@ -629,9 +649,9 @@ NOT_INTEGERS = ("1_0", "\u0666", "nan", "1e308", "", "abc")
 HUGE_N = "30000000"
 SIZES = (("3", "8"), ("-1", "0", HUGE_N) + NOT_INTEGERS)
 DEPTHS = (("0", "2", HUGE_N), ("-1",) + NOT_INTEGERS)
-# At most 30, and no 3: at r = 2.5 no draw over three variables is
-# satisfiable, so --curve would scan all of its 20,000 seeds.
-EXPERIMENT_SIZES = (("8", "30"), ("-1", "0") + NOT_INTEGERS)
+# At most 30. At n = 3, r = 2.5 asks for all eight clauses, which --curve
+# refuses before it draws.
+EXPERIMENT_SIZES = (("3", "8", "30"), ("-1", "0") + NOT_INTEGERS)
 SEEDS = (("1", "0", "-3", "007"), NOT_INTEGERS)
 COUNTS = (("0", "1", "2"), ("-1",) + NOT_INTEGERS)
 RATIOS = (("4.25", ".5", "2", "0"),

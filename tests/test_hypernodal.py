@@ -2,14 +2,16 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersat import (Formula, build_hypernodal, build_space, evaluate, expand_literal,
                       expansion_to_dot, expansion_to_json, export_dot, family_to_dot,
-                      find_contradictions, formula, make_literal, merge_active, negate,
-                      parse_literal, random_assignment, random_formula, reduce_to_2sat)
+                      find_contradictions, formula, generate_heuristic, make_literal,
+                      merge_active, negate, parse_literal, random_assignment, random_formula,
+                      reduce_to_2sat, solve_2sat)
 from hypersat.formula import literal_str, var_of
 from hypersat.hypernodal import component_ids, conflicting_variables, implication_adjacency
 
@@ -679,6 +681,36 @@ def test_dot_merged_lists_a_repeated_clause_once_and_skips_isolated_nodes():
                                  '  "n1" -> "n2";\n'
                                  '  "n3" -> "n0";\n'
                                  '}\n')
+
+
+def test_export_dot_holds_little_besides_its_output():
+    # The merged graph of the contradictions path at n = 2000, whose text is
+    # about 530 KB. The traced peak of the call, its output included, stays
+    # under 5x the text; holding one string per edge besides the joined
+    # text and the successor lists' copy comes to 6.9x.
+    space = build_space(random_formula(2000, 4.25, seed=5))
+    merged = merge_active(build_hypernodal(space), generate_heuristic(space, "minCreate"))
+    tracemalloc.start()
+    try:
+        text = export_dot(merged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(text)
+
+
+def test_contradictions_path_derives_neither_index_nor_containing():
+    # reduce and export --assignment with minCreate read only pairs and
+    # created_by, so the space never derives its two other views.
+    f = random_formula(300, 4.25, seed=5)
+    space = build_space(f)
+    hg = build_hypernodal(space)
+    a = generate_heuristic(space, "minCreate")
+    solve_2sat(reduce_to_2sat(space, f, a))
+    merged = merge_active(hg, a)
+    find_contradictions(hg, a)
+    export_dot(merged)
+    assert "index" not in vars(space) and "containing" not in vars(space)
 
 
 def test_dot_merged_of_an_empty_graph():

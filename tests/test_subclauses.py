@@ -261,8 +261,7 @@ def assert_matches_reference(f):
     for lit in range(2 * f.n):
         assert set(space.created_by[lit]) == created_by[lit]
         assert len(space.created_by[lit]) == len(created_by[lit])
-        assert set(space.containing[lit]) == containing[lit]
-        assert len(space.containing[lit]) == len(containing[lit])
+        assert space.containing[lit] == sorted(containing[lit])
     assert [{creator for creator, _ in sid_events} for sid_events in events] == creators
     assert [{parent for _, parent in sid_events} for sid_events in events] == parents
     th = thresholds(space)
