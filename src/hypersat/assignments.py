@@ -7,7 +7,6 @@ from __future__ import annotations
 import heapq
 import operator
 import random
-from itertools import chain
 from typing import NamedTuple
 
 from .formula import (Assignment, Formula, Literal, _csv_text, check_consistent,
@@ -99,10 +98,7 @@ def generate_heuristic(space: SubClauseSpace, kind: str, tie_break: str = "true"
     created_weight, solved_weight = _WEIGHTS[kind]
     score = [created_weight * len(created) for created in space.created_by]
     if solved_weight:
-        # Each sub-clause counts for both its literals: len(space.containing[lit])
-        # per literal, without deriving containing.
-        for lit in chain.from_iterable(space.pairs):
-            score[lit] += solved_weight
+        score = [s + solved_weight * solved for s, solved in zip(score, space.solved_count)]
     return _by_polarity(space.n, score, prefer_true)
 
 

@@ -91,29 +91,44 @@ def parse_dimacs(text: str | bytes, width: int = 3) -> Formula:
             continue
         if n < 0:
             raise DimacsError(lineno, "clause before 'p cnf' header")
-        try:
-            codes = list(map(codes_of.__getitem__, tokens))
-        except ValueError:
-            raise DimacsError(lineno, f"non-integer token in clause {raw.strip().decode()!r}") from None
-        if codes.pop() != -2:   # the code of a 0 token
-            raise DimacsError(lineno, "clause not terminated by 0")
-        if len(codes) != width:
-            raise DimacsError(lineno, f"clause width {len(codes)}, expected {width}")
-        # Sorting the codes sorts by variable when the variables are distinct.
-        codes.sort()
-        if codes and (codes[0] < 0 or codes[-1] >= limit):
-            # The walk only names the failure: the first bad token in line order.
-            for code in map(codes_of.__getitem__, tokens[:-1]):
-                if code < 0:
-                    raise DimacsError(lineno, "embedded 0 inside clause")
-                if code >= limit:
-                    raise DimacsError(lineno, f"variable {code // 2 + 1} out of range 1..{n}")
-        if len({code >> 1 for code in codes}) != width:
+        clause = None
+        if width == 3 and len(tokens) == 4:
+            # The common line, read without a list. Any failed check leaves
+            # it to the general path below, which names the failure.
             try:
-                make_clause(codes)
+                a, b, c, zero = map(codes_of.__getitem__, tokens)
+            except ValueError:
+                zero = 0
+            if zero == -2:   # the code of a 0 token
+                # Three compare-swaps sort the codes, and with them the variables.
+                if a > b:
+                    a, b = b, a
+                if b > c:
+                    b, c = c, b
+                if a > b:
+                    a, b = b, a
+                if a >= 0 and c < limit and a >> 1 != b >> 1 != c >> 1:
+                    clause = (a, b, c)
+        if clause is None:
+            try:
+                codes = list(map(codes_of.__getitem__, tokens))
+            except ValueError:
+                raise DimacsError(lineno, f"non-integer token in clause {raw.strip().decode()!r}") from None
+            if codes.pop() != -2:
+                raise DimacsError(lineno, "clause not terminated by 0")
+            if len(codes) != width:
+                raise DimacsError(lineno, f"clause width {len(codes)}, expected {width}")
+            if codes and (min(codes) < 0 or max(codes) >= limit):
+                # The walk only names the failure: the first bad token in line order.
+                for code in codes:
+                    if code < 0:
+                        raise DimacsError(lineno, "embedded 0 inside clause")
+                    if code >= limit:
+                        raise DimacsError(lineno, f"variable {code // 2 + 1} out of range 1..{n}")
+            try:
+                clause = make_clause(codes)
             except ValueError as exc:
                 raise DimacsError(lineno, str(exc)) from None
-        clause = tuple(codes)
         if clause in seen:
             warnings.warn(f"line {lineno}: duplicate clause", stacklevel=2)
         seen.add(clause)

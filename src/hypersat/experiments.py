@@ -87,22 +87,27 @@ def run_fraction_experiment(n: int = 500, r: float = 4.25, *, count: int, genera
             raise ValueError(f"unknown generator {g!r}, expected one of {GENERATORS}")
     summary = ExperimentSummary(n=n, r=r)
     for i in range(count):
-        inst_seed = seed + i
-        f = random_formula(n, r, seed=inst_seed)
-        space = build_space(f)
-        th = thresholds(space)
-        for g in generators:
-            a = generate_assignment(g, f, space, seed=inst_seed * 31 + 7, tie_break=tie_break)
-            report = evaluate(f, a)
-            inflection = 0
-            if with_curves:
-                inflection = unsolved_curve(space, a, sorted(a, key=var_of)).inflection
-            summary.records.append(InstanceRecord(
-                instance=i, seed=inst_seed, generator=g, fraction=report.fraction,
-                subclause_count=subclause_count(space, a),
-                minimum_threshold=th.minimum, maximum_threshold=th.maximum,
-                inflection=inflection))
+        summary.records.extend(_instance_records(n, r, i, seed + i, generators, tie_break,
+                                                 with_curves))
     return summary
+
+
+def _instance_records(n, r, i, inst_seed, generators, tie_break, with_curves):
+    """The records of instance i. Its formula and space live only while the
+    records are drawn, so one instance is held at a time."""
+    f = random_formula(n, r, seed=inst_seed)
+    space = build_space(f)
+    th = thresholds(space)
+    for g in generators:
+        a = generate_assignment(g, f, space, seed=inst_seed * 31 + 7, tie_break=tie_break)
+        inflection = 0
+        if with_curves:
+            inflection = unsolved_curve(space, a, sorted(a, key=var_of)).inflection
+        yield InstanceRecord(
+            instance=i, seed=inst_seed, generator=g, fraction=evaluate(f, a).fraction,
+            subclause_count=subclause_count(space, a),
+            minimum_threshold=th.minimum, maximum_threshold=th.maximum,
+            inflection=inflection)
 
 
 class CurveExperiment:

@@ -118,12 +118,17 @@ def merge_active(hg: HypernodalGraph, a: Assignment) -> list[list[Literal]]:
     """Union of the assigned literals' graphs: the successor lists of the
     implication graph of the 2-SAT formula the assignment induces.
 
-    Sub-clauses are added in sorted order, so successor lists, and with them
-    SCC numbering and witness paths, do not depend on set iteration order."""
+    Each successor list is ascending, so SCC numbering and witness paths do
+    not depend on set iteration order. Where the pairs are variable-ordered,
+    as build_space makes them from variable-ordered clauses, these are the
+    lists of the sorted sub-clauses."""
     a = check_consistent(a)
     space = hg.space
-    return implication_adjacency(space.n,
-                                 sorted(map(space.pairs.__getitem__, space.activated(a))))
+    adjacency = implication_adjacency(space.n,
+                                      map(space.pairs.__getitem__, space.activated(a)))
+    for out in adjacency:
+        out.sort()
+    return adjacency
 
 
 class ContradictionReport(SimpleNamespace):
@@ -188,7 +193,7 @@ def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionRepo
     to a negation of one of its literals, or a variable whose two literals
     are strongly connected.
 
-    Runs in time linear in the merged graph, up to sorting its sub-clauses:
+    Runs in time linear in the merged graph, up to sorting its successor lists:
     one Tarjan pass for the conflicts and one multi-source breadth-first search
     for the witness paths. The last check is not implied by the others for
     partial assignments, where an unassigned variable can be in conflict
@@ -330,8 +335,11 @@ def export_dot(adjacency: list[list[Literal]]) -> str:
     chunks = ["digraph merged {\n"]
     chunks.extend(f'  {names[node]} [label="{literal_str(node)}"];\n'
                   for node, marked in enumerate(endpoint) if marked)
-    chunks.extend("".join(f"  {names[u]} -> {names[v]};\n" for v in sorted(set(out)))
-                  for u, out in enumerate(adjacency) if out)
+    for u, out in enumerate(adjacency):
+        if out:
+            head = f"  {names[u]} -> "
+            chunks.append(head + f";\n{head}".join(map(names.__getitem__, sorted(set(out))))
+                          + ";\n")
     chunks.append("}\n")
     return "".join(chunks)
 

@@ -28,7 +28,7 @@ def reduce_to_2sat(space: SubClauseSpace, f: Formula, a: Assignment) -> Formula:
     width-2 formula over f's variables in ascending sub-clause id order."""
     a = check_consistent(a)
     ids = sorted(space.activated(a))
-    return Formula(n=f.n, clauses=tuple(space.pairs[sid] for sid in ids), width=2)
+    return Formula(n=f.n, clauses=tuple(map(space.pairs.__getitem__, ids)), width=2)
 
 
 def events_sound(space: SubClauseSpace, events: list[list[tuple[Literal, int]]]) -> bool:

@@ -2,15 +2,16 @@
 
 Assigning a literal `a` reduces every clause that contains -a to the
 2-literal sub-clause left after removing -a. The space stores all such pairs
-(deduplicated) and the sub-clauses each literal creates. The id of each pair
-and the sub-clauses that contain each literal are derived from the pairs on
-first read; SubClauseSpace.events() derives the clauses each sub-clause
-comes from.
+(deduplicated) and the sub-clauses each literal creates. The id of each pair,
+and per literal the sub-clauses that contain it and their count, are derived
+from the pairs on first read; SubClauseSpace.events() derives the clauses
+each sub-clause comes from.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .formula import Clause, Formula, GuardrailError, Literal, _csv_text, literal_str, negate
@@ -36,9 +37,9 @@ class SubClauseSpace:
     Ids follow first-encounter order in a clause-order scan of the formula.
     Stored: n, clauses, pairs (variable-ordered literal pairs, by id) and
     created_by (one list per literal code). Derived from pairs on first read
-    and then kept: index, which maps a pair to its id, and containing. Which
-    events created a sub-clause follows from the clauses, so it is not
-    stored: events() derives it.
+    and then kept: index, which maps a pair to its id, containing and
+    solved_count. Which events created a sub-clause follows from the
+    clauses, so it is not stored: events() derives it.
     """
 
     def __init__(self, n: int, clauses: tuple[Clause, ...], pairs: list[Pair],
@@ -62,6 +63,14 @@ class SubClauseSpace:
             containing[q].append(sid)
         return containing
 
+    @cached_property
+    def solved_count(self) -> list[int]:
+        """Per literal code, len(containing[lit]), without deriving containing."""
+        count = [0] * (2 * self.n)
+        for lit in chain.from_iterable(self.pairs):
+            count[lit] += 1
+        return count
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -80,10 +89,7 @@ class SubClauseSpace:
     def activated(self, assignment) -> set[int]:
         """Ids the assignment activates: the union of created_by[a] over its
         literals a, the reductions of the clauses that contain -a."""
-        out: set[int] = set()
-        for a in assignment:
-            out.update(self.created_by[a])
-        return out
+        return set(chain.from_iterable(map(self.created_by.__getitem__, assignment)))
 
     def unsolved(self, assignment) -> list[int]:
         """Ids the assignment activates but does not solve, ascending: neither

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,23 @@ def test_experiment_leaves_unset_sizes_to_each_experiment(capsys, monkeypatch):
     assert (calls["curve"]["n"], calls["curve"]["r"]) == (40, 2.0)
 
 
+def test_fraction_experiment_holds_one_instance_at_a_time():
+    # Each instance's formula and space are released before the next is
+    # drawn, so the traced peak does not grow with the count.
+    def peak(count):
+        tracemalloc.start()
+        try:
+            experiments.run_fraction_experiment(
+                500, count=count, generators=("minCreateMaxSolve", "greedy", "random"),
+                seed=0, tie_break="true", with_curves=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1)
+    assert peak(5) <= 1.2 * one
+
+
 def test_malformed_dimacs_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 3 1\n1 2 x 0\n")
@@ -699,8 +717,10 @@ def argv_lines(draw, directory):
                 *maybe("--heuristic", HEURISTICS), *maybe("--seed", SEEDS),
                 *maybe("--out-base", outputs)]
     if command == "verify":
+        # --instances is always drawn: bare `verify` runs 500 instances per
+        # suite, and test_pinned_stdout covers it.
         return ["verify", *maybe("--suite", (tuple(verify.SUITES) + ("all",), ("nope",))),
-                *maybe("--instances", (("0", "1", "3"), COUNTS[1])),
+                "--instances", pick((("0", "1", "3"), COUNTS[1])),
                 *maybe("--n-range", N_RANGES), *maybe("--r", RATIOS), *maybe("--seed", SEEDS)]
     if command == "experiment":
         return ["experiment", "--n", pick(EXPERIMENT_SIZES), *maybe("--r", RATIOS),

@@ -218,6 +218,23 @@ def parse_outcome(parse, text, width):
 @example(("p cnf 3 1\n1\x0b2\x0c3 0\n", 3))
 @example(("p cnf 3 2\n1 2 3 0\x1c-1 2 3 0\x85 \n", 3))
 @example(("c \ud800\np cnf 3 1\n1 2 3 0\n", 3))
+# A width-3 line in each of the six literal orders, then one line per way
+# the width-3 fast path hands a line to the general path, and a repeated
+# clause, which warns with its line.
+@example(("p cnf 3 1\n1 -2 3 0\n", 3))
+@example(("p cnf 3 1\n1 3 -2 0\n", 3))
+@example(("p cnf 3 1\n-2 1 3 0\n", 3))
+@example(("p cnf 3 1\n-2 3 1 0\n", 3))
+@example(("p cnf 3 1\n3 1 -2 0\n", 3))
+@example(("p cnf 3 1\n3 -2 1 0\n", 3))
+@example(("p cnf 3 1\n1 0 3 0\n", 3))
+@example(("p cnf 3 1\n1 2 4 0\n", 3))
+@example(("p cnf 3 1\n-4 2 3 0\n", 3))
+@example(("p cnf 3 1\n1 2 1 0\n", 3))
+@example(("p cnf 3 1\n1 2 -1 0\n", 3))
+@example(("p cnf 4 1\n1 2 3 4 0\n", 3))
+@example(("p cnf 4 1\n1 2 3 4\n", 3))
+@example(("p cnf 3 3\n1 2 3 0\n-1 2 3 0\n3 1 2 0\n", 3))
 def test_parse_dimacs_matches_the_per_number_parser(case):
     # A str reads as its UTF-8 bytes, by the same rules as the reference.
     text, width = case

@@ -365,6 +365,33 @@ def test_implication_adjacency_equals_merged_edges():
             edge_set(merge_active(hg, a))
 
 
+@st.composite
+def merge_cases(draw):
+    """(space, assignment): a formula from random_formula, with repeated
+    clauses in some draws, or from formula() over drawn literals, n 3-30, and
+    a complete or a partial assignment."""
+    if draw(st.booleans()):
+        f = draw(formulas(n_range=(3, 30), ratios=(1, 2.5, 4.25, 6)))
+    else:
+        n = draw(st.integers(3, 30))
+        literals = st.lists(st.integers(0, 2 * n - 1), min_size=3, max_size=3,
+                            unique_by=var_of)
+        f = formula(n, draw(st.lists(literals, max_size=4 * n)))
+    complete = random_assignment(f.n, seed=draw(st.integers(0, 2**30)))
+    kept = draw(st.sets(st.sampled_from(sorted(complete)))) if draw(st.booleans()) else complete
+    return build_space(f), frozenset(kept)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(merge_cases())
+def test_merge_active_lists_the_sorted_subclauses_ascending(case):
+    space, a = case
+    adjacency = merge_active(build_hypernodal(space), a)
+    activated = {sid for lit in a for sid in space.created_by[lit]}
+    assert adjacency == implication_adjacency(space.n, sorted(space.pairs[sid] for sid in activated))
+    assert all(u < v for out in adjacency for u, v in zip(out, out[1:]))
+
+
 def test_find_contradictions_reports_are_pinned():
     # Successor order fixes SCC numbering and which of several shortest
     # witness paths the search finds, so full reports on fixed cases are pinned.

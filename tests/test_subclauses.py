@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hypersat import (Formula, build_space, formula, interaction_matrix,
                       make_literal, negate, parse_literal, random_formula,
@@ -285,3 +285,14 @@ def test_space_matches_reference_with_repeated_clauses(f3):
 @given(formulas(n_range=(3, 30), ratios=(1, 2.5, 4.25, 6)))
 def test_space_matches_reference(f):
     assert_matches_reference(f)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 30), ratios=(1, 2.5, 4.25, 6)))
+@example(formula(4, [clause("x0 -x1 x2"), clause("x3 x2 -x1"), clause("x2 x0 -x1")]))
+def test_solved_count_counts_the_containing_subclauses(f):
+    space = build_space(f)
+    solved_count = space.solved_count
+    assert "containing" not in vars(space)
+    for lit in range(2 * f.n):
+        assert solved_count[lit] == len(space.containing[lit])
