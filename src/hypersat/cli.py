@@ -30,6 +30,7 @@ claim: an `error:` line on stderr, exit 6 and neither file written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -387,11 +388,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse reads the terminal's width for every formatter it makes, one per
+    # add_argument; every formatter here gets argparse's default width, read once.
+    import shutil   # here, as argparse imports it: the CLI's import stays lighter
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="hypersat",
         description="3-SAT sub-clause decomposition, thresholds, 2-SAT reductions "
-                    "and hypernodal implication graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+                    "and hypernodal implication graphs.",
+        formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(_Parser, formatter_class=formatter))
 
     p = sub.add_parser("gen", help="generate random DIMACS instances")
     p.add_argument("--n", type=integer, required=True)

@@ -5,7 +5,6 @@ and the unsolved-sub-clause curve with its inflection step.
 from __future__ import annotations
 
 import math
-import statistics
 from typing import NamedTuple
 
 from .assignments import (HEURISTICS, generate_greedy, generate_heuristic,
@@ -37,6 +36,24 @@ def generate_assignment(name: str, f: Formula, space: SubClauseSpace,
     raise ValueError(f"unknown generator {name!r}, expected one of {GENERATORS}")
 
 
+def pstdev(values) -> float:
+    """The population standard deviation of ints and floats: statistics.pstdev's
+    exact, correctly rounded value, computed in integers so that start-up
+    skips statistics and the fractions and decimal it loads."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(q for _, q in ratios))
+    ints = [p * (d // q) for p, q in ratios]
+    k = len(ints)
+    n, m = k * sum(i * i for i in ints) - sum(ints) ** 2, (k * d) ** 2
+    # sqrt(n/m) by statistics' own method: an integer square root with
+    # 2*53 + 3 spare bits, rounded to odd, then one correctly rounded division.
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return (root << q) / 1 if q >= 0 else root / (1 << -q)
+
+
 class InstanceRecord(NamedTuple):
     instance: int
     seed: int
@@ -63,9 +80,8 @@ class ExperimentSummary:
         return {
             "n": self.n,
             "r": self.r,
-            "means": {g: statistics.fmean(v) for g, v in by_gen.items()},
-            "stdevs": {g: (statistics.pstdev(v) if len(v) > 1 else 0.0)
-                       for g, v in by_gen.items()},
+            "means": {g: math.fsum(v) / len(v) for g, v in by_gen.items()},
+            "stdevs": {g: pstdev(v) for g, v in by_gen.items()},
             "records": [rec._asdict() for rec in self.records],
         }
 
@@ -183,6 +199,6 @@ def run_curve_experiment(n: int = 100, r: float = 2.5, instances: int = 120,
         result.accepted.append({"seed": current - 1, "generator": used,
                                 "inflection": curve.inflection})
     if inflections:
-        result.mean_inflection = statistics.fmean(inflections)
+        result.mean_inflection = math.fsum(inflections) / len(inflections)
         result.mean_curve = [s / len(inflections) for s in sums]
     return result

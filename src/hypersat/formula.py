@@ -8,7 +8,6 @@ involution and the two polarities of a variable are adjacent codes.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import random
@@ -360,6 +359,7 @@ def random_formula(n: int, r: float, seed: int, k: int = 3) -> Formula:
 def _csv_text(header: list[str], rows) -> str:
     """The header and rows as CSV text, each row ending in a bare newline:
     the form of every CSV file the CLI writes."""
+    import csv   # here, so that only commands writing CSV load it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

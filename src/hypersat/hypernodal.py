@@ -25,6 +25,7 @@ the family and `expansion_to_dot` an expansion graph.
 from __future__ import annotations
 
 from itertools import chain
+from operator import lt
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -272,7 +273,11 @@ def _quote(name: str) -> str:
 
 def family_to_dot(hg: HypernodalGraph) -> str:
     """The family as DOT: one cluster per literal's graph, in a true and a
-    false stack, with dashed containment and dotted cross-edges."""
+    false stack, with dashed containment and dotted cross-edges. A dotted edge
+    says that two leaves with the same label are one literal. The leaves
+    labeled l are chained in owner order, h - 1 edges for h holders of l, not
+    one per pair: with the dashed edges to I(l) that keeps them connected, and
+    there are fewer dotted edges than leaves."""
     lines = ["digraph hypernodal {", "  compound=true;"]
     space = hg.space
     stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(space.n)]),
@@ -303,14 +308,14 @@ def family_to_dot(hg: HypernodalGraph) -> str:
         for lit in sorted(leaves[owner]):
             lines.append(f"  {_quote(node_name(owner, lit))} -> {_quote(node_name(lit, lit))} "
                          "[dir=none, style=dashed, constraint=false];")
-    # Cross-edges (dotted): equal-labeled leaves of different graphs, found
-    # through the owners holding each label and emitted by (owner_a, owner_b, lit).
+    # Cross-edges (dotted): equal-labeled leaves of different graphs, chained
+    # through each label's holders in owner order, by (owner_a, owner_b, lit).
     holders: dict[Literal, list[Literal]] = {}
     for owner in owners:
         for lit in leaves[owner]:
             holders.setdefault(lit, []).append(owner)
     cross = sorted((owner_a, owner_b, lit) for lit, held in holders.items()
-                   for i, owner_a in enumerate(held) for owner_b in held[i + 1:])
+                   for owner_a, owner_b in zip(held, held[1:]))
     for owner_a, owner_b, lit in cross:
         lines.append(f"  {_quote(node_name(owner_a, lit))} -> {_quote(node_name(owner_b, lit))} "
                      "[dir=none, style=dotted, constraint=false];")
@@ -321,11 +326,11 @@ def family_to_dot(hg: HypernodalGraph) -> str:
 def export_dot(adjacency: list[list[Literal]]) -> str:
     """A merged graph, given as successor lists, as DOT. Nodes are the edges'
     endpoints, ascending, and edges are sorted by (u, v) with repeats
-    dropped: each node's successors are deduplicated and sorted in node
-    order, so the cost is O(V + E + sum of d log d) over the out-degrees d,
-    with no global sort of the edges. Besides the output it holds two texts
-    per node, its label line and its edges rendered as one chunk, not one
-    string per edge."""
+    dropped: each node's successors, if not strictly ascending already, are
+    deduplicated and sorted in node order, so the cost is at most
+    O(V + E + sum of d log d) over the out-degrees d, with no global sort of
+    the edges. Besides the output it holds two texts per node, its label line
+    and its edges rendered as one chunk, not one string per edge."""
     endpoint = [bool(out) for out in adjacency]
     for v in chain.from_iterable(adjacency):
         endpoint[v] = True
@@ -338,8 +343,9 @@ def export_dot(adjacency: list[list[Literal]]) -> str:
     for u, out in enumerate(adjacency):
         if out:
             head = f"  {names[u]} -> "
-            chunks.append(head + f";\n{head}".join(map(names.__getitem__, sorted(set(out))))
-                          + ";\n")
+            # merge_active's lists are ascending already; others are sorted here.
+            ascending = out if all(map(lt, out, out[1:])) else sorted(set(out))
+            chunks.append(head + f";\n{head}".join(map(names.__getitem__, ascending)) + ";\n")
     chunks.append("}\n")
     return "".join(chunks)
 

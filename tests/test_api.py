@@ -32,11 +32,14 @@ def test_public_names_are_pinned():
     assert names == PUBLIC_NAMES
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Their decorators and import chain were a third of a command's start-up.
-    # -S keeps site hooks out of the import graph; PYTHONPATH names this copy.
+def test_importing_the_cli_loads_no_dataclasses_inspect_statistics_or_csv():
+    # dataclasses' decorators and inspect were a third of a command's start-up;
+    # statistics (with fractions and decimal) and csv serve no benchmarked
+    # command. -S keeps site hooks out of the import graph; PYTHONPATH names
+    # this copy.
     env = dict(os.environ, PYTHONPATH=str(Path(hypersat.__file__).parents[1]))
-    code = "import sys, hypersat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import sys, hypersat.cli; print(sorted({'dataclasses', 'inspect', 'statistics', "
+            "'fractions', 'decimal', 'csv'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"

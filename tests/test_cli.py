@@ -1,9 +1,15 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
+import shutil
+import statistics
+import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -140,7 +146,7 @@ def digest(text):
 # stdout of fixed commands, pinned so that refactors keep it byte-identical.
 PINNED_STDOUT = [
     (("verify", "--instances", "50", "--n-range", "6..16", "--seed", "3"), "4a535884c3ed98b4"),
-    (("export", "--gen", "30,4.25,2"), "aaf9ec493c26edf4"),
+    (("export", "--gen", "30,4.25,2"), "402aef1cd0441854"),
     (("export", "--gen", "30,4.25,2", "--assignment", "x0,x1,-x2,x3,x4,x5,-x6,x7"),
      "6b70a6e1c8dfbc47"),
     (("experiment", "--count", "5"), "c23cf7ab3cc51666"),
@@ -379,6 +385,67 @@ def test_fraction_experiment_holds_one_instance_at_a_time():
 
     one = peak(1)
     assert peak(5) <= 1.2 * one
+
+
+def nearest_float_to_sqrt(q: Fraction) -> float:
+    """The float nearest to sqrt(q), ties to even, found by comparing q,
+    exactly, with the squares of the midpoints between x and its neighbouring
+    floats. Ties happen: the stdev of two values is half their difference."""
+    half_scale = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    x = math.ldexp(math.sqrt(q / 4 ** half_scale), half_scale)   # within a few ulps
+    odd = lambda y: int(y / math.ulp(y)) & 1   # the last bit of y's significand
+    while True:
+        below, above = math.nextafter(x, 0), math.nextafter(x, math.inf)
+        low, high = (((Fraction(x) + Fraction(y)) / 2) ** 2 for y in (below, above))
+        if x > 0 and (q < low or q == low and odd(x)):
+            x = below
+        elif q > high or q == high and odd(x):
+            x = above
+        else:
+            return x
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(min_value=0, max_value=1e300), min_size=2, max_size=40),
+    st.lists(st.builds(lambda k, m: k / m, st.integers(0, 1000), st.integers(1, 1000)),
+             min_size=2, max_size=40),
+    st.lists(st.integers(0, 10**12), min_size=2, max_size=40)))
+def test_summary_mean_and_pstdev_are_exact(values):
+    summary = experiments.ExperimentSummary(n=0, r=0.0)
+    summary.records = [experiments.InstanceRecord(i, 0, "g", x, 0, 0, 0, 0)
+                       for i, x in enumerate(values)]
+    payload = summary.to_json_dict()
+    exact = [Fraction(x) for x in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / len(exact)
+    assert payload["stdevs"]["g"] == nearest_float_to_sqrt(variance)
+    assert payload["means"]["g"] == statistics.fmean(values)
+    if sys.version_info >= (3, 11):   # 3.10's pstdev rounds twice
+        assert payload["stdevs"]["g"] == statistics.pstdev(values)
+
+
+def test_build_parser_reads_the_terminal_width_once(monkeypatch):
+    calls = []
+    terminal_size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *args: calls.append(args) or terminal_size(*args))
+    helps = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        calls.clear()
+        parser = cli.build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action.choices, dict))
+        parsers = [parser, *commands.values()]
+        assert len(parsers) == 8
+        helps[columns] = [p.format_help() for p in parsers]
+        assert len(calls) <= 1
+        # argparse's own formatter, which reads the width each time, writes the same help.
+        for p in parsers:
+            p.formatter_class = argparse.HelpFormatter
+        assert [p.format_help() for p in parsers] == helps[columns]
+    assert helps["40"] != helps["200"]
 
 
 def test_malformed_dimacs_exits_3(capsys, tmp_path):

@@ -624,6 +624,22 @@ def test_export_dot_hypernodal(f3_space):
              for u, v in sorted(edge_set(merge_active(hg, {owner})))]
 
 
+def test_family_dot_chains_each_label_through_its_holders():
+    # One dotted edge per consecutive pair of holders, not per pair: h - 1
+    # for a label with h leaves, so fewer dotted edges than leaves.
+    space = build_space(random_formula(30, 4.25, seed=2))
+    text = family_to_dot(build_hypernodal(space))
+    lines = text.splitlines()
+    dotted = [line for line in lines if "style=dotted" in line]
+    leaves = [line for line in lines if "style=dashed" in line]   # one per leaf
+    assert 0 < len(dotted) < len(leaves)
+    labels = {}
+    for line in leaves:
+        label = line.split(" -> ")[0].split("_n")[1]
+        labels[label] = labels.get(label, 0) + 1
+    assert len(dotted) == sum(h - 1 for h in labels.values())
+
+
 def test_export_dot_empty_family():
     hg = build_hypernodal(build_space(formula(0, [])))
     text = family_to_dot(hg)

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hypersat import (Formula, HypothesisError, assignment_satisfies_2sat, build_space,
-                      check_consistent, evaluate, formula, negate, parse_literal,
+                      check_consistent, evaluate, formula, make_literal, negate, parse_literal,
                       random_assignment, random_formula, reduce_to_2sat, solve_2sat,
                       solve_exhaustive, verify_corollary1, verify_theorem)
 from hypersat.reduction import provenance
@@ -229,6 +230,29 @@ def test_theorem_holds_for_every_oracle_solution(f):
     space = build_space(f)
     for a in solve_exhaustive(f, cap=1 << f.n):
         assert verify_theorem(f, a, space).holds
+
+
+def test_theorem_and_corollary1_on_every_small_formula():
+    # Bounded-exhaustive, after the small-scope hypothesis: every multiset of
+    # 1-3 width-3 clauses over 4 variables (repeated clauses included, which
+    # random_formula never draws) under each of the 16 complete assignments.
+    clauses = [tuple(make_literal(v, neg) for v, neg in zip(variables, signs))
+               for variables in combinations(range(4), 3)
+               for signs in product((False, True), repeat=3)]
+    assignments = [frozenset(make_literal(v, bool(bits >> v & 1)) for v in range(4))
+                   for bits in range(16)]
+    checks = 0
+    for size in (1, 2, 3):
+        for chosen in combinations_with_replacement(clauses, size):
+            f = formula(4, chosen)
+            space = build_space(f)
+            for a in assignments:
+                if evaluate(f, a).unsatisfied_ids:
+                    assert verify_corollary1(f, a, space).holds
+                else:
+                    assert verify_theorem(f, a, space).holds
+                checks += 1
+    assert checks == 6544 * 16
 
 
 def test_verify_corollary1_f3(f3, to_paper):
