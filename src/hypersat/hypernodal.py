@@ -19,7 +19,10 @@ breadth-first search records each once, with the first level it is reached
 at, in time linear in n + |S| at any depth bound.
 
 Three renderers write DOT text: `export_dot` a merged graph, `family_to_dot`
-the family and `expansion_to_dot` an expansion graph.
+the family and `expansion_to_dot` an expansion graph. Every name they quote is
+built from integers and fixed words (n<code>, g<owner>_n<lit>, cluster_I_<lit>,
+I(<lit>), l<code>, s<sid>, a literal's name, the stack labels), so none holds
+'"' and they write the quotes inline.
 """
 
 from __future__ import annotations
@@ -267,10 +270,6 @@ def expansion_to_json(expansion: Expansion) -> dict:
                            for sc in expansion.subclauses]}
 
 
-def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
-
-
 def family_to_dot(hg: HypernodalGraph) -> str:
     """The family as DOT: one cluster per literal's graph, in a true and a
     false stack, with dashed containment and dotted cross-edges. A dotted edge
@@ -282,31 +281,31 @@ def family_to_dot(hg: HypernodalGraph) -> str:
     space = hg.space
     stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(space.n)]),
               ("cluster_false", "false literals", [make_literal(v, True) for v in range(space.n)]))
-    node_name = lambda owner, lit: f"g{owner}_n{lit}"
     leaves: dict[Literal, set[Literal]] = {}   # owner -> labels of its other nodes
     for cluster, label, owners in stacks:
-        lines.append(f"  subgraph {_quote(cluster)} {{")
-        lines.append(f"    label={_quote(label)};")
+        lines.append(f'  subgraph "{cluster}" {{')
+        lines.append(f'    label="{label}";')
         for owner in owners:
-            # The edges of merge_active(hg, {owner}), without its 2n successor lists.
+            # The edges of merge_active(hg, {owner}); a pair (l, l) gives one twice.
             edges = sorted({edge for l1, l2 in map(space.pairs.__getitem__, space.created_by[owner])
                             for edge in ((negate(l1), l2), (negate(l2), l1))})
             leaves[owner] = {lit for edge in edges for lit in edge} - {owner}
-            lines.append(f"    subgraph {_quote('cluster_I_' + literal_str(owner))} {{")
-            lines.append(f"      label={_quote('I(' + literal_str(owner) + ')')};")
-            lines.append(f"      {_quote(node_name(owner, owner))} "
-                         f"[label={_quote(literal_str(owner))}, style=filled, fillcolor=black, fontcolor=white];")
+            name = literal_str(owner)
+            lines.append(f'    subgraph "cluster_I_{name}" {{')
+            lines.append(f'      label="I({name})";')
+            lines.append(f'      "g{owner}_n{owner}" '
+                         f'[label="{name}", style=filled, fillcolor=black, fontcolor=white];')
             for lit in sorted(leaves[owner]):
-                lines.append(f"      {_quote(node_name(owner, lit))} [label={_quote(literal_str(lit))}];")
+                lines.append(f'      "g{owner}_n{lit}" [label="{literal_str(lit)}"];')
             for u, v in edges:
-                lines.append(f"      {_quote(node_name(owner, u))} -> {_quote(node_name(owner, v))};")
+                lines.append(f'      "g{owner}_n{u}" -> "g{owner}_n{v}";')
             lines.append("    }")
         lines.append("  }")
     owners = sorted(leaves)
     # Containment (dashed): a leaf labeled l contains the graph I(l).
     for owner in owners:
         for lit in sorted(leaves[owner]):
-            lines.append(f"  {_quote(node_name(owner, lit))} -> {_quote(node_name(lit, lit))} "
+            lines.append(f'  "g{owner}_n{lit}" -> "g{lit}_n{lit}" '
                          "[dir=none, style=dashed, constraint=false];")
     # Cross-edges (dotted): equal-labeled leaves of different graphs, chained
     # through each label's holders in owner order, by (owner_a, owner_b, lit).
@@ -317,7 +316,7 @@ def family_to_dot(hg: HypernodalGraph) -> str:
     cross = sorted((owner_a, owner_b, lit) for lit, held in holders.items()
                    for owner_a, owner_b in zip(held, held[1:]))
     for owner_a, owner_b, lit in cross:
-        lines.append(f"  {_quote(node_name(owner_a, lit))} -> {_quote(node_name(owner_b, lit))} "
+        lines.append(f'  "g{owner_a}_n{lit}" -> "g{owner_b}_n{lit}" '
                      "[dir=none, style=dotted, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -355,13 +354,13 @@ def expansion_to_dot(expansion: Expansion) -> str:
     lines = ["digraph expansion {"]
     for lit in expansion.levels:
         label = literal_str(lit) + (" (truncated)" if lit in expansion.truncated else "")
-        lines.append(f"  {_quote('l' + str(lit))} [label={_quote(label)}];")
+        lines.append(f'  "l{lit}" [label="{label}"];')
     for sc in expansion.subclauses:
-        name = _quote("s" + str(sc.sid))
+        name = f'"s{sc.sid}"'
         lines.append(f"  {name} [label={name}, shape=box];")
         for creator in sc.creators:
-            lines.append(f"  {_quote('l' + str(creator))} -> {name};")
+            lines.append(f'  "l{creator}" -> {name};')
         for lit in sc.literals:
-            lines.append(f"  {name} -> {_quote('l' + str(lit))};")
+            lines.append(f'  {name} -> "l{lit}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .formula import Clause, Formula, GuardrailError, Literal, _csv_text, literal_str, negate
+from .formula import Clause, Formula, GuardrailError, Literal, _csv_text, literal_str
 
 Pair = tuple[int, int]
 
@@ -23,12 +23,9 @@ MATRIX_MAX_CELLS = 10**7
 
 
 def literal_columns(n: int) -> list[Literal]:
-    """All 2n literals in display order -x0, x0, -x1, x1, ..."""
-    cols: list[Literal] = []
-    for v in range(n):
-        cols.append(2 * v + 1)
-        cols.append(2 * v)
-    return cols
+    """All 2n literals in display order -x0, x0, -x1, x1, ...: column j holds
+    literal j ^ 1, so literal l sits in column l ^ 1."""
+    return [j ^ 1 for j in range(2 * n)]
 
 
 class SubClauseSpace:
@@ -151,25 +148,22 @@ class InteractionMatrix(NamedTuple):
 
 
 def interaction_matrix(space: SubClauseSpace) -> InteractionMatrix:
-    """The dense |S| x 2n matrix; refuses more than MATRIX_MAX_CELLS cells."""
-    if len(space) * 2 * space.n > MATRIX_MAX_CELLS:
+    """The dense |S| x 2n matrix; refuses more than MATRIX_MAX_CELLS cells.
+
+    Each row writes only its own cells, in column l ^ 1 for literal l: the
+    unit cells, then 's', then 'c', so a later kind overwrites an earlier one
+    where a clause with a repeated literal or a tautology puts two in one cell."""
+    width = 2 * space.n
+    if len(space) * width > MATRIX_MAX_CELLS:
         raise GuardrailError(f"interaction matrix limited to {MATRIX_MAX_CELLS} cells, "
-                             f"got {len(space)} sub-clauses x {2 * space.n} literals")
-    columns = literal_columns(space.n)
+                             f"got {len(space)} sub-clauses x {width} literals")
     cells = []
     for (p, q), events in zip(space.pairs, space.events()):
-        creators = {creator for creator, _ in events}
-        row = []
-        for lit in columns:
-            if lit in creators:
-                row.append("c")
-            elif lit == p or lit == q:
-                row.append("s")
-            elif negate(lit) == p:
-                row.append(literal_str(q))
-            elif negate(lit) == q:
-                row.append(literal_str(p))
-            else:
-                row.append("")
+        row = [""] * width
+        row[p] = literal_str(q)   # -p leaves q as a unit clause, -q leaves p
+        row[q] = literal_str(p)
+        row[p ^ 1] = row[q ^ 1] = "s"
+        for creator, _ in events:
+            row[creator ^ 1] = "c"
         cells.append(row)
-    return InteractionMatrix(columns=columns, cells=cells)
+    return InteractionMatrix(columns=literal_columns(space.n), cells=cells)

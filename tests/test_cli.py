@@ -157,6 +157,7 @@ PINNED_STDOUT = [
      "621c43b71cda37fe"),
     (("reduce", "--gen", "200,4.25,1"), "3e1d35483fb9cfd1"),
     (("export", "--gen", "30,4.25,2", "--expand", "-x0"), "d48236fdafd83d37"),
+    (("export", "--gen", "30,4.25,2", "--expand", "-x0", "--dot"), "0639f75bfac3f970"),
     (("experiment", "--curve", "--instances", "3"), "f44ca83c4ba4a72e"),
     (("verify",), "a867a33ffb3db046"),
     # n > 21 takes random_formula's rejection branch (SAMPLE_POOL_MAX).

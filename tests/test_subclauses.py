@@ -2,11 +2,12 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypersat import (Formula, build_space, formula, interaction_matrix,
                       make_literal, negate, parse_literal, random_formula,
                       space_census, thresholds)
-from hypersat.formula import var_of
+from hypersat.formula import literal_str, var_of
 
 from conftest import SUBCLAUSE_NUMBERING, clause, formulas, lits, subclause_id
 
@@ -211,6 +212,54 @@ def test_interaction_matrix_empty():
     space = build_space(formula(0, []))
     csv_text = interaction_matrix(space).to_csv()
     assert csv_text == "subclause\n"
+
+
+def reference_cells(space):
+    """The per-cell rule interaction_matrix used to apply, kept as its oracle:
+    every cell compares its column literal with the row's creators, then its
+    two literals, then their negations."""
+    cells = []
+    for (p, q), events in zip(space.pairs, space.events()):
+        creators = {creator for creator, _ in events}
+        row = []
+        for lit in (make_literal(v, neg) for v in range(space.n) for neg in (True, False)):
+            if lit in creators:
+                row.append("c")
+            elif lit == p or lit == q:
+                row.append("s")
+            elif negate(lit) == p:
+                row.append(literal_str(q))
+            elif negate(lit) == q:
+                row.append(literal_str(p))
+            else:
+                row.append("")
+        cells.append(row)
+    return cells
+
+
+@st.composite
+def hand_built_formulas(draw):
+    """Formula(n, clauses) over arbitrary literal triples, n 0-6: repeated
+    literals, tautologies and repeated clauses, which random_formula never
+    draws."""
+    n = draw(st.integers(0, 6))
+    if not n:
+        return Formula(0, ())
+    triple = st.tuples(*[st.integers(0, 2 * n - 1)] * 3)
+    clauses = draw(st.lists(triple, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(clauses), max_size=3)) if clauses else []
+    return Formula(n, tuple(clauses + repeats))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(formulas(n_range=(3, 6), ratios=(1, 2.5, 4.25, 6)), hand_built_formulas()))
+@example(Formula(2, ((0, 0, 2),)))   # the pair (x0, x0)
+@example(Formula(2, ((0, 1, 2),)))   # the pair (x0, -x0)
+def test_interaction_matrix_matches_the_per_cell_rule(f):
+    space = build_space(f)
+    matrix = interaction_matrix(space)
+    assert matrix.columns == [make_literal(v, neg) for v in range(f.n) for neg in (True, False)]
+    assert matrix.cells == reference_cells(space)
 
 
 def test_space_ids_follow_scan_order(f3, f3_space):
