@@ -45,7 +45,7 @@ from .formula import (Assignment, Formula, GuardrailError, _number, _ratio, assi
                       check_consistent, evaluate, literal_str, make_literal, parse_literal,
                       random_formula, var_of)
 from .hypernodal import (build_hypernodal, expand_literal, expansion_to_dot, expansion_to_json,
-                         export_dot, family_to_dot, find_contradictions, merge_active)
+                         export_dot, family_to_dot, merge_active, merged_contradictions)
 from .reduction import (UnsoundEventError, assignment_satisfies_2sat, provenance,
                         reduce_to_2sat, solve_2sat)
 from .subclauses import build_space, interaction_matrix, literal_columns, space_census
@@ -296,12 +296,9 @@ def cmd_verify(args) -> int:
     if n_range[1] > experiments.EXPERIMENT_MAX_VARS:
         raise GuardrailError(f"verify is capped at n <= {experiments.EXPERIMENT_MAX_VARS}, "
                              f"got --n-range {args.n_range}")
-    reports = []
-    for name in names:
-        report = verify.SUITES[name](instances=args.instances, n_range=n_range,
-                                     r=args.r, seed=args.seed)
+    reports = verify.run_suites(names, args.instances, n_range, args.r, args.seed)
+    for report in reports:
         print(report.summary_line(), file=sys.stderr)
-        reports.append(report)
     sys.stdout.write(dump_json([rep.to_json_dict() for rep in reports]))
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_FALSIFIED
 
@@ -347,7 +344,7 @@ def cmd_export(args) -> int:
         a = parse_assignment(args.assignment, f.n)
         merged = merge_active(hg, a)
         text = export_dot(merged)
-        report = find_contradictions(hg, a)
+        report = merged_contradictions(merged, a)
         sys.stderr.write(f"merged graph consistent: {report.consistent}\n"
                          f"escaped implications: {len(report.escaped_implications)}, "
                          f"SCC conflicts: {len(report.scc_conflicts)}, "

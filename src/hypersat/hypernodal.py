@@ -192,18 +192,24 @@ def _witness_paths(adjacency: list[list[Literal]], a: Assignment) -> list[tuple[
 
 
 def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionReport:
-    """Merge the assignment's graphs and look for contradictions: an
-    implication that leads out of the assignment, a path from the assignment
-    to a negation of one of its literals, or a variable whose two literals
-    are strongly connected.
-
-    Runs in time linear in the merged graph, up to sorting its successor lists:
-    one Tarjan pass for the conflicts and one multi-source breadth-first search
-    for the witness paths. The last check is not implied by the others for
-    partial assignments, where an unassigned variable can be in conflict
-    without any edge leaving the assignment."""
+    """Merge the assignment's graphs and look for contradictions in the
+    merged graph (merged_contradictions), in time linear in it up to sorting
+    its successor lists."""
     a = check_consistent(a)
-    adjacency = merge_active(hg, a)
+    return merged_contradictions(merge_active(hg, a), a)
+
+
+def merged_contradictions(adjacency: list[list[Literal]], a: Assignment) -> ContradictionReport:
+    """Look for contradictions in the graph merge_active(hg, a) returned for
+    the consistent assignment `a`: an implication that leads out of the
+    assignment, a path from the assignment to a negation of one of its
+    literals, or a variable whose two literals are strongly connected.
+
+    Runs in time linear in the graph, up to sorting what it reports: one
+    Tarjan pass for the conflicts and one multi-source breadth-first search
+    for the witness paths. The last check is not implied by the others for partial
+    assignments, where an unassigned variable can be in conflict without any
+    edge leaving the assignment."""
     escaped = tuple(sorted((u, v) for u in a for v in adjacency[u] if v not in a))
     witnesses = _witness_paths(adjacency, a)
     return ContradictionReport(witness_paths=tuple(witnesses),

@@ -1,18 +1,19 @@
 """Oracle-driven verification suites.
 
-Every suite generates fresh random instances, pits the claim under test
-against the exhaustive oracle (or an exhaustive 2-SAT enumeration), and
-reports hypothesis failures separately from falsifications: only a
-falsification means the claim (or the code) is wrong.
+Every suite pits the claim under test against the exhaustive oracle (or an
+exhaustive 2-SAT enumeration) on fresh random instances, and reports
+hypothesis failures separately from falsifications: only a falsification
+means the claim (or the code) is wrong.
 
-Instance i (from 0) of a suite run with `seed` is random_formula(n, r, s),
-where the instance seed s is `seed` plus 7919 * (i + 1), so the n, r and s
-that a reproducer records regenerate it. The sizes n come from the suite's
-Random(seed), which `corollary1`, `merge` and `sandwich` also draw
-assignments from: `corollary1` draws every size before its first
-assignment, `merge` and `sandwich` alternate size and assignment, and the
-other suites draw sizes only. `2sat-oracle` picks its own n and r (see
-there).
+`run_suites` walks each instance stream once and hands instance i (from 0),
+random_formula(n, r, seed + 7919 * (i + 1)), to every named suite that reads
+the stream; a reproducer's n, r and instance seed regenerate it. Each stream
+draws from its own Random(seed): `theorem`, `corollary1` and `census` every
+n from randint(*n_range) first, then `corollary1`'s assignment seeds;
+`merge` and `sandwich` per instance n, then the getrandbits(32) that seeds
+the random_assignment both check; `2sat-oracle` n from randint(2,
+min(n_range[1], 12)), with r cycling through 0.8, 1.0, 1.5 and 2.0. A stream
+holds one instance at a time, and builds a width-3 instance's space with it.
 """
 
 from __future__ import annotations
@@ -36,30 +37,40 @@ SOLUTIONS_PER_INSTANCE = 10
 ASSIGNMENTS_PER_INSTANCE = 10
 
 
+class Instance:
+    """Instance i of the stream of `rng` and `seed`, and its drawn assignment."""
+
+    def __init__(self, rng: random.Random, i: int, n: int, r: float, seed: int, k: int):
+        self.rng, self.i, self.n, self.r, self.seed = rng, i, n, r, seed + 7919 * (i + 1)
+        self.formula = random_formula(n, r, seed=self.seed, k=k)
+        self.space = build_space(self.formula) if k == 3 else None
+        self.assignment: Assignment | None = None
+
+
 class SuiteReport:
-    def __init__(self, suite: str, instances: int, details: dict | None = None):
+    def __init__(self, suite: str, instances: int, details: dict):
         self.suite = suite
         self.instances = instances
         self.checks = 0
         self.falsifications = 0
         self.skipped = 0  # instances where the hypothesis never applied
-        self.details = {} if details is None else details
+        self.details = details
         self.failures: list[dict] = []   # reproducers of the first falsifications
 
-    def record(self, holds: bool, seed: int, instance: int, n: int, r: float,
-               assignment: Assignment | None) -> None:
+    def record(self, holds: bool, instance: Instance, assignment: Assignment | None) -> None:
         """Count one check, and keep the reproducers of the first MAX_FAILURES
-        falsifications: instance `instance` is random_formula(n, r, seed),
-        which `hypersat reduce --gen n,r,seed --assignment ...` regenerates
-        for the width-3 suites. `assignment` is None where a check has none."""
+        falsifications: the instance's i, n, r and seed, from which
+        `hypersat reduce --gen n,r,seed --assignment ...` regenerates a
+        width-3 instance. `assignment` is None where a check has none."""
         self.checks += 1
         if holds:
             return
         self.falsifications += 1
         if len(self.failures) < MAX_FAILURES:
             literals = None if assignment is None else assignment_json(assignment)
-            self.failures.append({"suite": self.suite, "seed": seed, "instance": instance,
-                                  "n": n, "r": r, "assignment": literals})
+            self.failures.append({"suite": self.suite, "seed": instance.seed,
+                                  "instance": instance.i, "n": instance.n, "r": instance.r,
+                                  "assignment": literals})
 
     @property
     def ok(self) -> bool:
@@ -79,22 +90,27 @@ class SuiteReport:
                 f"{self.falsifications} falsifications, {self.skipped} skipped [{status}]")
 
 
-def _instances(rng: random.Random, count: int, n_range: tuple[int, int],
-               ratios: tuple[float, ...], seed: int, k: int = 3, sizes_first: bool = False):
-    """Yield (i, n, r, instance seed, formula) for instances 0..count-1.
-
-    n is rng.randint(*n_range), drawn as instance i is reached, or for every
-    instance before the first when `sizes_first`; r cycles through `ratios`."""
-    sizes = (rng.randint(*n_range) for _ in range(count))
-    if sizes_first:
-        sizes = list(sizes)
-    for i, n in enumerate(sizes):
-        r, f_seed = ratios[i % len(ratios)], seed + 7919 * (i + 1)
-        yield i, n, r, f_seed, random_formula(n, r, seed=f_seed, k=k)
+def sizes_stream(instances: int, n_range: tuple[int, int], r: float, seed: int):
+    rng = random.Random(seed)
+    sizes = [rng.randint(*n_range) for _ in range(instances)]
+    return (Instance(rng, i, n, r, seed, 3) for i, n in enumerate(sizes))
 
 
-def theorem_suite(instances: int, n_range: tuple[int, int],
-                  r: float, seed: int) -> SuiteReport:
+def assignment_stream(instances: int, n_range: tuple[int, int], r: float, seed: int):
+    rng = random.Random(seed)
+    for i in range(instances):
+        instance = Instance(rng, i, rng.randint(*n_range), r, seed, 3)
+        instance.assignment = random_assignment(instance.n, seed=rng.getrandbits(32))
+        yield instance
+
+
+def width2_stream(instances: int, n_range: tuple[int, int], r: float, seed: int):
+    rng = random.Random(seed)
+    return (Instance(rng, i, rng.randint(2, min(n_range[1], 12)), (0.8, 1.0, 1.5, 2.0)[i % 4],
+                     seed, 2) for i in range(instances))
+
+
+def theorem_suite(report: SuiteReport, instance: Instance) -> None:
     """Every oracle-found satisfying assignment must satisfy the 2-SAT
     formula it induces, and every sub-clause event of its formula must be
     sound (events_sound).
@@ -102,48 +118,35 @@ def theorem_suite(instances: int, n_range: tuple[int, int],
     The events are checked once per satisfiable instance, and each
     solution's check holds only if they are sound, so an unsound event
     falsifies every solution of its instance."""
-    if n_range[1] > ORACLE_MAX_VARS:
-        raise GuardrailError(f"theorem's oracle is capped at n <= {ORACLE_MAX_VARS}")
-    report = SuiteReport("theorem", instances)
-    for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
-        solutions = solve_exhaustive(f, cap=SOLUTIONS_PER_INSTANCE)
-        if not solutions:
-            report.skipped += 1
-            continue
-        space = build_space(f)
-        sound = events_sound(space, space.events())
-        for a in solutions:
-            report.record(sound and verify_theorem(f, a, space).holds, f_seed, i, n, r, a)
-    report.details = {"satisfiable_instances": instances - report.skipped}
-    return report
+    solutions = solve_exhaustive(instance.formula, cap=SOLUTIONS_PER_INSTANCE)
+    if not solutions:
+        report.skipped += 1
+        return
+    report.details["satisfiable_instances"] += 1
+    space = instance.space
+    sound = events_sound(space, space.events())
+    for a in solutions:
+        report.record(sound and verify_theorem(instance.formula, a, space).holds, instance, a)
 
 
-def corollary1_suite(instances: int, n_range: tuple[int, int],
-                     r: float, seed: int) -> SuiteReport:
+def corollary1_suite(report: SuiteReport, instance: Instance) -> None:
     """Every complete non-satisfying assignment must leave an activated
     sub-clause unsolved. It calls no oracle (a check is an evaluation), so
     it runs at every n `verify` accepts."""
-    rng = random.Random(seed)
-    report = SuiteReport("corollary1", instances,
-                         details={"satisfying_assignments_resampled": 0})
-    for i, n, r, f_seed, f in _instances(rng, instances, n_range, (r,), seed, sizes_first=True):
-        space = build_space(f)
-        produced = attempt = 0
-        while produced < ASSIGNMENTS_PER_INSTANCE and attempt < 50 * ASSIGNMENTS_PER_INSTANCE:
-            attempt += 1
-            a = random_assignment(n, seed=rng.getrandbits(32))
-            try:
-                cert = verify_corollary1(f, a, space=space)
-            except HypothesisError:   # a satisfies f
-                report.details["satisfying_assignments_resampled"] += 1
-                continue
-            produced += 1
-            report.record(cert.holds, f_seed, i, n, r, a)
-    return report
+    produced = attempt = 0
+    while produced < ASSIGNMENTS_PER_INSTANCE and attempt < 50 * ASSIGNMENTS_PER_INSTANCE:
+        attempt += 1
+        a = random_assignment(instance.n, seed=instance.rng.getrandbits(32))
+        try:
+            cert = verify_corollary1(instance.formula, a, space=instance.space)
+        except HypothesisError:   # a satisfies the formula
+            report.details["satisfying_assignments_resampled"] += 1
+            continue
+        produced += 1
+        report.record(cert.holds, instance, a)
 
 
-def twosat_oracle_suite(instances: int, n_range: tuple[int, int],
-                        r: float, seed: int) -> SuiteReport:
+def twosat_oracle_suite(report: SuiteReport, instance: Instance) -> None:
     """solve_2sat must agree with exhaustive enumeration, and its returned
     assignments must satisfy the instance.
 
@@ -151,42 +154,29 @@ def twosat_oracle_suite(instances: int, n_range: tuple[int, int],
     and clause ratios cycling through 0.8..2.0, the range where random 2-SAT
     turns from satisfiable to unsatisfiable (threshold 1). `r` is a 3-SAT
     ratio, far above that range, so it is ignored."""
-    report = SuiteReport("2sat-oracle", instances, details={"satisfiable_instances": 0})
-    for i, n, f_ratio, f_seed, f in _instances(random.Random(seed), instances,
-                                               (2, min(n_range[1], 12)),
-                                               (0.8, 1.0, 1.5, 2.0), seed, k=2):
-        verdict = solve_2sat(f)
-        oracle_sat = bool(solve_exhaustive(f, cap=1))
-        violated = verdict.satisfiable and assignment_satisfies_2sat(f, verdict.assignment)
-        report.record(verdict.satisfiable == oracle_sat and not violated,
-                      f_seed, i, n, f_ratio, verdict.assignment)
-        report.details["satisfiable_instances"] += verdict.satisfiable and oracle_sat
-    return report
+    f = instance.formula
+    verdict = solve_2sat(f)
+    oracle_sat = bool(solve_exhaustive(f, cap=1))
+    violated = verdict.satisfiable and assignment_satisfies_2sat(f, verdict.assignment)
+    report.record(verdict.satisfiable == oracle_sat and not violated, instance,
+                  verdict.assignment)
+    report.details["satisfiable_instances"] += verdict.satisfiable and oracle_sat
 
 
-def merge_equivalence_suite(instances: int, n_range: tuple[int, int],
-                            r: float, seed: int) -> SuiteReport:
+def merge_equivalence_suite(report: SuiteReport, instance: Instance) -> None:
     """Three views of one fact must agree for every instance and its random
     assignment: the merged implication graph is contradiction-free, the
     assignment satisfies its induced 2-SAT formula, and no activated
     sub-clause is left unsolved."""
-    rng = random.Random(seed)
-    report = SuiteReport("merge", instances, details={"consistent_pairs": 0})
-    for i, n, r, f_seed, f in _instances(rng, instances, n_range, (r,), seed):
-        space = build_space(f)
-        hg = build_hypernodal(space)
-        a = random_assignment(n, seed=rng.getrandbits(32))
-        graph_verdict = find_contradictions(hg, a).consistent
-        t = reduce_to_2sat(space, f, a)
-        sat_verdict = not assignment_satisfies_2sat(t, a)
-        unsolved_verdict = not space.unsolved(a)
-        report.record(graph_verdict == sat_verdict == unsolved_verdict, f_seed, i, n, r, a)
-        report.details["consistent_pairs"] += graph_verdict
-    return report
+    space, a = instance.space, instance.assignment
+    graph_verdict = find_contradictions(build_hypernodal(space), a).consistent
+    sat_verdict = not assignment_satisfies_2sat(reduce_to_2sat(space, instance.formula, a), a)
+    unsolved_verdict = not space.unsolved(a)
+    report.record(graph_verdict == sat_verdict == unsolved_verdict, instance, a)
+    report.details["consistent_pairs"] += graph_verdict
 
 
-def sandwich_suite(instances: int, n_range: tuple[int, int],
-                   r: float, seed: int) -> SuiteReport:
+def sandwich_suite(report: SuiteReport, instance: Instance) -> None:
     """Per-literal activation totals must lie between the thresholds, and the
     distinct activated count can never exceed the maximum. The distinct count
     dropping below the minimum is possible (shared sub-clauses) and is
@@ -196,38 +186,28 @@ def sandwich_suite(instances: int, n_range: tuple[int, int],
     total picks one of each variable's two created counts, and the distinct
     count is at most the total. So the suite catches a fault only in
     thresholds, subclause_total or subclause_count themselves."""
-    rng = random.Random(seed)
-    report = SuiteReport("sandwich", instances, details={"distinct_below_minimum": 0})
-    for i, n, r, f_seed, f in _instances(rng, instances, n_range, (r,), seed):
-        space = build_space(f)
-        th = thresholds(space)
-        a = random_assignment(n, seed=rng.getrandbits(32))
-        total = subclause_total(space, a)
-        distinct = subclause_count(space, a)
-        report.record(th.minimum <= total <= th.maximum and distinct <= th.maximum
-                      and th.minimum <= th.maximum, f_seed, i, n, r, a)
-        report.details["distinct_below_minimum"] += distinct < th.minimum
-    return report
+    space, a = instance.space, instance.assignment
+    th = thresholds(space)
+    total = subclause_total(space, a)
+    distinct = subclause_count(space, a)
+    report.record(th.minimum <= total <= th.maximum and distinct <= th.maximum
+                  and th.minimum <= th.maximum, instance, a)
+    report.details["distinct_below_minimum"] += distinct < th.minimum
 
 
-def census_suite(instances: int, n_range: tuple[int, int],
-                 r: float, seed: int) -> SuiteReport:
+def census_suite(report: SuiteReport, instance: Instance) -> None:
     """|S| never exceeds min(3m, 2n(n-1)) on generated instances.
 
     Without deduplication |S| would be 3m, which exceeds 2n(n-1) only where
     3r > 2(n - 1). So the suite catches a space that keeps duplicate
     sub-clauses only at small n: n <= 7 at r = 4.25, 143 of the 500 checks
     of a default `verify` run."""
-    report = SuiteReport("census", instances)
-    for i, n, r, f_seed, f in _instances(random.Random(seed), instances, n_range, (r,), seed):
-        census = space_census(build_space(f))
-        report.record(census.actual <= min(census.per_clause_bound, census.possible),
-                      f_seed, i, n, r, None)
-    return report
+    census = space_census(instance.space)
+    report.record(census.actual <= min(census.per_clause_bound, census.possible),
+                  instance, None)
 
 
-# Every suite takes (instances, n_range, r, seed), with no defaults: the
-# `verify` command's options are the one source of them.
+# Name -> suite(report, instance), the function itself, so a replaced entry is what runs.
 SUITES = {
     "theorem": theorem_suite,
     "corollary1": corollary1_suite,
@@ -236,3 +216,26 @@ SUITES = {
     "sandwich": sandwich_suite,
     "census": census_suite,
 }
+# Each stream, with the suites it feeds and the counters their details start from.
+STREAMS = ((sizes_stream, {"theorem": ("satisfiable_instances",),
+                           "corollary1": ("satisfying_assignments_resampled",), "census": ()}),
+           (width2_stream, {"2sat-oracle": ("satisfiable_instances",)}),
+           (assignment_stream, {"merge": ("consistent_pairs",),
+                                "sandwich": ("distinct_below_minimum",)}))
+
+
+def run_suites(names, instances: int, n_range: tuple[int, int], r: float, seed: int):
+    """The named suites' reports, in SUITES order, from one walk of each stream
+    they read. No defaults: the `verify` command's options are their source."""
+    if "theorem" in names and n_range[1] > ORACLE_MAX_VARS:
+        raise GuardrailError(f"theorem's oracle is capped at n <= {ORACLE_MAX_VARS}")
+    reports = {}
+    for stream, counters in STREAMS:
+        fed = {name: SuiteReport(name, instances, dict.fromkeys(keys, 0))
+               for name, keys in counters.items() if name in names}
+        if fed:
+            for instance in stream(instances, n_range, r, seed):
+                for name, report in fed.items():
+                    SUITES[name](report, instance)
+        reports.update(fed)
+    return [reports[name] for name in SUITES if name in reports]

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersat import (build_space, cli, emit_dimacs, experiments, literal_str, negate,
-                      parse_dimacs, parse_literal, random_formula, reduce_to_2sat, verify)
+from hypersat import (build_space, cli, emit_dimacs, experiments, hypernodal, literal_str,
+                      negate, parse_dimacs, parse_literal, random_formula, reduce_to_2sat,
+                      verify)
 from hypersat.assignments import MIN_CREATE_MAX_SOLVE_READING
 from hypersat.dimacs import literal_to_dimacs
 from hypersat.formula import GuardrailError
@@ -137,6 +138,26 @@ def test_export_consistent_assignment_has_no_witness(capsys, f3, tmp_path):
     assert err.splitlines() == [
         "merged graph consistent: True",
         "escaped implications: 0, SCC conflicts: 0, witness paths: 0"]
+
+
+def test_export_assignment_builds_the_merged_graph_once(capsys, monkeypatch):
+    # The DOT and the contradiction report read one merged graph.
+    calls = []
+    adjacency = hypernodal.implication_adjacency
+
+    def counted(n, pairs):
+        calls.append(n)
+        return adjacency(n, pairs)
+
+    monkeypatch.setattr(hypernodal, "implication_adjacency", counted)
+    code, out, err = run(capsys, "export", "--gen", "30,4.25,2",
+                         "--assignment", "x0,x1,-x2,x3,x4,x5,-x6,x7")
+    assert code == EXIT_OK and calls == [30]
+    assert digest(out) == "6b70a6e1c8dfbc47"
+    assert err.splitlines() == [
+        "merged graph consistent: False",
+        "escaped implications: 10, SCC conflicts: 14, witness paths: 5",
+        "first witness path: x0 -> x11 -> -x0"]
 
 
 def digest(text):
@@ -522,7 +543,8 @@ def test_verify_refuses_n_past_the_experiment_cap_before_any_suite(capsys, monke
     # n = 100,000 took seconds each.
     ran = []
     for name in verify.SUITES:
-        monkeypatch.setitem(verify.SUITES, name, lambda **kwargs: ran.append(kwargs))
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda report, instance: ran.append((report, instance)))
     code, out, err = run(capsys, "verify", "--suite", suite,
                          "--n-range", f"6..{experiments.EXPERIMENT_MAX_VARS + 1}")
     assert code == EXIT_GUARDRAIL and ran == []
@@ -630,11 +652,19 @@ def test_a_suite_without_checks_is_vacuous_and_exits_0(capsys):
                                 "suite": "corollary1"}]
 
 
+def test_a_refused_draw_prints_no_summary_line(capsys):
+    # At n = 3 and r = 3 there are fewer distinct clauses than m = 9. Seed 3
+    # first draws n = 3 in the merge stream, after the other suites' streams
+    # ran clean; every summary line waits for all of them.
+    code, out, err = run(capsys, "verify", "--n-range", "3..6", "--r", "3", "--instances", "4",
+                         "--seed", "3")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: cannot draw 9 distinct width-3 clauses over 3 variables (only 8 exist)\n"
+
+
 def test_falsified_suite_exits_6(capsys, monkeypatch):
-    def falsified(instances, n_range, r, seed):
-        report = verify.SuiteReport(suite="census", instances=instances)
+    def falsified(report, instance):
         report.checks = report.falsifications = 1
-        return report
 
     monkeypatch.setitem(verify.SUITES, "census", falsified)
     code, out, err = run(capsys, "verify", "--suite", "census", "--instances", "3")

@@ -13,7 +13,8 @@ from hypersat import (Formula, build_hypernodal, build_space, evaluate, expand_l
                       merge_active, negate, parse_literal, random_assignment, random_formula,
                       reduce_to_2sat, solve_2sat)
 from hypersat.formula import literal_str, var_of
-from hypersat.hypernodal import component_ids, conflicting_variables, implication_adjacency
+from hypersat.hypernodal import (component_ids, conflicting_variables, implication_adjacency,
+                                 merged_contradictions)
 
 from conftest import clause, formulas, lits, subclause_id
 
@@ -314,6 +315,7 @@ def assignment_cases(draw):
 def test_find_contradictions_matches_per_source_search(case):
     hg, a = case
     report = find_contradictions(hg, a)
+    assert merged_contradictions(merge_active(hg, a), a) == report
     consistent, escaped, conflicts, reached = per_source_contradictions(hg, a)
     assert report.consistent == consistent
     assert report.escaped_implications == escaped

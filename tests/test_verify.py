@@ -18,9 +18,14 @@ from hypersat.reduction import Corollary1Certificate, events_sound
 from hypersat.subclauses import SubClauseSpace
 
 
+def run_one(name, instances, n_range, r, seed):
+    [report] = verify.run_suites([name], instances, n_range, r, seed)
+    return report
+
+
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_suite_runs_clean_through_the_common_signature(name):
-    report = verify.SUITES[name](instances=8, n_range=(6, 10), r=4.25, seed=5)
+    report = run_one(name, instances=8, n_range=(6, 10), r=4.25, seed=5)
     assert report.instances == 8
     assert report.checks > 0
     assert report.falsifications == 0 and report.ok
@@ -28,33 +33,84 @@ def test_suite_runs_clean_through_the_common_signature(name):
 
 
 def test_suites_share_one_signature():
-    # No defaults: the verify command's options are their one source.
-    for suite in verify.SUITES.values():
-        params = inspect.signature(suite).parameters
-        assert list(params) == ["instances", "n_range", "r", "seed"]
-        assert all(p.default is inspect.Parameter.empty for p in params.values())
+    # Every suite checks one instance, and run_suites has no defaults, since
+    # the verify command's options are their one source.
+    for name, suite in verify.SUITES.items():
+        assert getattr(verify, suite.__name__) is suite
+        assert list(inspect.signature(suite).parameters) == ["report", "instance"]
+        assert [name in fed for _, fed in verify.STREAMS].count(True) == 1
+    params = inspect.signature(verify.run_suites).parameters
+    assert list(params) == ["names", "instances", "n_range", "r", "seed"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def test_suites_are_deterministic_per_seed():
-    for suite in verify.SUITES.values():
-        runs = [vars(suite(instances=5, n_range=(6, 9), r=4.25, seed=2)) for _ in range(2)]
-        assert runs[0] == runs[1]
+    runs = [[vars(report) for report in verify.run_suites(list(verify.SUITES), instances=5,
+                                                          n_range=(6, 9), r=4.25, seed=2)]
+            for _ in range(2)]
+    assert runs[0] == runs[1] and len(runs[0]) == len(verify.SUITES)
+
+
+# (instances, n_range, seed); n > 21 takes random_formula's rejection branch.
+RUNS = [(12, (6, 12), 1), (25, (4, 8), 7), (6, (20, 24), 9)]
+
+
+@pytest.mark.parametrize("instances,n_range,seed", RUNS, ids=[f"seed{run[2]}" for run in RUNS])
+def test_a_suite_alone_reports_as_in_a_full_run(monkeypatch, instances, n_range, seed):
+    # Suites that share a stream share its draws, so leaving the others out
+    # may not move a draw: each suite gets the same instances and reports the
+    # same, alone or with the other five.
+    seen = {name: [] for name in verify.SUITES}
+    for name, suite in verify.SUITES.items():
+        def check(report, instance, suite=suite, log=seen[name]):
+            log.append((instance.i, instance.n, instance.r, instance.seed, instance.assignment))
+            suite(report, instance)
+        monkeypatch.setitem(verify.SUITES, name, check)
+    full = verify.run_suites(list(verify.SUITES), instances, n_range, 4.25, seed)
+    assert [report.suite for report in full] == list(verify.SUITES)
+    for report in full:
+        in_full, seen[report.suite][:] = list(seen[report.suite]), []
+        alone = run_one(report.suite, instances, n_range, 4.25, seed)
+        assert alone.to_json_dict() == report.to_json_dict()
+        assert seen[report.suite] == in_full and len(in_full) == instances
+
+
+def test_a_full_run_draws_each_formula_and_builds_each_space_once(monkeypatch):
+    # One formula per instance of each of the three streams, and one space per
+    # instance of the two width-3 streams, however many suites read them.
+    calls = {"random_formula": 0, "build_space": 0}
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    verify.run_suites(list(verify.SUITES), instances=40, n_range=(6, 12), r=4.25, seed=1)
+    assert calls["random_formula"] == 3 * 40
+    assert calls["build_space"] <= 2 * 40
 
 
 def test_twosat_oracle_caps_n_and_ignores_r():
-    wide = verify.twosat_oracle_suite(instances=6, n_range=(6, 30), r=4.25, seed=4)
-    capped = verify.twosat_oracle_suite(instances=6, n_range=(6, 12), r=9.0, seed=4)
+    wide = run_one("2sat-oracle", instances=6, n_range=(6, 30), r=4.25, seed=4)
+    capped = run_one("2sat-oracle", instances=6, n_range=(6, 12), r=9.0, seed=4)
     assert vars(wide) == vars(capped)
 
 
-def test_oracle_suites_refuse_large_n():
+def test_oracle_suites_refuse_large_n(monkeypatch):
+    # The refusal comes before any draw.
+    monkeypatch.setattr(verify, "random_formula", None)
     with pytest.raises(GuardrailError):
-        verify.SUITES["theorem"](instances=1, n_range=(6, 40), r=4.25, seed=1)
+        verify.run_suites(["theorem"], instances=1, n_range=(6, 40), r=4.25, seed=1)
 
 
 def test_corollary1_runs_past_the_oracle_cap():
     # Its checks are evaluations, so no oracle caps its n.
-    report = verify.corollary1_suite(instances=3, n_range=(30, 30), r=4.25, seed=1)
+    report = run_one("corollary1", instances=3, n_range=(30, 30), r=4.25, seed=1)
     assert report.checks == 3 * verify.ASSIGNMENTS_PER_INSTANCE
     assert report.falsifications == 0
 
@@ -76,7 +132,7 @@ def falsify_corollary1(monkeypatch, calls):
 def test_falsification_carries_a_reproducer(monkeypatch):
     seen = falsify_corollary1(monkeypatch, calls=4)
     monkeypatch.setattr(verify, "ASSIGNMENTS_PER_INSTANCE", 2)
-    report = verify.corollary1_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
+    report = run_one("corollary1", instances=3, n_range=(6, 8), r=4.25, seed=5)
     assert report.falsifications == 3 and not report.ok
     assert len(report.failures) == 3
     first = report.failures[0]
@@ -97,10 +153,10 @@ def test_falsification_carries_a_reproducer(monkeypatch):
 
 
 def test_failures_are_bounded_and_left_out_when_empty(monkeypatch, capsys):
-    clean = verify.corollary1_suite(instances=2, n_range=(6, 8), r=4.25, seed=5)
+    clean = run_one("corollary1", instances=2, n_range=(6, 8), r=4.25, seed=5)
     assert clean.failures == [] and "failures" not in clean.to_json_dict()
     falsify_corollary1(monkeypatch, calls=1)
-    report = verify.corollary1_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
+    report = run_one("corollary1", instances=3, n_range=(6, 8), r=4.25, seed=5)
     assert report.falsifications == 30
     assert len(report.failures) == verify.MAX_FAILURES == 10
     assert main(["verify", "--suite", "corollary1", "--instances", "2"]) == EXIT_FALSIFIED
@@ -122,7 +178,7 @@ def test_an_unsound_event_fails_theorem_and_reduce(monkeypatch, tmp_path, capsys
     # Teardown restores the sound events that UNSOUND_EVENTS replaces.
     monkeypatch.setattr(SubClauseSpace, "events", SubClauseSpace.events)
     exec(UNSOUND_EVENTS, {})
-    report = verify.theorem_suite(instances=3, n_range=(6, 8), r=4.25, seed=5)
+    report = run_one("theorem", instances=3, n_range=(6, 8), r=4.25, seed=5)
     assert report.checks > 0 and report.falsifications == report.checks
     first = report.failures[0]
     assert (first["suite"], first["seed"]) == ("theorem", 5 + 7919 * (first["instance"] + 1))
@@ -168,7 +224,7 @@ def test_a_merged_graph_without_edges_fails_merge(monkeypatch):
         return [[] for _ in range(2 * hg.space.n)]
 
     monkeypatch.setattr(hypernodal, "merge_active", no_edges)
-    report = verify.merge_equivalence_suite(instances=40, n_range=(6, 12), r=4.25, seed=1)
+    report = run_one("merge", instances=40, n_range=(6, 12), r=4.25, seed=1)
     assert report.checks == 40 and report.falsifications == 40
     first = report.failures[0]
     space, a = seen[first["instance"]]
@@ -192,7 +248,7 @@ def test_a_flipped_2sat_assignment_fails_2sat_oracle(monkeypatch):
         return verdict
 
     monkeypatch.setattr(verify, "solve_2sat", flipped)
-    report = verify.twosat_oracle_suite(instances=40, n_range=(6, 12), r=4.25, seed=1)
+    report = run_one("2sat-oracle", instances=40, n_range=(6, 12), r=4.25, seed=1)
     assert report.checks == 40 and report.falsifications == 32
     first = report.failures[0]
     t, verdict = seen[first["instance"]]
