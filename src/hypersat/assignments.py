@@ -187,31 +187,37 @@ class CurveSeries(NamedTuple):
 
 def unsolved_curve(space: SubClauseSpace, a: Assignment, order) -> CurveSeries:
     """Walk the assignment in the given order, tracking how many activated
-    sub-clauses are still unsolved after each step."""
+    sub-clauses are still unsolved after each step.
+
+    A sub-clause is open from the step that first activates it until the
+    first step that assigns one of its literals; one that the activating
+    step or an earlier one solves never opens."""
     a = check_consistent(a)
     order = list(order)
     if len(order) != len(a) or set(order) != set(a):
         raise ValueError("order must be a permutation of the assignment")
+    never = len(order) + 1   # the step of an unassigned literal
+    step_of = [never] * (2 * space.n)
+    for step, lit in enumerate(order, start=1):
+        step_of[lit] = step
+    closing = [0] * (never + 1)   # per step, the open sub-clauses it solves
+    pairs, created_by = space.pairs, space.created_by
     activated: set[int] = set()
-    open_ids: set[int] = set()
-    assigned: set[int] = set()
+    opened = closed = 0
     steps = []
     for step, lit in enumerate(order, start=1):
-        assigned.add(lit)
-        # The new literal solves any open sub-clause containing it, and
-        # activates its created sub-clauses (solved immediately when one of
-        # their literals is already assigned). Every activated sub-clause is
-        # either open or solved.
-        open_ids.difference_update(space.containing[lit])
-        for sid in space.created_by[lit]:
+        closed += closing[step]
+        for sid in created_by[lit]:
             if sid in activated:
                 continue
             activated.add(sid)
-            p, q = space.pairs[sid]
-            if p not in assigned and q not in assigned:
-                open_ids.add(sid)
-        steps.append(CurveStep(step, lit, len(activated), len(activated) - len(open_ids),
-                               len(open_ids)))
+            p, q = pairs[sid]
+            solved = min(step_of[p], step_of[q])
+            if solved > step:
+                opened += 1
+                closing[solved] += 1
+        unsolved = opened - closed
+        steps.append(CurveStep(step, lit, len(activated), len(activated) - unsolved, unsolved))
     if not steps:
         return CurveSeries(steps=(), inflection=0)
     peak = max(s.open for s in steps)

@@ -56,15 +56,9 @@ EXIT_PARSE = 3
 EXIT_GUARDRAIL = 4
 EXIT_FALSIFIED = 6
 
-OUT_DIR_ENV = "HYPERSAT_OUT"
-
 # Variables a command accepts; build_space of an empty formula this size
 # takes a fraction of a second.
 INPUT_MAX_VARS = 100_000
-
-
-def out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, ".")
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -148,7 +142,7 @@ def instance_filename(n: int, r: float, seed: int) -> str:
 
 def cmd_gen(args) -> int:
     check_vars(args.n)   # every file gen writes must read back
-    directory = args.out_dir or out_dir()
+    directory = args.out_dir or "."   # an empty --out-dir is the working directory too
     files = []
     for seed in range(args.seed, args.seed + args.count):
         f = random_formula(args.n, args.r, seed)
@@ -175,8 +169,10 @@ def cmd_analyze(args) -> int:
         for sid, (pair, events) in enumerate(zip(space.pairs, space.events()))]
     report["created"] = {literal_str(lit): sorted(space.created_by[lit])
                          for lit in all_literals}
-    report["subsat"] = {literal_str(lit): space.containing[lit]   # ascending already
-                        for lit in all_literals}
+    # The pairs read as a width-2 formula: its occurrences are the sub-clauses
+    # containing each literal, ascending.
+    subsat = Formula(f.n, tuple(space.pairs), width=2).occurrences()
+    report["subsat"] = {literal_str(lit): subsat[lit] for lit in all_literals}
     th = thresholds(space)
     report["thresholds"] = {"minimum": th.minimum, "maximum": th.maximum}
     if f.n >= 2:
@@ -403,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=ratio, default=4.25)
     p.add_argument("--seed", type=integer, default=1)
     p.add_argument("--count", type=count, default=1, help="files for seeds seed..seed+count-1")
-    p.add_argument("--out-dir", default=None, help=f"default: ${OUT_DIR_ENV} or .")
+    p.add_argument("--out-dir", default=".", help="default: .")
     p.set_defaults(func=cmd_gen)
 
     def add_input(p):

@@ -2,10 +2,9 @@
 
 Assigning a literal `a` reduces every clause that contains -a to the
 2-literal sub-clause left after removing -a. The space stores all such pairs
-(deduplicated) and the sub-clauses each literal creates. The id of each pair,
-and per literal the sub-clauses that contain it and their count, are derived
-from the pairs on first read; SubClauseSpace.events() derives the clauses
-each sub-clause comes from.
+(deduplicated) and the sub-clauses each literal creates. Its one derived
+table, solved_count, counts per literal the sub-clauses that contain it;
+SubClauseSpace.events() derives the clauses each sub-clause comes from.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ class SubClauseSpace:
 
     Ids follow first-encounter order in a clause-order scan of the formula.
     Stored: n, clauses, pairs (variable-ordered literal pairs, by id) and
-    created_by (one list per literal code). Derived from pairs on first read
-    and then kept: index, which maps a pair to its id, containing and
-    solved_count. Which events created a sub-clause follows from the
-    clauses, so it is not stored: events() derives it.
+    created_by (one list per literal code). solved_count is the one table
+    derived from pairs, on first read, and then kept. Which events created a
+    sub-clause follows from the clauses, so it is not stored: events()
+    derives it.
     """
 
     def __init__(self, n: int, clauses: tuple[Clause, ...], pairs: list[Pair],
@@ -48,21 +47,9 @@ class SubClauseSpace:
         self.created_by = created_by
 
     @cached_property
-    def index(self) -> dict[Pair, int]:
-        return dict(zip(self.pairs, range(len(self.pairs))))
-
-    @cached_property
-    def containing(self) -> list[list[int]]:
-        """Per literal code, the ids of the sub-clauses containing it, ascending."""
-        containing: list[list[int]] = [[] for _ in range(2 * self.n)]
-        for sid, (p, q) in enumerate(self.pairs):
-            containing[p].append(sid)
-            containing[q].append(sid)
-        return containing
-
-    @cached_property
     def solved_count(self) -> list[int]:
-        """Per literal code, len(containing[lit]), without deriving containing."""
+        """Per literal code, the number of sub-clauses containing it, a pair
+        (l, l) counted twice."""
         count = [0] * (2 * self.n)
         for lit in chain.from_iterable(self.pairs):
             count[lit] += 1
@@ -76,7 +63,7 @@ class SubClauseSpace:
         order: removing literal l from clause cid is an event of the rest of
         the clause, created by negate(l). A repeated clause repeats its events."""
         out: list[list[tuple[Literal, int]]] = [[] for _ in self.pairs]
-        index = self.index
+        index = dict(zip(self.pairs, range(len(self.pairs))))
         for cid, (a, b, c) in enumerate(self.clauses):
             out[index[b, c]].append((a ^ 1, cid))
             out[index[a, c]].append((b ^ 1, cid))
@@ -110,7 +97,7 @@ def build_space(f: Formula) -> SubClauseSpace:
         created_by[b ^ 1].append(setdefault((a, c), len(index)))
         created_by[c ^ 1].append(setdefault((a, b), len(index)))
     pairs = list(index)
-    del index, setdefault   # the space derives index on first read
+    del index, setdefault   # events() rebuilds the map it needs
     if len(set(f.clauses)) < f.m:
         # A repeated clause repeats its events but creates nothing new.
         created_by = [list(dict.fromkeys(ids)) for ids in created_by]

@@ -226,7 +226,11 @@ STREAMS = ((sizes_stream, {"theorem": ("satisfiable_instances",),
 
 def run_suites(names, instances: int, n_range: tuple[int, int], r: float, seed: int):
     """The named suites' reports, in SUITES order, from one walk of each stream
-    they read. No defaults: the `verify` command's options are their source."""
+    they read. No defaults: the `verify` command's options are their source.
+    A name outside SUITES is refused before anything runs."""
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suites {unknown}, expected names from {list(SUITES)}")
     if "theorem" in names and n_range[1] > ORACLE_MAX_VARS:
         raise GuardrailError(f"theorem's oracle is capped at n <= {ORACLE_MAX_VARS}")
     reports = {}

@@ -19,7 +19,18 @@ def clause(text):
 def subclause_id(space, pair):
     """The id of the sub-clause with these two literals, in either order;
     KeyError if the space has none."""
-    return space.index[tuple(sorted(pair, key=var_of))]
+    return dict(zip(space.pairs, range(len(space.pairs))))[tuple(sorted(pair, key=var_of))]
+
+
+def containing(space):
+    """Per literal code, the ids of the sub-clauses containing it, ascending
+    (a pair (l, l) lists its id twice): the reference for solved_count,
+    unsolved_curve and analyze's subsat."""
+    out = [[] for _ in range(2 * space.n)]
+    for sid, (p, q) in enumerate(space.pairs):
+        out[p].append(sid)
+        out[q].append(sid)
+    return out
 
 
 # The worked 7-clause instance used throughout: three variables, every clause

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersat import (build_space, consumption_rate, evaluate, excluded_literals,
+from hypersat import (Formula, build_space, consumption_rate, evaluate, excluded_literals,
                       formula, generate_greedy, generate_heuristic, literal_str,
                       make_literal, parse_literal, random_assignment, random_formula,
                       solve_exhaustive, subclause_count, subclause_total, thresholds,
@@ -13,7 +13,7 @@ from hypersat import (build_space, consumption_rate, evaluate, excluded_literals
 from hypersat.assignments import HEURISTICS
 from hypersat.formula import var_of
 
-from conftest import clause, formulas, lits
+from conftest import clause, containing, formulas, lits
 
 
 def test_thresholds_f3(f3_space):
@@ -175,13 +175,14 @@ def heuristic_by_kind(space, kind, tie_break):
     """The per-variable comparison of created/solved counts, one branch per
     heuristic, that the shared polarity rule replaced; kept as its oracle."""
     prefer_true = tie_break == "true"
+    contains = containing(space)
     chosen = []
     for v in range(space.n):
         pos, neg = make_literal(v), make_literal(v, True)
         created_pos = len(space.created_by[pos])
         created_neg = len(space.created_by[neg])
-        solve_pos = len(space.containing[pos])
-        solve_neg = len(space.containing[neg])
+        solve_pos = len(contains[pos])
+        solve_neg = len(contains[neg])
         if kind == "minCreate":
             score_pos, score_neg = -created_pos, -created_neg
         elif kind == "maxCreate":
@@ -282,10 +283,11 @@ def unsolved_curve_sets(space, order):
     open and assigned sets, the bookkeeping unsolved_curve had before it
     derived solved as activated minus open; kept as its oracle."""
     activated, solved, open_ids, assigned = set(), set(), set(), set()
+    contains = containing(space)
     out = []
     for lit in order:
         assigned.add(lit)
-        for sid in space.containing[lit]:
+        for sid in contains[lit]:
             if sid in open_ids:
                 open_ids.discard(sid)
                 solved.add(sid)
@@ -302,11 +304,26 @@ def unsolved_curve_sets(space, order):
     return out
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(formulas(n_range=(3, 40), ratios=(1, 2.5, 4.25, 6)), st.randoms(use_true_random=False))
-def test_unsolved_curve_matches_the_four_set_oracle(f, rng):
+@st.composite
+def hand_built_formulas(draw):
+    """Width-3 formulas whose clauses are drawn literal by literal, so they
+    repeat literals, hold tautologies and repeat clauses: the sub-clause a
+    tautology (l v -l v x) leaves for -l contains -l, the literal that
+    activates it."""
+    n = draw(st.integers(1, 8))
+    literal = st.integers(0, 2 * n - 1)
+    clauses = draw(st.lists(st.tuples(literal, literal, literal), max_size=4 * n))
+    return Formula(n=n, clauses=tuple(clauses))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(formulas(n_range=(3, 40), ratios=(1, 2.5, 4.25, 6)), hand_built_formulas()),
+       st.randoms(use_true_random=False), st.booleans())
+def test_unsolved_curve_matches_the_four_set_oracle(f, rng, partial):
     space = build_space(f)
     a = random_assignment(f.n, seed=rng.getrandbits(30))
+    if partial:
+        a = frozenset(lit for lit in a if rng.random() < 0.6)
     order = sorted(a, key=var_of)
     rng.shuffle(order)
     curve = unsolved_curve(space, a, order)
@@ -410,11 +427,12 @@ def test_activated_equals_satisfied_for_satisfying_assignments():
         if not solutions:
             continue
         space = build_space(f)
+        contains = containing(space)
         for a in solutions:
             activated = space.activated(a)
             solved_among_activated = set()
             for lit in a:
-                solved_among_activated |= set(space.containing[lit]) & activated
+                solved_among_activated |= set(contains[lit]) & activated
             assert solved_among_activated == activated
             checked += 1
 

@@ -87,7 +87,6 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=[" ".join(argv) for argv in OUT_OF_RANGE])
 def test_out_of_range_numbers_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("HYPERSAT_OUT", raising=False)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -519,7 +518,6 @@ HUGE = [
 @pytest.mark.parametrize("argv", HUGE, ids=[" ".join(argv) for argv in HUGE])
 def test_huge_variable_count_exits_4_fast(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("HYPERSAT_OUT", raising=False)
     huge = tmp_path / "huge.cnf"
     huge.write_text("p cnf 30000000 1\n1 2 3 0\n")
     start = time.perf_counter()
@@ -660,6 +658,41 @@ def test_a_refused_draw_prints_no_summary_line(capsys):
                          "--seed", "3")
     assert code == EXIT_USAGE and out == ""
     assert err == "error: cannot draw 9 distinct width-3 clauses over 3 variables (only 8 exist)\n"
+
+
+STORED = {"n", "clauses", "pairs", "created_by"}
+# Each command with the fields its spaces end with: what build_space stores,
+# and solved_count where a heuristic reads it. verify builds one space per
+# instance of its two width-3 streams.
+SPACE_READERS = [
+    (("analyze", "--gen", "40,4.25,1", "--assignment", "x0,-x1", "--matrix", "m.csv"), STORED),
+    (("assign", "--gen", "40,4.25,1", "--heuristic", "greedyDynamic", "--curve-csv", "c.csv"),
+     STORED),
+    (("assign", "--gen", "40,4.25,1", "--heuristic", "maxSolve"), STORED | {"solved_count"}),
+    (("reduce", "--gen", "40,4.25,1", "--out-base", "reduced"), STORED),
+    (("export", "--gen", "40,4.25,1", "--assignment", "x0,-x1"), STORED),
+    (("verify", "--instances", "1"), STORED),
+]
+
+
+@pytest.mark.parametrize("argv,fields", SPACE_READERS,
+                         ids=[argv[0] + argv[-2] for argv, _ in SPACE_READERS])
+def test_commands_leave_the_space_its_stored_fields(capsys, tmp_path, monkeypatch, argv, fields):
+    # The space derives no table but solved_count, and that one only for a
+    # heuristic that scores solved sub-clauses.
+    monkeypatch.chdir(tmp_path)
+    spaces = []
+
+    def recorded(f):
+        spaces.append(build_space(f))
+        return spaces[-1]
+
+    for module in (cli, verify, experiments):
+        monkeypatch.setattr(module, "build_space", recorded)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(spaces) == (2 if argv[0] == "verify" else 1)
+    assert all(set(vars(space)) == fields for space in spaces)
 
 
 def test_falsified_suite_exits_6(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hypersat import (Formula, build_hypernodal, build_space, evaluate, expand_l
                       expansion_to_dot, expansion_to_json, export_dot, family_to_dot,
                       find_contradictions, formula, generate_heuristic, make_literal,
                       merge_active, negate, parse_literal, random_assignment, random_formula,
-                      reduce_to_2sat, solve_2sat)
+                      reduce_to_2sat)
 from hypersat.formula import literal_str, var_of
 from hypersat.hypernodal import (component_ids, conflicting_variables, implication_adjacency,
                                  merged_contradictions)
@@ -742,20 +742,6 @@ def test_export_dot_holds_little_besides_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * len(text)
-
-
-def test_contradictions_path_derives_neither_index_nor_containing():
-    # reduce and export --assignment with minCreate read only pairs and
-    # created_by, so the space never derives its two other views.
-    f = random_formula(300, 4.25, seed=5)
-    space = build_space(f)
-    hg = build_hypernodal(space)
-    a = generate_heuristic(space, "minCreate")
-    solve_2sat(reduce_to_2sat(space, f, a))
-    merged = merge_active(hg, a)
-    find_contradictions(hg, a)
-    export_dot(merged)
-    assert "index" not in vars(space) and "containing" not in vars(space)
 
 
 def test_dot_merged_of_an_empty_graph():

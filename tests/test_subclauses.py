@@ -9,7 +9,7 @@ from hypersat import (Formula, build_space, formula, interaction_matrix,
                       space_census, thresholds)
 from hypersat.formula import literal_str, var_of
 
-from conftest import SUBCLAUSE_NUMBERING, clause, formulas, lits, subclause_id
+from conftest import SUBCLAUSE_NUMBERING, clause, containing, formulas, lits, subclause_id
 
 
 def cell_of(matrix, sid, name):
@@ -61,8 +61,11 @@ def test_f3_subclauses_of(f3_space, to_paper):
 
 
 def test_f3_subsat(f3_space, to_paper):
-    assert to_paper(set(f3_space.containing[parse_literal("-x0")])) == [0, 1, 2, 3]
-    assert to_paper(set(f3_space.containing[parse_literal("x2")])) == [3, 7, 9, 11]
+    # analyze's subsat: the pairs read as a width-2 formula, by occurrence.
+    subsat = Formula(3, tuple(f3_space.pairs), width=2).occurrences()
+    assert subsat == containing(f3_space)
+    assert to_paper(set(subsat[parse_literal("-x0")])) == [0, 1, 2, 3]
+    assert to_paper(set(subsat[parse_literal("x2")])) == [3, 7, 9, 11]
 
 
 def test_unitclauses_worked_example():
@@ -301,16 +304,18 @@ def reference_space(f):
 
 def assert_matches_reference(f):
     space = build_space(f)
-    pairs, index, creators, parents, records, created_by, containing = reference_space(f)
+    pairs, index, creators, parents, records, created_by, contains = reference_space(f)
     assert space.pairs == pairs
-    assert space.index == index
+    assert dict(zip(space.pairs, range(len(space)))) == index
     assert all(subclause_id(space, pair) == sid for pair, sid in index.items())
     events = space.events()
     assert events == records
+    subsat = Formula(f.n, tuple(space.pairs), width=2).occurrences()
     for lit in range(2 * f.n):
         assert set(space.created_by[lit]) == created_by[lit]
         assert len(space.created_by[lit]) == len(created_by[lit])
-        assert space.containing[lit] == sorted(containing[lit])
+        assert containing(space)[lit] == subsat[lit] == sorted(contains[lit])
+        assert space.solved_count[lit] == len(contains[lit])
     assert [{creator for creator, _ in sid_events} for sid_events in events] == creators
     assert [{parent for _, parent in sid_events} for sid_events in events] == parents
     th = thresholds(space)
@@ -339,9 +344,11 @@ def test_space_matches_reference(f):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(formulas(n_range=(3, 30), ratios=(1, 2.5, 4.25, 6)))
 @example(formula(4, [clause("x0 -x1 x2"), clause("x3 x2 -x1"), clause("x2 x0 -x1")]))
+@example(Formula(n=3, clauses=((0, 0, 2), (0, 1, 4), (3, 3, 3))))
 def test_solved_count_counts_the_containing_subclauses(f):
+    # A repeated literal makes a pair (l, l), which contains l twice.
     space = build_space(f)
     solved_count = space.solved_count
-    assert "containing" not in vars(space)
+    assert set(vars(space)) == {"n", "clauses", "pairs", "created_by", "solved_count"}
     for lit in range(2 * f.n):
-        assert solved_count[lit] == len(space.containing[lit])
+        assert solved_count[lit] == len(containing(space)[lit])

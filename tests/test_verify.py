@@ -108,6 +108,19 @@ def test_oracle_suites_refuse_large_n(monkeypatch):
         verify.run_suites(["theorem"], instances=1, n_range=(6, 40), r=4.25, seed=1)
 
 
+@pytest.mark.parametrize("names", [["nope"], ["theorem", "nope"]])
+def test_run_suites_refuses_an_unknown_name_before_any_draw(monkeypatch, names):
+    # Refused before theorem's cap (n_range is past it here) and before any draw.
+    draws = []
+    monkeypatch.setattr(verify, "random_formula", lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(ValueError) as refused:
+        verify.run_suites(names, instances=5, n_range=(6, 40), r=4.25, seed=1)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == ("unknown suites ['nope'], expected names from "
+                                  f"{list(verify.SUITES)}")
+    assert draws == []
+
+
 def test_corollary1_runs_past_the_oracle_cap():
     # Its checks are evaluations, so no oracle caps its n.
     report = run_one("corollary1", instances=3, n_range=(30, 30), r=4.25, seed=1)
