@@ -15,6 +15,10 @@ A verify suite that made no check at all ends its stderr summary line in
 [vacuous] instead of [ok]; its JSON and its exit code are those of a passing
 suite, so such a run alone exits 0.
 
+`export --assignment`'s "merged graph consistent" means no witness path and
+no SCC conflict: the assignment, complete or partial, extends to a solution
+of the 2-SAT formula it induces; escaped implications only force literals.
+
 Every command that reads or generates a formula refuses one over more than
 INPUT_MAX_VARS (100,000) variables with exit 4, before allocating anything
 per variable: a DIMACS header or --gen can name any n in a few bytes.

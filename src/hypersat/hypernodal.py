@@ -143,11 +143,22 @@ class ContradictionReport(SimpleNamespace):
       that the merged graph reaches from the assignment; it starts at an
       assigned literal and ends at the negation, sorted by that end literal;
     - scc_conflicts: the variables whose two literals share an SCC;
-    - escaped_implications: the edges u -> v with u assigned and v not.
+    - escaped_implications: the forced implications, the edges u -> v with u
+      assigned and v not. Each says that v is forced; it is no contradiction.
 
-    `consistent` says that all three are empty. Each field is bounded by the
-    graph: at most one witness path per literal of the assignment, one
-    conflict per variable, one entry per edge."""
+    `consistent` says that there is no witness path and no SCC conflict:
+    exactly when the assignment, complete or partial, extends to a solution
+    of the 2-SAT formula it induces (Aspvall, Plass and Tarjan 1979). The
+    graph is skew-symmetric, so if the literals reached from the assignment
+    held both z and -z, an assigned literal would reach the negation of an
+    assigned literal: a witness path. Otherwise setting every reached
+    literal true satisfies every clause with a variable it sets, and with no
+    SCC conflict the other clauses take any 2-SAT solution. For a complete
+    assignment an escaped edge u -> v has -v assigned, so it is a one-edge
+    witness path.
+
+    Each field is bounded by the graph: at most one witness path per literal
+    of the assignment, one conflict per variable, one entry per edge."""
 
     def __init__(self, witness_paths: tuple[tuple[Literal, ...], ...],
                  scc_conflicts: tuple[int, ...], escaped_implications: tuple[Edge, ...]):
@@ -156,7 +167,7 @@ class ContradictionReport(SimpleNamespace):
 
     @property
     def consistent(self) -> bool:
-        return not (self.witness_paths or self.scc_conflicts or self.escaped_implications)
+        return not (self.witness_paths or self.scc_conflicts)
 
     def __repr__(self) -> str:
         fields = {"consistent": self.consistent, **vars(self)}
@@ -192,8 +203,9 @@ def _witness_paths(adjacency: list[list[Literal]], a: Assignment) -> list[tuple[
 
 
 def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionReport:
-    """Merge the assignment's graphs and look for contradictions in the
-    merged graph (merged_contradictions), in time linear in it up to sorting
+    """Merge the assignment's graphs and report the contradictions of the
+    merged graph, its witness paths and SCC conflicts, with its forced
+    implications (merged_contradictions), in time linear in it up to sorting
     its successor lists."""
     a = check_consistent(a)
     return merged_contradictions(merge_active(hg, a), a)
@@ -201,15 +213,16 @@ def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionRepo
 
 def merged_contradictions(adjacency: list[list[Literal]], a: Assignment) -> ContradictionReport:
     """Look for contradictions in the graph merge_active(hg, a) returned for
-    the consistent assignment `a`: an implication that leads out of the
-    assignment, a path from the assignment to a negation of one of its
-    literals, or a variable whose two literals are strongly connected.
+    the consistent assignment `a`: a path from the assignment to a negation
+    of one of its literals, or a variable whose two literals are strongly
+    connected. It also lists the implications that lead out of the
+    assignment, which only force their heads (ContradictionReport).
 
     Runs in time linear in the graph, up to sorting what it reports: one
     Tarjan pass for the conflicts and one multi-source breadth-first search
-    for the witness paths. The last check is not implied by the others for partial
-    assignments, where an unassigned variable can be in conflict without any
-    edge leaving the assignment."""
+    for the witness paths. The conflicts are not implied by the paths for
+    partial assignments, where an unassigned variable can be in conflict
+    with no witness path at all."""
     escaped = tuple(sorted((u, v) for u in a for v in adjacency[u] if v not in a))
     witnesses = _witness_paths(adjacency, a)
     return ContradictionReport(witness_paths=tuple(witnesses),

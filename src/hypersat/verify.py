@@ -167,7 +167,14 @@ def merge_equivalence_suite(report: SuiteReport, instance: Instance) -> None:
     """Three views of one fact must agree for every instance and its random
     assignment: the merged implication graph is contradiction-free, the
     assignment satisfies its induced 2-SAT formula, and no activated
-    sub-clause is left unsolved."""
+    sub-clause is left unsolved.
+
+    This equality is the complete-assignment case. A partial assignment's
+    graph is contradiction-free exactly when it extends to a solution of
+    its 2-SAT formula, which unsolved sub-clauses need not prevent; there
+    only (P1) "none unsolved implies contradiction-free" and (P2) "a
+    witness path or an escaped edge implies one unsolved" hold, and
+    tests/test_hypernodal.py checks both."""
     space, a = instance.space, instance.assignment
     graph_verdict = find_contradictions(build_hypernodal(space), a).consistent
     sat_verdict = not assignment_satisfies_2sat(reduce_to_2sat(space, instance.formula, a), a)

@@ -139,6 +139,17 @@ def test_export_consistent_assignment_has_no_witness(capsys, f3, tmp_path):
         "escaped implications: 0, SCC conflicts: 0, witness paths: 0"]
 
 
+def test_export_partial_assignment_with_forced_literals_is_consistent(capsys):
+    # Two edges leave {-x0, x2}; each only forces its head, and no witness
+    # path or SCC conflict refutes the assignment.
+    code, out, err = run(capsys, "export", "--gen", "30,4.25,2", "--assignment=-x0,x2")
+    assert code == EXIT_OK
+    check_dot(out)
+    assert err.splitlines() == [
+        "merged graph consistent: True",
+        "escaped implications: 2, SCC conflicts: 0, witness paths: 0"]
+
+
 def test_export_assignment_builds_the_merged_graph_once(capsys, monkeypatch):
     # The DOT and the contradiction report read one merged graph.
     calls = []

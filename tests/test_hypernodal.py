@@ -4,14 +4,14 @@ import json
 import random
 import tracemalloc
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersat import (Formula, build_hypernodal, build_space, evaluate, expand_literal,
                       expansion_to_dot, expansion_to_json, export_dot, family_to_dot,
                       find_contradictions, formula, generate_heuristic, make_literal,
                       merge_active, negate, parse_literal, random_assignment, random_formula,
-                      reduce_to_2sat)
+                      reduce_to_2sat, solve_exhaustive)
 from hypersat.formula import literal_str, var_of
 from hypersat.hypernodal import (component_ids, conflicting_variables, implication_adjacency,
                                  merged_contradictions)
@@ -249,12 +249,16 @@ def test_find_contradictions_f3(f3_space, to_paper):
 
 def test_contradiction_report_namespace_holds_its_three_tuples(f3_space):
     hg = build_hypernodal(f3_space)
-    for a in (lits("-x0", "-x1", "x2"), lits("-x0", "x1", "x2")):
+    for a in (lits("-x0", "-x1", "x2"), lits("-x0", "x1", "x2"), lits("-x0", "-x1")):
         report = find_contradictions(hg, a)
         fields = vars(report)
         assert list(fields) == ["witness_paths", "scc_conflicts", "escaped_implications"]
         assert all(isinstance(value, tuple) for value in fields.values())
-        assert report.consistent == (not any(fields.values()))
+        assert report.consistent == (not (fields["witness_paths"] or fields["scc_conflicts"]))
+    # -x0 -> x2 and -x1 -> x2 escape {-x0, -x1}: they force x2, which
+    # completes the unique solution, so the partial assignment is consistent.
+    assert report.escaped_implications == (edge("-x0", "x2"), edge("-x1", "x2"))
+    assert report.consistent
 
 
 def test_find_contradictions_matches_reduction_verdict():
@@ -278,7 +282,7 @@ def per_source_contradictions(hg, a):
     """The quadratic search find_contradictions replaced, kept as its oracle:
     a DFS from every assigned literal over the merged graph, and SCCs from
     pairwise closure. Returns (consistent, escaped, conflicts, negations
-    reached)."""
+    reached); consistent means no negation reached and no conflict."""
     adjacency = merge_active(hg, a)
     escaped = tuple(sorted((u, v) for (u, v) in edge_set(adjacency) if u in a and v not in a))
     negations = {negate(lit) for lit in a}
@@ -295,7 +299,7 @@ def per_source_contradictions(hg, a):
         reached |= seen & negations
     conflicts = tuple(sorted({var_of(lit) for comp in scc_oracle(adjacency) for lit in comp
                               if negate(lit) in comp}))
-    return not (escaped or reached or conflicts), escaped, conflicts, reached
+    return not (reached or conflicts), escaped, conflicts, reached
 
 
 @st.composite
@@ -351,6 +355,80 @@ def test_find_contradictions_partial_conflict_without_escape():
     assert report.scc_conflicts == (1, 2)
     assert not report.consistent
     assert find_contradictions(hg, lits("-x0")).consistent
+
+
+def extends_to_a_solution(space, a):
+    """The exhaustive oracle's verdict on whether `a` extends to a solution
+    of its 2-SAT formula: reduce_to_2sat(space, f, a) with a unit clause
+    (l v l) per assigned literal l."""
+    t = reduce_to_2sat(space, Formula(space.n, space.clauses), a)
+    units = tuple((lit, lit) for lit in sorted(a))
+    return bool(solve_exhaustive(Formula(t.n, t.clauses + units, width=2), cap=1))
+
+
+def check_partial_verdict(space, a):
+    """`consistent` is the oracle's extension verdict, and two one-way
+    statements tie it to the unsolved activated sub-clauses.
+    (P1) None unsolved implies consistent. An edge x -> y comes from the
+    solved sub-clause (-x v y), so y is assigned unless -x is. A walk is
+    therefore assigned from its first assigned literal on, or after its
+    first edge if it starts unassigned, so a witness path, or a cycle
+    through both literals of a variable, would assign both.
+    (P2) A witness path or an escaped edge implies one unsolved. A witness
+    path's first edge escapes, and an escaped edge u -> v comes from the
+    sub-clause (-u v), neither literal of which is assigned."""
+    report = find_contradictions(build_hypernodal(space), a)
+    assert report.consistent == extends_to_a_solution(space, a)
+    unsolved = space.unsolved(a)
+    assert unsolved or report.consistent
+    assert unsolved or not (report.witness_paths or report.escaped_implications)
+
+
+def test_contradictions_on_every_partial_assignment_of_every_small_formula():
+    # Bounded-exhaustive, after the small-scope hypothesis: every multiset of
+    # 1-2 width-3 clauses over 4 variables under each of the 81 assignments
+    # that set each variable true, false or not at all.
+    clauses = [tuple(make_literal(v, neg) for v, neg in zip(variables, signs))
+               for variables in itertools.combinations(range(4), 3)
+               for signs in itertools.product((False, True), repeat=3)]
+    assignments = [frozenset(make_literal(v, value == 2) for v, value in enumerate(values) if value)
+                   for values in itertools.product(range(3), repeat=4)]
+    checks = 0
+    for size in (1, 2):
+        for chosen in itertools.combinations_with_replacement(clauses, size):
+            space = build_space(formula(4, chosen))
+            for a in assignments:
+                check_partial_verdict(space, a)
+                checks += 1
+    assert checks == 560 * 81
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(assignment_cases())
+def test_consistent_means_the_assignment_extends_to_a_2sat_solution(case):
+    hg, a = case
+    check_partial_verdict(hg.space, a)
+
+
+@st.composite
+def solution_cases(draw):
+    """(space, assignment): an instance with n 4-12 that the oracle solves,
+    and one of its first eight solutions or a subset of it."""
+    n = draw(st.integers(4, 12))
+    f = random_formula(n, draw(st.sampled_from((2, 3, 4.25))),
+                       seed=draw(st.integers(0, 2**30)))
+    solutions = solve_exhaustive(f, cap=8)
+    assume(solutions)
+    solution = draw(st.sampled_from(solutions))
+    kept = draw(st.sets(st.sampled_from(sorted(solution)))) if draw(st.booleans()) else solution
+    return build_space(f), frozenset(kept)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(solution_cases())
+def test_every_sub_assignment_of_a_solution_is_consistent(case):
+    space, a = case
+    assert find_contradictions(build_hypernodal(space), a).consistent
 
 
 def test_implication_adjacency_equals_merged_edges():
