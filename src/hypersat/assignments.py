@@ -185,17 +185,17 @@ class CurveSeries(NamedTuple):
                           for s in self.steps))
 
 
-def unsolved_curve(space: SubClauseSpace, a: Assignment, order) -> CurveSeries:
-    """Walk the assignment in the given order, tracking how many activated
-    sub-clauses are still unsolved after each step.
+def unsolved_curve(space: SubClauseSpace, order) -> CurveSeries:
+    """Walk the assignment `order` lists, literal by literal, tracking how
+    many activated sub-clauses are still unsolved after each step. An order
+    that lists a literal twice, or both literals of a variable, is refused.
 
     A sub-clause is open from the step that first activates it until the
     first step that assigns one of its literals; one that the activating
     step or an earlier one solves never opens."""
-    a = check_consistent(a)
     order = list(order)
-    if len(order) != len(a) or set(order) != set(a):
-        raise ValueError("order must be a permutation of the assignment")
+    if len(check_consistent(order)) != len(order):
+        raise ValueError("order lists a literal twice")
     never = len(order) + 1   # the step of an unassigned literal
     step_of = [never] * (2 * space.n)
     for step, lit in enumerate(order, start=1):

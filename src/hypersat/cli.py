@@ -48,8 +48,8 @@ from .dimacs import DimacsError, clause_texts, emit_dimacs, parse_dimacs
 from .formula import (Assignment, Formula, GuardrailError, _number, _ratio, assignment_json,
                       check_consistent, evaluate, literal_str, make_literal, parse_literal,
                       random_formula, var_of)
-from .hypernodal import (build_hypernodal, expand_literal, expansion_to_dot, expansion_to_json,
-                         export_dot, family_to_dot, merge_active, merged_contradictions)
+from .hypernodal import (expand_literal, expansion_to_dot, expansion_to_json, export_dot,
+                         family_to_dot, merge_active, merged_contradictions)
 from .reduction import (UnsoundEventError, assignment_satisfies_2sat, provenance,
                         reduce_to_2sat, solve_2sat)
 from .subclauses import build_space, interaction_matrix, literal_columns, space_census
@@ -221,7 +221,7 @@ def cmd_assign(args) -> int:
         "subclause_total": subclause_total(space, a),
         "consumption_rate": consumption_rate(space, a) if a else None,
     }
-    curve = unsolved_curve(space, a, sorted(a, key=var_of))
+    curve = unsolved_curve(space, sorted(a, key=var_of))
     payload["inflection"] = curve.inflection
     if args.curve_csv:
         write_atomic(args.curve_csv, curve.to_csv())
@@ -339,10 +339,9 @@ def cmd_export(args) -> int:
         text = expansion_to_dot(expansion) if args.dot else dump_json(expansion_to_json(expansion))
         emit(args, text)
         return EXIT_OK
-    hg = build_hypernodal(space)
     if args.assignment is not None:
         a = parse_assignment(args.assignment, f.n)
-        merged = merge_active(hg, a)
+        merged = merge_active(space, a)
         text = export_dot(merged)
         report = merged_contradictions(merged, a)
         sys.stderr.write(f"merged graph consistent: {report.consistent}\n"
@@ -353,7 +352,7 @@ def cmd_export(args) -> int:
             path = " -> ".join(literal_str(lit) for lit in report.witness_paths[0])
             sys.stderr.write(f"first witness path: {path}\n")
     else:
-        text = family_to_dot(hg)
+        text = family_to_dot(space)
     emit(args, text)
     return EXIT_OK
 

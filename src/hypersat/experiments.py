@@ -118,7 +118,7 @@ def _instance_records(n, r, i, inst_seed, generators, tie_break, with_curves):
         a = generate_assignment(g, f, space, seed=inst_seed * 31 + 7, tie_break=tie_break)
         inflection = 0
         if with_curves:
-            inflection = unsolved_curve(space, a, sorted(a, key=var_of)).inflection
+            inflection = unsolved_curve(space, sorted(a, key=var_of)).inflection
         yield InstanceRecord(
             instance=i, seed=inst_seed, generator=g, fraction=evaluate(f, a).fraction,
             subclause_count=subclause_count(space, a),
@@ -176,29 +176,23 @@ def run_curve_experiment(n: int = 100, r: float = 2.5, instances: int = 120,
               f"curve order: ascending variable index")
     result = CurveExperiment(n=n, r=r, method=method)
     sums = [0.0] * n
-    inflections = []
-    current = seed
     while len(result.accepted) < instances and result.seeds_scanned < max_seeds:
-        f = random_formula(n, r, seed=current)
-        current += 1
+        f = random_formula(n, r, seed=seed + result.seeds_scanned)
         result.seeds_scanned += 1
         space = build_space(f)
-        satisfying = None
-        used = None
         for g in SATISFYING_POOL:
             a = generate_assignment(g, f, space)
             if not evaluate(f, a).unsatisfied_ids:
-                satisfying, used = a, g
                 break
-        if satisfying is None:
+        else:
             continue
-        curve = unsolved_curve(space, satisfying, sorted(satisfying, key=var_of))
-        inflections.append(curve.inflection)
+        curve = unsolved_curve(space, sorted(a, key=var_of))
         for idx, value in enumerate(curve.open_values()):
             sums[idx] += value
-        result.accepted.append({"seed": current - 1, "generator": used,
+        result.accepted.append({"seed": seed + result.seeds_scanned - 1, "generator": g,
                                 "inflection": curve.inflection})
-    if inflections:
-        result.mean_inflection = math.fsum(inflections) / len(inflections)
-        result.mean_curve = [s / len(inflections) for s in sums]
+    if result.accepted:
+        result.mean_inflection = (math.fsum(rec["inflection"] for rec in result.accepted)
+                                  / len(result.accepted))
+        result.mean_curve = [s / len(result.accepted) for s in sums]
     return result

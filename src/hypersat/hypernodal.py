@@ -7,10 +7,11 @@ Every sub-clause (l1 v l2) contributes the implications -l1 -> l2 and
 own graph exists in the family: nodes are themselves graphs.
 
 An implication graph is 2n successor lists indexed by literal code, as
-`implication_adjacency` builds them from a list of sub-clauses. The family
-stores no graphs. `HypernodalGraph` is a view of the sub-clause space it came
-from, and a literal's graph, merge_active(hg, {lit}), like an assignment's
-merged graph, is built on request from the sub-clauses it activates.
+`implication_adjacency` builds them from a list of sub-clauses. The family is
+the sub-clause space: literal l's graph holds the implications of the
+sub-clauses in space.created_by[l]. No graph is stored; a literal's graph,
+merge_active(space, {l}), like an assignment's merged graph, is built on
+request from the sub-clauses it activates.
 
 A literal's expansion is the literal/sub-clause graph it reaches. A node
 contained in a graph that it contains is a cycle there, not an endless
@@ -107,18 +108,15 @@ def conflicting_variables(comp: list[int]) -> tuple[int, ...]:
     return tuple(v for v, (pos, neg) in enumerate(zip(comp[0::2], comp[1::2])) if pos == neg)
 
 
-class HypernodalGraph(NamedTuple):
-    """The 2n-graph family, as a view of its sub-clause space: the graph of
-    literal l holds the implications of the sub-clauses l creates."""
-
-    space: SubClauseSpace
-
-
-def build_hypernodal(space: SubClauseSpace) -> HypernodalGraph:
-    return HypernodalGraph(space)
+def build_hypernodal(space: SubClauseSpace) -> SubClauseSpace:
+    """The family of literal graphs, which is the space itself. The name
+    stays only because the benchmark traces it: perfbench/tracing.py's
+    SPANS and the contradictions workload name it, and perfbench/selftest.py
+    requires calls to it on the contradictions and verify workloads."""
+    return space
 
 
-def merge_active(hg: HypernodalGraph, a: Assignment) -> list[list[Literal]]:
+def merge_active(space: SubClauseSpace, a: Assignment) -> list[list[Literal]]:
     """Union of the assigned literals' graphs: the successor lists of the
     implication graph of the 2-SAT formula the assignment induces.
 
@@ -127,7 +125,6 @@ def merge_active(hg: HypernodalGraph, a: Assignment) -> list[list[Literal]]:
     as build_space makes them from variable-ordered clauses, these are the
     lists of the sorted sub-clauses."""
     a = check_consistent(a)
-    space = hg.space
     adjacency = implication_adjacency(space.n,
                                       map(space.pairs.__getitem__, space.activated(a)))
     for out in adjacency:
@@ -202,17 +199,17 @@ def _witness_paths(adjacency: list[list[Literal]], a: Assignment) -> list[tuple[
     return paths
 
 
-def find_contradictions(hg: HypernodalGraph, a: Assignment) -> ContradictionReport:
+def find_contradictions(space: SubClauseSpace, a: Assignment) -> ContradictionReport:
     """Merge the assignment's graphs and report the contradictions of the
     merged graph, its witness paths and SCC conflicts, with its forced
     implications (merged_contradictions), in time linear in it up to sorting
     its successor lists."""
     a = check_consistent(a)
-    return merged_contradictions(merge_active(hg, a), a)
+    return merged_contradictions(merge_active(space, a), a)
 
 
 def merged_contradictions(adjacency: list[list[Literal]], a: Assignment) -> ContradictionReport:
-    """Look for contradictions in the graph merge_active(hg, a) returned for
+    """Look for contradictions in the graph merge_active(space, a) returned for
     the consistent assignment `a`: a path from the assignment to a negation
     of one of its literals, or a variable whose two literals are strongly
     connected. It also lists the implications that lead out of the
@@ -289,7 +286,7 @@ def expansion_to_json(expansion: Expansion) -> dict:
                            for sc in expansion.subclauses]}
 
 
-def family_to_dot(hg: HypernodalGraph) -> str:
+def family_to_dot(space: SubClauseSpace) -> str:
     """The family as DOT: one cluster per literal's graph, in a true and a
     false stack, with dashed containment and dotted cross-edges. A dotted edge
     says that two leaves with the same label are one literal. The leaves
@@ -297,41 +294,38 @@ def family_to_dot(hg: HypernodalGraph) -> str:
     one per pair: with the dashed edges to I(l) that keeps them connected, and
     there are fewer dotted edges than leaves."""
     lines = ["digraph hypernodal {", "  compound=true;"]
-    space = hg.space
     stacks = (("cluster_true", "true literals", [make_literal(v) for v in range(space.n)]),
               ("cluster_false", "false literals", [make_literal(v, True) for v in range(space.n)]))
-    leaves: dict[Literal, set[Literal]] = {}   # owner -> labels of its other nodes
+    leaves: dict[Literal, list[Literal]] = {}   # owner -> labels of its other nodes, ascending
     for cluster, label, owners in stacks:
         lines.append(f'  subgraph "{cluster}" {{')
         lines.append(f'    label="{label}";')
         for owner in owners:
-            # The edges of merge_active(hg, {owner}); a pair (l, l) gives one twice.
+            # The edges of merge_active(space, {owner}); a pair (l, l) gives one twice.
             edges = sorted({edge for l1, l2 in map(space.pairs.__getitem__, space.created_by[owner])
                             for edge in ((negate(l1), l2), (negate(l2), l1))})
-            leaves[owner] = {lit for edge in edges for lit in edge} - {owner}
+            leaves[owner] = sorted({lit for edge in edges for lit in edge} - {owner})
             name = literal_str(owner)
             lines.append(f'    subgraph "cluster_I_{name}" {{')
             lines.append(f'      label="I({name})";')
             lines.append(f'      "g{owner}_n{owner}" '
                          f'[label="{name}", style=filled, fillcolor=black, fontcolor=white];')
-            for lit in sorted(leaves[owner]):
+            for lit in leaves[owner]:
                 lines.append(f'      "g{owner}_n{lit}" [label="{literal_str(lit)}"];')
             for u, v in edges:
                 lines.append(f'      "g{owner}_n{u}" -> "g{owner}_n{v}";')
             lines.append("    }")
         lines.append("  }")
-    owners = sorted(leaves)
-    # Containment (dashed): a leaf labeled l contains the graph I(l).
-    for owner in owners:
-        for lit in sorted(leaves[owner]):
+    # Containment (dashed): a leaf labeled l contains the graph I(l). The walk
+    # is in owner order, so it lists each label's holders in owner order too.
+    holders: dict[Literal, list[Literal]] = {}
+    for owner in range(2 * space.n):
+        for lit in leaves[owner]:
             lines.append(f'  "g{owner}_n{lit}" -> "g{lit}_n{lit}" '
                          "[dir=none, style=dashed, constraint=false];")
+            holders.setdefault(lit, []).append(owner)
     # Cross-edges (dotted): equal-labeled leaves of different graphs, chained
     # through each label's holders in owner order, by (owner_a, owner_b, lit).
-    holders: dict[Literal, list[Literal]] = {}
-    for owner in owners:
-        for lit in leaves[owner]:
-            holders.setdefault(lit, []).append(owner)
     cross = sorted((owner_a, owner_b, lit) for lit, held in holders.items()
                    for owner_a, owner_b in zip(held, held[1:]))
     for owner_a, owner_b, lit in cross:

@@ -176,6 +176,7 @@ def merge_equivalence_suite(report: SuiteReport, instance: Instance) -> None:
     witness path or an escaped edge implies one unsolved" hold, and
     tests/test_hypernodal.py checks both."""
     space, a = instance.space, instance.assignment
+    # build_hypernodal returns the space; perfbench/selftest.py requires its calls here.
     graph_verdict = find_contradictions(build_hypernodal(space), a).consistent
     sat_verdict = not assignment_satisfies_2sat(reduce_to_2sat(space, instance.formula, a), a)
     unsolved_verdict = not space.unsolved(a)

@@ -10,8 +10,7 @@ import hypersat
 # shows up in the diff of this list.
 PUBLIC_NAMES = [
     "Assignment", "Clause", "CurveSeries", "DimacsError", "EvalReport",
-    "ExclusionReport", "Expansion", "Formula", "GuardrailError", "HypernodalGraph",
-    "HypothesisError", "InteractionMatrix", "Literal", "SubClauseSpace",
+    "ExclusionReport", "Expansion", "Formula", "GuardrailError", "HypothesisError", "InteractionMatrix", "Literal", "SubClauseSpace",
     "Thresholds", "TwoSatResult", "assignment_satisfies_2sat",
     "build_hypernodal", "build_space", "check_consistent", "consumption_rate",
     "emit_dimacs", "evaluate", "excluded_literals", "expand_literal", "expansion_to_dot",

@@ -83,18 +83,17 @@ def test_implication_soundness():
 
 
 def test_hypernodal_family(f3_space):
-    hg = build_hypernodal(f3_space)
-    assert hg.space is f3_space and hg.space.n == 3
-    for owner in range(2 * hg.space.n):
-        graph = merge_active(hg, {owner})
+    assert build_hypernodal(f3_space) is f3_space and f3_space.n == 3
+    for owner in range(2 * f3_space.n):
+        graph = merge_active(f3_space, {owner})
         assert len(graph) == 6
         assert endpoints(graph) <= set(range(6))  # nesting closure
 
 
 def test_hypernodal_empty():
-    hg = build_hypernodal(build_space(formula(0, [])))
-    assert hg.space.n == 0
-    assert merge_active(hg, frozenset()) == []
+    space = build_space(formula(0, []))
+    assert space.n == 0
+    assert merge_active(space, frozenset()) == []
 
 
 def test_merge_singleton(f3_space):
@@ -278,12 +277,12 @@ def test_find_contradictions_matches_reduction_verdict():
     assert agree == 80
 
 
-def per_source_contradictions(hg, a):
+def per_source_contradictions(space, a):
     """The quadratic search find_contradictions replaced, kept as its oracle:
     a DFS from every assigned literal over the merged graph, and SCCs from
     pairwise closure. Returns (consistent, escaped, conflicts, negations
     reached); consistent means no negation reached and no conflict."""
-    adjacency = merge_active(hg, a)
+    adjacency = merge_active(space, a)
     escaped = tuple(sorted((u, v) for (u, v) in edge_set(adjacency) if u in a and v not in a))
     negations = {negate(lit) for lit in a}
     reached = set()
@@ -304,23 +303,23 @@ def per_source_contradictions(hg, a):
 
 @st.composite
 def assignment_cases(draw):
-    """(hypernodal graph, assignment): complete or partial assignments on
+    """(space, assignment): complete or partial assignments on
     small instances at ratios from under- to over-constrained."""
     n = draw(st.integers(4, 14))
     r = draw(st.sampled_from((2, 3, 4.25, 6)))
     f = random_formula(n, r, seed=draw(st.integers(0, 2**30)))
     complete = random_assignment(n, seed=draw(st.integers(0, 2**30)))
     kept = draw(st.sets(st.sampled_from(sorted(complete)))) if draw(st.booleans()) else complete
-    return build_hypernodal(build_space(f)), frozenset(kept)
+    return build_space(f), frozenset(kept)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(assignment_cases())
 def test_find_contradictions_matches_per_source_search(case):
-    hg, a = case
-    report = find_contradictions(hg, a)
-    assert merged_contradictions(merge_active(hg, a), a) == report
-    consistent, escaped, conflicts, reached = per_source_contradictions(hg, a)
+    space, a = case
+    report = find_contradictions(space, a)
+    assert merged_contradictions(merge_active(space, a), a) == report
+    consistent, escaped, conflicts, reached = per_source_contradictions(space, a)
     assert report.consistent == consistent
     assert report.escaped_implications == escaped
     assert report.scc_conflicts == conflicts
@@ -330,9 +329,9 @@ def test_find_contradictions_matches_per_source_search(case):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(assignment_cases())
 def test_witness_paths_follow_merged_edges(case):
-    hg, a = case
-    edges = edge_set(merge_active(hg, a))
-    report = find_contradictions(hg, a)
+    space, a = case
+    edges = edge_set(merge_active(space, a))
+    report = find_contradictions(space, a)
     ends = [path[-1] for path in report.witness_paths]
     assert ends == sorted(set(ends))
     for path in report.witness_paths:
@@ -406,8 +405,7 @@ def test_contradictions_on_every_partial_assignment_of_every_small_formula():
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(assignment_cases())
 def test_consistent_means_the_assignment_extends_to_a_2sat_solution(case):
-    hg, a = case
-    check_partial_verdict(hg.space, a)
+    check_partial_verdict(*case)
 
 
 @st.composite
@@ -688,20 +686,23 @@ def test_expansion_json_schema(f3_space):
 
 
 def test_export_dot_hypernodal(f3_space):
-    hg = build_hypernodal(f3_space)
-    text = family_to_dot(hg)
-    check_dot(text)
-    assert text.count('subgraph "cluster_I_') == 6
-    assert 'subgraph "cluster_true"' in text
-    assert 'subgraph "cluster_false"' in text
-    assert "style=dotted" in text    # cross-edges
-    assert "style=dashed" in text    # containment
-    # Each literal's cluster holds the edges of its own graph, sorted.
-    for owner in range(6):
-        assert [line for line in text.splitlines()
-                if line.startswith(f'      "g{owner}_n') and " -> " in line] == \
-            [f'      "g{owner}_n{u}" -> "g{owner}_n{v}";'
-             for u, v in sorted(edge_set(merge_active(hg, {owner})))]
+    # Besides the worked instance: a random one, and a clause repeating x0,
+    # whose pair (x0 v x0) gives the edge -x0 -> x0 twice.
+    for space in (f3_space, build_space(random_formula(30, 4.25, seed=2)),
+                  build_space(Formula(2, ((0, 0, 2),)))):
+        text = family_to_dot(space)
+        check_dot(text)
+        assert text.count('subgraph "cluster_I_') == 2 * space.n
+        assert 'subgraph "cluster_true"' in text
+        assert 'subgraph "cluster_false"' in text
+        assert "style=dotted" in text    # cross-edges
+        assert "style=dashed" in text    # containment
+        # Each literal's cluster holds the edges of its own graph, sorted.
+        for owner in range(2 * space.n):
+            assert [line for line in text.splitlines()
+                    if line.startswith(f'      "g{owner}_n') and " -> " in line] == \
+                [f'      "g{owner}_n{u}" -> "g{owner}_n{v}";'
+                 for u, v in sorted(edge_set(merge_active(space, {owner})))]
 
 
 def test_family_dot_chains_each_label_through_its_holders():
@@ -763,10 +764,9 @@ def reference_dot_merged(adjacency):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(assignment_cases())
 def test_merged_graph_layers_match_their_references(case):
-    hg, a = case
-    space = hg.space
+    space, a = case
     pairs = sorted(space.pairs[sid] for sid in space.activated(a))
-    merged = merge_active(hg, a)
+    merged = merge_active(space, a)
     assert merged == reference_implication_adjacency(space.n, pairs)
     text = export_dot(merged)
     assert text == reference_dot_merged(merged)

@@ -232,6 +232,23 @@ def test_theorem_holds_for_every_oracle_solution(f):
         assert verify_theorem(f, a, space).holds
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(formulas(n_range=(3, 14), ratios=(1, 2, 4.25, 6)), st.integers(0, 2**30))
+def test_a_falsified_clause_leaves_three_unsolved_subclauses(f, seed):
+    # A clause (l1 v l2 v l3) that the assignment falsifies has -l1, -l2 and
+    # -l3 assigned, which activate its three pairs with both literals false;
+    # their variables differ, so the pairs do. A satisfied clause leaves none
+    # unsolved. So no complete assignment leaves one or two unsolved: the
+    # 2-SAT clauses it falsifies number 0 or at least 3, and dropping one
+    # clause from the reduction never changes whether it satisfies them.
+    a = random_assignment(f.n, seed=seed)
+    unsolved = len(build_space(f).unsolved(a))
+    if evaluate(f, a).unsatisfied_ids:
+        assert unsolved >= 3
+    else:
+        assert unsolved == 0
+
+
 def test_theorem_and_corollary1_on_every_small_formula():
     # Bounded-exhaustive, after the small-scope hypothesis: every multiset of
     # 1-3 width-3 clauses over 4 variables (repeated clauses included, which

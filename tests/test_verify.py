@@ -232,9 +232,9 @@ def test_a_merged_graph_without_edges_fails_merge(monkeypatch):
     # 2-SAT formula and its unsolved sub-clauses say otherwise.
     seen = []
 
-    def no_edges(hg, a):
-        seen.append((hg.space, a))
-        return [[] for _ in range(2 * hg.space.n)]
+    def no_edges(space, a):
+        seen.append((space, a))
+        return [[] for _ in range(2 * space.n)]
 
     monkeypatch.setattr(hypernodal, "merge_active", no_edges)
     report = run_one("merge", instances=40, n_range=(6, 12), r=4.25, seed=1)

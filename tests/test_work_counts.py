@@ -12,10 +12,9 @@ import sys
 
 import pytest
 
-from hypersat import (build_hypernodal, build_space, emit_dimacs, evaluate, export_dot,
-                      family_to_dot, find_contradictions, generate_greedy, merge_active,
-                      parse_dimacs, random_formula, reduce_to_2sat, solve_2sat, unsolved_curve,
-                      var_of)
+from hypersat import (build_space, emit_dimacs, evaluate, export_dot, family_to_dot,
+                      find_contradictions, generate_greedy, merge_active, parse_dimacs,
+                      random_formula, reduce_to_2sat, solve_2sat, unsolved_curve, var_of)
 
 SIZES = (250, 1000)
 RATIO = 4.25
@@ -54,11 +53,10 @@ def layer_events(n):
     a = generate_greedy(f, dynamic=True)
     counts["evaluate"] = events(evaluate, f, a)
     counts["solve_2sat"] = events(solve_2sat, reduce_to_2sat(space, f, a))
-    hg = build_hypernodal(space)
-    counts["find_contradictions"] = events(find_contradictions, hg, a)
-    counts["export_dot"] = events(export_dot, merge_active(hg, a))
-    counts["unsolved_curve"] = events(unsolved_curve, space, a, sorted(a, key=var_of))
-    counts["family_to_dot"] = events(family_to_dot, hg)
+    counts["find_contradictions"] = events(find_contradictions, space, a)
+    counts["export_dot"] = events(export_dot, merge_active(space, a))
+    counts["unsolved_curve"] = events(unsolved_curve, space, sorted(a, key=var_of))
+    counts["family_to_dot"] = events(family_to_dot, space)
     return counts
 
 
